@@ -1,20 +1,5 @@
 //! Shared helpers for the application suite.
 
-use dsm_sim::{SnapReader, SnapWriter};
-
-/// Snapshot-encode a residual/energy history vector.
-pub fn save_f64s(w: &mut SnapWriter, vs: &[f64]) {
-    w.usize(vs.len());
-    for &v in vs {
-        w.f64(v);
-    }
-}
-
-/// Decode a [`save_f64s`] vector.
-pub fn load_f64s(r: &mut SnapReader<'_>) -> Vec<f64> {
-    (0..r.usize()).map(|_| r.f64()).collect()
-}
-
 /// Problem-size preset.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {

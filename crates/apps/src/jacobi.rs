@@ -9,22 +9,16 @@
 use dsm_core::{CheckCtx, DsmApp, ExecCtx, PhaseEnd, ReduceOp, SetupCtx, SharedGrid2};
 use dsm_plan::{AccessDecl, AppPlan, ArrayShape, Cols, PhasePlan, PlannedApp, Rows};
 
-use crate::common::{interior_band, load_f64s, save_f64s, seeded01, Scale};
+use dsm_sim::State;
+
+use crate::common::{interior_band, seeded01, Scale};
 
 /// Jacobi solver with convergence reduction.
 pub struct Jacobi {
-    // audit: skip(snap): construction parameter, re-supplied when the app is
-    // rebuilt for restore
     rows: usize,
-    // audit: skip(snap): construction parameter, re-supplied on rebuild
     cols: usize,
-    // audit: skip(snap): construction parameter, re-supplied on rebuild
     iters: usize,
-    // audit: skip(snap): grid handle; the data lives in shared segment pages,
-    // captured by the snapshot's CORE image, and the handle is re-derived in init
     a: Option<SharedGrid2<f64>>,
-    // audit: skip(snap): grid handle; data lives in shared segment pages and
-    // the handle is re-derived in init
     b: Option<SharedGrid2<f64>>,
     /// Per-process residuals: one app instance simulates every process,
     /// so per-process scratch must be indexed by pid (a single field
@@ -34,6 +28,14 @@ pub struct Jacobi {
     /// Residual history (one entry per completed iteration), for tests.
     pub residual_history: Vec<f64>,
 }
+
+// Dimensions are construction parameters and the grid handles are
+// re-derived in `setup`; the grids' data lives in shared segment pages,
+// which the snapshot's CORE section captures.
+dsm_sim::impl_state!(Jacobi {
+    config: rows, cols, iters, a, b;
+    state: residuals, residual_history;
+});
 
 impl Jacobi {
     pub fn new(scale: Scale) -> Jacobi {
@@ -149,13 +151,11 @@ impl DsmApp for Jacobi {
     }
 
     fn save_state(&self, w: &mut dsm_sim::SnapWriter) {
-        save_f64s(w, &self.residuals);
-        save_f64s(w, &self.residual_history);
+        State::encode(self, w);
     }
 
-    fn load_state(&mut self, r: &mut dsm_sim::SnapReader<'_>) {
-        self.residuals = load_f64s(r);
-        self.residual_history = load_f64s(r);
+    fn load_state(&mut self, r: &mut dsm_sim::SnapReader<'_>) -> Result<(), dsm_sim::SnapError> {
+        State::decode(self, r)
     }
 }
 

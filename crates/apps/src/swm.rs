@@ -9,22 +9,28 @@
 use dsm_core::{CheckCtx, DsmApp, ExecCtx, PhaseEnd, ReduceOp, SetupCtx};
 use dsm_plan::{AccessDecl, AppPlan, Cols, PhasePlan, PlannedApp, Rows};
 
-use crate::common::{load_f64s, save_f64s, Scale};
+use dsm_sim::State;
+
+use crate::common::Scale;
 use crate::shallow::{
     loop100_plan, loop200_plan, loop300_accesses, swm_array_shapes, SwmCore, SWM_FIELDS,
 };
 
 /// Fine-grain shallow water with reductions.
 pub struct Swm {
-    // audit: skip(snap): geometry constants and grid handles; all field data
-    // lives in shared segment pages, captured by the snapshot's CORE image
     core: SwmCore,
-    // audit: skip(snap): construction parameter, re-supplied on rebuild
     iters: usize,
     energy: f64,
     /// Global energy per iteration (for tests / diagnostics).
     pub energy_history: Vec<f64>,
 }
+
+// `core` is geometry constants and grid handles; all field data lives in
+// shared segment pages, which the snapshot's CORE section captures.
+dsm_sim::impl_state!(Swm {
+    config: core, iters;
+    state: energy, energy_history;
+});
 
 impl Swm {
     pub fn new(scale: Scale) -> Swm {
@@ -91,13 +97,11 @@ impl DsmApp for Swm {
     }
 
     fn save_state(&self, w: &mut dsm_sim::SnapWriter) {
-        w.f64(self.energy);
-        save_f64s(w, &self.energy_history);
+        State::encode(self, w);
     }
 
-    fn load_state(&mut self, r: &mut dsm_sim::SnapReader<'_>) {
-        self.energy = r.f64();
-        self.energy_history = load_f64s(r);
+    fn load_state(&mut self, r: &mut dsm_sim::SnapReader<'_>) -> Result<(), dsm_sim::SnapError> {
+        State::decode(self, r)
     }
 }
 

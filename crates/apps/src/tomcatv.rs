@@ -10,29 +10,20 @@
 use dsm_core::{CheckCtx, DsmApp, ExecCtx, PhaseEnd, ReduceOp, SetupCtx, SharedGrid2};
 use dsm_plan::{AccessDecl, AppPlan, ArrayShape, Cols, PhasePlan, PlannedApp, Rows};
 
-use crate::common::{interior_band, load_f64s, save_f64s, Scale};
+use dsm_sim::State;
+
+use crate::common::{interior_band, Scale};
 
 /// SLOR mesh generation.
 pub struct Tomcatv {
-    // audit: skip(snap): construction parameter, re-supplied when the app is
-    // rebuilt for restore
     n: usize,
-    // audit: skip(snap): construction parameter, re-supplied on rebuild
     iters: usize,
-    // audit: skip(snap): construction constant (relaxation factor)
     rel: f64,
-    // audit: skip(snap): grid handle; the data lives in shared segment pages,
-    // captured by the snapshot's CORE image, and the handle is re-derived in init
     x: Option<SharedGrid2<f64>>,
-    // audit: skip(snap): grid handle, re-derived in init
     y: Option<SharedGrid2<f64>>,
-    // audit: skip(snap): grid handle, re-derived in init
     rx: Option<SharedGrid2<f64>>,
-    // audit: skip(snap): grid handle, re-derived in init
     ry: Option<SharedGrid2<f64>>,
-    // audit: skip(snap): grid handle, re-derived in init
     aa: Option<SharedGrid2<f64>>,
-    // audit: skip(snap): grid handle, re-derived in init
     dd: Option<SharedGrid2<f64>>,
     /// Per-process band residuals: one app instance simulates every
     /// process, so per-process scratch is indexed by pid (a single field
@@ -42,6 +33,15 @@ pub struct Tomcatv {
     /// Max-residual history per iteration (tests check convergence).
     pub residual_history: Vec<f64>,
 }
+
+// Size, iteration count and relaxation factor are construction
+// parameters and the grid handles are re-derived in `setup`; the grids'
+// data lives in shared segment pages, which the snapshot's CORE section
+// captures.
+dsm_sim::impl_state!(Tomcatv {
+    config: n, iters, rel, x, y, rx, ry, aa, dd;
+    state: band_residuals, residual_history;
+});
 
 impl Tomcatv {
     pub fn new(scale: Scale) -> Tomcatv {
@@ -245,13 +245,11 @@ impl DsmApp for Tomcatv {
     }
 
     fn save_state(&self, w: &mut dsm_sim::SnapWriter) {
-        save_f64s(w, &self.band_residuals);
-        save_f64s(w, &self.residual_history);
+        State::encode(self, w);
     }
 
-    fn load_state(&mut self, r: &mut dsm_sim::SnapReader<'_>) {
-        self.band_residuals = load_f64s(r);
-        self.residual_history = load_f64s(r);
+    fn load_state(&mut self, r: &mut dsm_sim::SnapReader<'_>) -> Result<(), dsm_sim::SnapError> {
+        State::decode(self, r)
     }
 }
 

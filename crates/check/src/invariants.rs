@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use dsm_core::proto::CopySet;
 use dsm_core::RegionTable;
-use dsm_sim::{FastMap, FastSet, SnapReader, SnapWriter};
+use dsm_sim::{FastMap, FastSet};
 
 use crate::report::Violation;
 
@@ -50,8 +50,6 @@ pub enum CopysetRule {
 type LiveNotices = FastMap<(u32, u16, u64), u32>;
 
 pub struct InvariantState {
-    // audit: skip(snap): construction-time configuration, reinstalled by the
-    // restore path alongside the run config
     rule: CopysetRule,
     /// Last version value seen per page.
     versions: FastMap<u32, u32>,
@@ -64,7 +62,7 @@ pub struct InvariantState {
     per_page_fetchers: FastMap<u32, CopySet>,
     /// (page, writer) pairs already reported for a copyset omission.
     flagged_copyset: FastSet<(u32, u16)>,
-    live: Vec<LiveNotices>,
+    live: Box<[LiveNotices]>,
     /// Copysets of flushes issued this epoch, per (page, writer); cleared
     /// at every barrier release. Grounds duplicate deliveries.
     flushed_this_epoch: FastMap<(u32, u16), CopySet>,
@@ -72,12 +70,16 @@ pub struct InvariantState {
     flagged_dup: FastSet<(u32, u16, u16)>,
     /// The static region certificates the run was configured with (bar-r
     /// only); elision events are validated against these.
-    // audit: skip(snap): static region certificates from config, reinstalled
-    // at construction on restore
     regions: Option<Arc<RegionTable>>,
     /// (page, writer) pairs already reported for an ungrounded elision.
     flagged_elision: FastSet<(u32, u16)>,
 }
+
+dsm_sim::impl_state!(InvariantState {
+    config: rule, regions;
+    state: versions, flagged_skip, flagged_regress, per_writer_fetchers, per_page_fetchers,
+        flagged_copyset, live, flushed_this_epoch, flagged_dup, flagged_elision;
+});
 
 impl InvariantState {
     pub fn new(
@@ -93,159 +95,11 @@ impl InvariantState {
             per_writer_fetchers: FastMap::default(),
             per_page_fetchers: FastMap::default(),
             flagged_copyset: FastSet::default(),
-            live: vec![LiveNotices::default(); nprocs],
+            live: vec![LiveNotices::default(); nprocs].into(),
             flushed_this_epoch: FastMap::default(),
             flagged_dup: FastSet::default(),
             regions,
             flagged_elision: FastSet::default(),
-        }
-    }
-
-    /// Encode the invariant state for a snapshot. `rule` and `regions`
-    /// are construction-time configuration and are not captured. Map and
-    /// set contents are written in sorted key order (the hash containers
-    /// iterate in arbitrary order).
-    pub fn encode_state(&self, w: &mut SnapWriter) {
-        let mut versions: Vec<(u32, u32)> = self.versions.iter().map(|(&k, &v)| (k, v)).collect();
-        versions.sort_unstable();
-        w.usize(versions.len());
-        for (page, ver) in versions {
-            w.u32(page);
-            w.u32(ver);
-        }
-        for set in [&self.flagged_skip, &self.flagged_regress] {
-            let mut pages: Vec<u32> = set.iter().copied().collect();
-            pages.sort_unstable();
-            w.usize(pages.len());
-            for p in pages {
-                w.u32(p);
-            }
-        }
-        let mut pw: Vec<(u32, u16)> = self.per_writer_fetchers.keys().copied().collect();
-        pw.sort_unstable();
-        w.usize(pw.len());
-        for k in pw {
-            w.u32(k.0);
-            w.u16(k.1);
-            self.per_writer_fetchers[&k].encode_state(w);
-        }
-        let mut pp: Vec<u32> = self.per_page_fetchers.keys().copied().collect();
-        pp.sort_unstable();
-        w.usize(pp.len());
-        for k in pp {
-            w.u32(k);
-            self.per_page_fetchers[&k].encode_state(w);
-        }
-        let mut fc: Vec<(u32, u16)> = self.flagged_copyset.iter().copied().collect();
-        fc.sort_unstable();
-        w.usize(fc.len());
-        for (page, writer) in fc {
-            w.u32(page);
-            w.u16(writer);
-        }
-        w.usize(self.live.len());
-        for notices in &self.live {
-            let mut entries: Vec<((u32, u16, u64), u32)> =
-                notices.iter().map(|(&k, &v)| (k, v)).collect();
-            entries.sort_unstable();
-            w.usize(entries.len());
-            for ((page, writer, epoch), count) in entries {
-                w.u32(page);
-                w.u16(writer);
-                w.u64(epoch);
-                w.u32(count);
-            }
-        }
-        let mut fe: Vec<(u32, u16)> = self.flushed_this_epoch.keys().copied().collect();
-        fe.sort_unstable();
-        w.usize(fe.len());
-        for k in fe {
-            w.u32(k.0);
-            w.u16(k.1);
-            self.flushed_this_epoch[&k].encode_state(w);
-        }
-        let mut fd: Vec<(u32, u16, u16)> = self.flagged_dup.iter().copied().collect();
-        fd.sort_unstable();
-        w.usize(fd.len());
-        for (page, writer, dst) in fd {
-            w.u32(page);
-            w.u16(writer);
-            w.u16(dst);
-        }
-        let mut fl: Vec<(u32, u16)> = self.flagged_elision.iter().copied().collect();
-        fl.sort_unstable();
-        w.usize(fl.len());
-        for (page, writer) in fl {
-            w.u32(page);
-            w.u16(writer);
-        }
-    }
-
-    /// Restore an [`InvariantState::encode_state`] capture. The state must
-    /// have been built with the same `nprocs`, rule, and region table.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) {
-        self.versions = FastMap::default();
-        for _ in 0..r.usize() {
-            let page = r.u32();
-            let ver = r.u32();
-            self.versions.insert(page, ver);
-        }
-        for set in [&mut self.flagged_skip, &mut self.flagged_regress] {
-            *set = FastSet::default();
-            for _ in 0..r.usize() {
-                set.insert(r.u32());
-            }
-        }
-        self.per_writer_fetchers = FastMap::default();
-        for _ in 0..r.usize() {
-            let page = r.u32();
-            let writer = r.u16();
-            let cs = CopySet::decode_state(r);
-            self.per_writer_fetchers.insert((page, writer), cs);
-        }
-        self.per_page_fetchers = FastMap::default();
-        for _ in 0..r.usize() {
-            let page = r.u32();
-            let cs = CopySet::decode_state(r);
-            self.per_page_fetchers.insert(page, cs);
-        }
-        self.flagged_copyset = FastSet::default();
-        for _ in 0..r.usize() {
-            let page = r.u32();
-            let writer = r.u16();
-            self.flagged_copyset.insert((page, writer));
-        }
-        let np = r.usize();
-        assert_eq!(np, self.live.len(), "snapshot from a different nprocs");
-        for notices in &mut self.live {
-            *notices = LiveNotices::default();
-            for _ in 0..r.usize() {
-                let page = r.u32();
-                let writer = r.u16();
-                let epoch = r.u64();
-                let count = r.u32();
-                notices.insert((page, writer, epoch), count);
-            }
-        }
-        self.flushed_this_epoch = FastMap::default();
-        for _ in 0..r.usize() {
-            let page = r.u32();
-            let writer = r.u16();
-            let cs = CopySet::decode_state(r);
-            self.flushed_this_epoch.insert((page, writer), cs);
-        }
-        self.flagged_dup = FastSet::default();
-        for _ in 0..r.usize() {
-            let page = r.u32();
-            let writer = r.u16();
-            let dst = r.u16();
-            self.flagged_dup.insert((page, writer, dst));
-        }
-        self.flagged_elision = FastSet::default();
-        for _ in 0..r.usize() {
-            let page = r.u32();
-            let writer = r.u16();
-            self.flagged_elision.insert((page, writer));
         }
     }
 

@@ -31,7 +31,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use dsm_core::{CheckEvent, CheckSink, DsmApp, ProtocolKind, RunConfig, RunReport};
-use dsm_sim::{SnapReader, SnapWriter};
+use dsm_sim::{SnapError, SnapReader, SnapWriter, State};
 
 use invariants::{CopysetRule, InvariantState};
 use oracle::OracleState;
@@ -40,6 +40,12 @@ pub use report::{CheckReport, RaceKind, Violation};
 
 /// Keep at most this many violations in the report; the rest only count.
 const VIOLATION_CAP: usize = 256;
+
+// The scratch buffer is a host-side cache, overwritten before every use.
+dsm_sim::impl_state!(CheckState {
+    state: report, race, oracle, inv, cur_epoch;
+    config: scratch;
+});
 
 struct CheckState {
     report: CheckReport,
@@ -255,32 +261,18 @@ impl Checker {
         st.report.clone()
     }
 
-    /// Encode the complete checker state — report, race detector, oracle,
-    /// invariants, current epoch — for a snapshot. A restored checker
-    /// produces a bit-identical event trace and final report to one that
-    /// replayed the run from the start.
-    pub fn encode_state(&self, w: &mut SnapWriter) {
-        let st = self.state.borrow();
-        st.report.encode_state(w);
-        st.race.encode_state(w);
-        st.oracle.encode_state(w);
-        st.inv.encode_state(w);
-        w.u64(st.cur_epoch);
+    /// Serialize the complete checker state — report, race detector,
+    /// oracle, invariants, current epoch. A restored checker produces a
+    /// bit-identical event trace and final report to one that replayed
+    /// the run from the start.
+    pub fn snapshot(&self, w: &mut SnapWriter) {
+        self.state.borrow().encode(w);
     }
 
-    /// Restore a [`Checker::encode_state`] capture. The checker must have
+    /// Restore a [`Checker::snapshot`] capture. The checker must have
     /// been built from the same [`RunConfig`].
-    pub fn restore_state(&self, r: &mut SnapReader<'_>) {
-        let mut st = self.state.borrow_mut();
-        st.report.restore_state(r);
-        let CheckState {
-            race, oracle, inv, ..
-        } = &mut *st;
-        race.restore_state(r);
-        oracle.restore_state(r);
-        inv.restore_state(r);
-        st.cur_epoch = r.u64();
-        st.scratch.clear();
+    pub fn restore(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.state.borrow_mut().decode(r)
     }
 }
 

@@ -12,7 +12,10 @@
 //! fold into `committed` at every barrier release in pid order (the order
 //! only matters for racy words, and those are suppressed at read time).
 
-use dsm_sim::{FastSet, SnapReader, SnapWriter};
+use dsm_sim::{
+    decode_table, encode_table, fold_encoding, FastSet, SnapError, SnapReader, SnapWriter, State,
+    StateHasher,
+};
 
 use crate::report::Violation;
 
@@ -41,9 +44,7 @@ pub struct OracleState {
     /// `log2(page_size)` / `page_size - 1`: page sizes are powers of two
     /// by the VM's own assertion, so the per-access page/offset split is a
     /// shift and a mask instead of a division by a runtime value.
-    // audit: skip(snap): derived from page_size at construction
     ps_shift: u32,
-    // audit: skip(snap): derived from page_size at construction
     ps_mask: usize,
     /// Globally committed bytes (everything up to the last barrier),
     /// indexed densely by page number (`None` = untouched, implicitly
@@ -51,7 +52,7 @@ pub struct OracleState {
     /// indexing keeps the per-access lookup a bounds check, not a hash.
     committed: Vec<Option<Vec<u8>>>,
     /// Per-process current-epoch overlays, same dense indexing.
-    overlays: Vec<Vec<Option<Overlay>>>,
+    overlays: Box<[Vec<Option<Overlay>>]>,
     /// Overlays retired at barriers, masks wiped, awaiting reuse — the
     /// fold would otherwise free and re-`calloc` two page-sized buffers
     /// per touched page per epoch.
@@ -72,7 +73,7 @@ impl OracleState {
             ps_shift: page_size.trailing_zeros(),
             ps_mask: page_size - 1,
             committed: Vec::new(),
-            overlays: vec![Vec::new(); nprocs],
+            overlays: vec![Vec::new(); nprocs].into(),
             spare: Vec::new(),
             flagged: FastSet::default(),
             scratch: Vec::new(),
@@ -209,75 +210,6 @@ impl OracleState {
         self.scratch = expected;
     }
 
-    /// Encode the oracle state for a snapshot. Touched pages are written
-    /// sparsely in page order; page buffers are raw `page_size`-byte
-    /// images (the size is construction-time configuration). The spare
-    /// list and scratch buffer are pure caches and are not captured.
-    pub fn encode_state(&self, w: &mut SnapWriter) {
-        let ps = self.page_size;
-        w.usize(self.committed.len());
-        let touched: Vec<usize> = (0..self.committed.len())
-            .filter(|&p| self.committed[p].is_some())
-            .collect();
-        w.usize(touched.len());
-        for &page in &touched {
-            w.usize(page);
-            let c = self.committed[page].as_ref().unwrap();
-            debug_assert_eq!(c.len(), ps);
-            w.raw(c);
-        }
-        w.usize(self.overlays.len());
-        for slots in &self.overlays {
-            w.usize(slots.len());
-            let live: Vec<usize> = (0..slots.len()).filter(|&p| slots[p].is_some()).collect();
-            w.usize(live.len());
-            for &page in &live {
-                w.usize(page);
-                let ov = slots[page].as_ref().unwrap();
-                w.raw(&ov.data);
-                w.raw(&ov.mask);
-            }
-        }
-        let mut flagged: Vec<u64> = self.flagged.iter().copied().collect();
-        flagged.sort_unstable();
-        w.usize(flagged.len());
-        for k in flagged {
-            w.u64(k);
-        }
-    }
-
-    /// Restore an [`OracleState::encode_state`] capture. The oracle must
-    /// have been built with the same `nprocs` and `page_size`.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) {
-        let ps = self.page_size;
-        let len = r.usize();
-        self.committed.clear();
-        self.committed.resize_with(len, || None);
-        for _ in 0..r.usize() {
-            let page = r.usize();
-            self.committed[page] = Some(r.raw(ps).to_vec());
-        }
-        let np = r.usize();
-        assert_eq!(np, self.overlays.len(), "snapshot from a different nprocs");
-        for slots in &mut self.overlays {
-            let len = r.usize();
-            slots.clear();
-            slots.resize_with(len, || None);
-            for _ in 0..r.usize() {
-                let page = r.usize();
-                let data = r.raw(ps).to_vec();
-                let mask = r.raw(ps).to_vec();
-                slots[page] = Some(Overlay { data, mask });
-            }
-        }
-        self.spare.clear();
-        self.flagged = FastSet::default();
-        for _ in 0..r.usize() {
-            self.flagged.insert(r.u64());
-        }
-        self.scratch.clear();
-    }
-
     /// Barrier release: every process's epoch writes become globally
     /// committed. Folding runs pid-ascending, pages ascending (the dense
     /// slot order); the order is only observable on racy words, which the
@@ -298,6 +230,74 @@ impl OracleState {
                 self.spare.push(ov);
             }
         }
+    }
+}
+
+/// Read one raw page image into `buf`, reusing its allocation.
+fn decode_page(buf: &mut Vec<u8>, ps: usize, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    buf.clear();
+    buf.extend_from_slice(r.raw(ps)?);
+    Ok(())
+}
+
+/// Hand-written: touched pages are written sparsely in page order
+/// (`encode_table`) as raw `page_size`-byte images — the size is
+/// construction-time configuration, so no length precedes them. The
+/// page-size constants are derived at construction; the spare list and the
+/// scratch buffer are host-side caches, neither captured nor disturbed.
+impl State for OracleState {
+    fn encode(&self, w: &mut SnapWriter) {
+        let OracleState {
+            page_size: _,
+            ps_shift: _,
+            ps_mask: _,
+            committed,
+            overlays,
+            spare: _,
+            flagged,
+            scratch: _,
+        } = self;
+        encode_table(committed, w, |_, page, w| w.raw(page));
+        w.usize(overlays.len());
+        for slots in overlays {
+            encode_table(slots, w, |_, ov, w| {
+                w.raw(&ov.data);
+                w.raw(&ov.mask);
+            });
+        }
+        flagged.encode(w);
+    }
+
+    fn decode(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let OracleState {
+            page_size,
+            ps_shift: _,
+            ps_mask: _,
+            committed,
+            overlays,
+            spare,
+            flagged,
+            scratch: _,
+        } = self;
+        let ps = *page_size;
+        decode_table(committed, r, |_, slot, r| {
+            decode_page(slot.get_or_insert_with(Vec::new), ps, r)
+        })?;
+        let nprocs = r.u64()?;
+        r.geometry("nprocs", overlays.len() as u64, nprocs)?;
+        for slots in overlays {
+            decode_table(slots, r, |_, slot, r| {
+                let ov =
+                    slot.get_or_insert_with(|| spare.pop().unwrap_or_else(|| Overlay::new(ps)));
+                decode_page(&mut ov.data, ps, r)?;
+                decode_page(&mut ov.mask, ps, r)
+            })?;
+        }
+        flagged.decode(r)
+    }
+
+    fn fold(&self, h: &mut StateHasher) {
+        fold_encoding(self, h);
     }
 }
 

@@ -19,13 +19,18 @@
 //! "read-modify-rewrite the whole row" idioms from reporting races on the
 //! words they pass through unchanged.
 
-use dsm_sim::{FastMap, FastSet, SnapReader, SnapWriter};
+use dsm_sim::{
+    decode_table, encode_table, fold_encoding, FastMap, FastSet, SnapError, SnapReader, SnapWriter,
+    State, StateHasher,
+};
 
 use crate::report::RaceKind;
 
 /// One vector clock.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VectorClock(pub Vec<u32>);
+
+dsm_sim::impl_state!(VectorClock(state));
 
 impl VectorClock {
     pub fn new(n: usize) -> VectorClock {
@@ -64,6 +69,15 @@ struct Word {
     rc: u32,
 }
 
+dsm_sim::impl_state!(Word { state: wc, wp, rp, rc; });
+
+impl Word {
+    /// Anything but the all-zero "never accessed" identity.
+    fn is_live(&self) -> bool {
+        self.wc != 0 || self.wp != 0 || self.rp != 0 || self.rc != 0
+    }
+}
+
 /// Sentinel for `Word::rp`: the reader set has spilled to the side table.
 const READERS_SHARED: u16 = u16::MAX;
 
@@ -71,7 +85,7 @@ const WORD: usize = 8;
 
 /// The race detector.
 pub struct RaceState {
-    clocks: Vec<VectorClock>,
+    clocks: Box<[VectorClock]>,
     /// Shadow cells, indexed densely by page number (`None` = untouched).
     /// Page numbers come from segment offsets, so the vector stays small;
     /// dense indexing keeps the per-access lookup a bounds check instead
@@ -88,8 +102,65 @@ pub struct RaceState {
     /// `log2(words_per_page)`; page sizes are powers of two by the VM's
     /// own assertion, and a shift beats a division by a runtime value in
     /// the per-access loop.
-    // audit: skip(snap): derived from words_per_page at construction
     wpp_shift: u32,
+}
+
+/// Hand-written for the shadow pages: touched pages sparsely in page
+/// order (`encode_table`), and within a page only the live words — index,
+/// then the cell — since most of a touched page's cells are still the
+/// all-zero "never accessed" identity. The rest is the plain declaration;
+/// a spilled reader set keeps its insertion order verbatim (`on_access`
+/// scans it front-to-back and stops at the first unordered reader, so the
+/// order is observable). The page geometry is construction-time.
+impl State for RaceState {
+    fn encode(&self, w: &mut SnapWriter) {
+        let RaceState {
+            clocks,
+            shadow,
+            racy,
+            read_sets,
+            words_per_page: _,
+            wpp_shift: _,
+        } = self;
+        clocks.encode(w);
+        encode_table(shadow, w, |_, cells, w| {
+            w.usize(cells.iter().filter(|c| c.is_live()).count());
+            for (widx, c) in cells.iter().enumerate().filter(|(_, c)| c.is_live()) {
+                w.u32(widx as u32);
+                c.encode(w);
+            }
+        });
+        racy.encode(w);
+        read_sets.encode(w);
+    }
+
+    fn decode(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let RaceState {
+            clocks,
+            shadow,
+            racy,
+            read_sets,
+            words_per_page,
+            wpp_shift: _,
+        } = self;
+        clocks.decode(r)?;
+        let wpp = *words_per_page;
+        decode_table(shadow, r, |_, slot, r| {
+            let cells = slot.get_or_insert_with(|| vec![Word::default(); wpp].into());
+            cells.fill(Word::default());
+            for _ in 0..r.count()? {
+                let widx = u64::from(r.u32()?);
+                cells[r.index(widx, wpp)?].decode(r)?;
+            }
+            Ok(())
+        })?;
+        racy.decode(r)?;
+        read_sets.decode(r)
+    }
+
+    fn fold(&self, h: &mut StateHasher) {
+        fold_encoding(self, h);
+    }
 }
 
 /// A race found by one access, before deduplication.
@@ -110,7 +181,7 @@ impl RaceState {
         }
         let words_per_page = page_size / WORD;
         RaceState {
-            clocks,
+            clocks: clocks.into(),
             shadow: Vec::new(),
             racy: FastSet::default(),
             read_sets: FastMap::default(),
@@ -143,103 +214,6 @@ impl RaceState {
     pub fn words_shadowed(&self) -> u64 {
         let touched = self.shadow.iter().filter(|s| s.is_some()).count();
         (touched * self.words_per_page) as u64
-    }
-
-    /// Encode the detector state for a snapshot. Hash-container contents
-    /// are written in sorted key order (their iteration order is
-    /// arbitrary), except the *inside* of a spilled reader set, which keeps
-    /// its insertion order verbatim: `on_access` scans it front-to-back and
-    /// stops at the first unordered reader, so the order is observable.
-    pub fn encode_state(&self, w: &mut SnapWriter) {
-        w.usize(self.clocks.len());
-        for c in &self.clocks {
-            for &v in &c.0 {
-                w.u32(v);
-            }
-        }
-        w.usize(self.shadow.len());
-        let touched: Vec<usize> = (0..self.shadow.len())
-            .filter(|&p| self.shadow[p].is_some())
-            .collect();
-        w.usize(touched.len());
-        for &page in &touched {
-            let cells = self.shadow[page].as_ref().unwrap();
-            w.usize(page);
-            let live: Vec<(usize, &Word)> = cells
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.wc != 0 || c.wp != 0 || c.rp != 0 || c.rc != 0)
-                .collect();
-            w.usize(live.len());
-            for (widx, c) in live {
-                w.u32(widx as u32);
-                w.u32(c.wc);
-                w.u16(c.wp);
-                w.u16(c.rp);
-                w.u32(c.rc);
-            }
-        }
-        let mut racy: Vec<u64> = self.racy.iter().copied().collect();
-        racy.sort_unstable();
-        w.usize(racy.len());
-        for k in racy {
-            w.u64(k);
-        }
-        let mut keys: Vec<u64> = self.read_sets.keys().copied().collect();
-        keys.sort_unstable();
-        w.usize(keys.len());
-        for k in keys {
-            w.u64(k);
-            let set = &self.read_sets[&k];
-            w.usize(set.len());
-            for &(qc, q) in set {
-                w.u32(qc);
-                w.u16(q);
-            }
-        }
-    }
-
-    /// Restore a [`RaceState::encode_state`] capture. The detector must
-    /// have been built with the same `nprocs` and `page_size`.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) {
-        let n = r.usize();
-        assert_eq!(n, self.clocks.len(), "snapshot from a different nprocs");
-        for c in &mut self.clocks {
-            for v in &mut c.0 {
-                *v = r.u32();
-            }
-        }
-        let npages = r.usize();
-        self.shadow.clear();
-        self.shadow.resize_with(npages, || None);
-        for _ in 0..r.usize() {
-            let page = r.usize();
-            let mut cells = vec![Word::default(); self.words_per_page].into_boxed_slice();
-            for _ in 0..r.usize() {
-                let widx = r.u32() as usize;
-                cells[widx] = Word {
-                    wc: r.u32(),
-                    wp: r.u16(),
-                    rp: r.u16(),
-                    rc: r.u32(),
-                };
-            }
-            self.shadow[page] = Some(cells);
-        }
-        self.racy = FastSet::default();
-        for _ in 0..r.usize() {
-            self.racy.insert(r.u64());
-        }
-        self.read_sets = FastMap::default();
-        for _ in 0..r.usize() {
-            let k = r.u64();
-            let len = r.usize();
-            let mut set = Vec::with_capacity(len);
-            for _ in 0..len {
-                set.push((r.u32(), r.u16()));
-            }
-            self.read_sets.insert(k, set);
-        }
     }
 
     /// Record a write of `new` at `addr` by `pid`; push newly racy words

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use dsm_core::proto::CopySet;
-use dsm_sim::{SnapReader, SnapWriter};
 
 /// Render a pid set for a violation message: sorted pids, comma-separated.
 fn pid_list(cs: &CopySet) -> String {
@@ -18,15 +17,22 @@ fn pid_list(cs: &CopySet) -> String {
 }
 
 /// What kind of unsynchronized access pair a race is.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum RaceKind {
     /// Two writes with no happens-before edge between them.
+    #[default]
     WriteWrite,
     /// A read, then an unordered write.
     ReadWrite,
     /// A write, then an unordered read.
     WriteRead,
 }
+
+dsm_sim::impl_state_enum!(RaceKind {
+    0 => WriteWrite,
+    1 => ReadWrite,
+    2 => WriteRead,
+});
 
 impl fmt::Display for RaceKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -102,152 +108,27 @@ pub enum Violation {
     },
 }
 
-impl Violation {
-    /// Encode one finding for a snapshot: a variant tag, then the fields.
-    fn encode_state(&self, w: &mut SnapWriter) {
-        match self {
-            Violation::Race {
-                kind,
-                addr,
-                epoch,
-                first_pid,
-                second_pid,
-            } => {
-                w.u8(0);
-                w.u8(match kind {
-                    RaceKind::WriteWrite => 0,
-                    RaceKind::ReadWrite => 1,
-                    RaceKind::WriteRead => 2,
-                });
-                w.usize(*addr);
-                w.u64(*epoch);
-                w.usize(*first_pid);
-                w.usize(*second_pid);
-            }
-            Violation::StaleRead {
-                pid,
-                addr,
-                epoch,
-                expected,
-                observed,
-            } => {
-                w.u8(1);
-                w.usize(*pid);
-                w.usize(*addr);
-                w.u64(*epoch);
-                w.bytes(expected);
-                w.bytes(observed);
-            }
-            Violation::VersionSkip { page, old, new } => {
-                w.u8(2);
-                w.u32(*page);
-                w.u32(*old);
-                w.u32(*new);
-            }
-            Violation::VersionRegression { page, prev, old } => {
-                w.u8(3);
-                w.u32(*page);
-                w.u32(*prev);
-                w.u32(*old);
-            }
-            Violation::CopysetOmission {
-                page,
-                writer,
-                missing,
-            } => {
-                w.u8(4);
-                w.u32(*page);
-                w.usize(*writer);
-                missing.encode_state(w);
-            }
-            Violation::GcLiveNotice {
-                pid,
-                page,
-                writer,
-                epoch,
-            } => {
-                w.u8(5);
-                w.usize(*pid);
-                w.u32(*page);
-                w.u16(*writer);
-                w.u64(*epoch);
-            }
-            Violation::UngroundedDup { page, writer, dst } => {
-                w.u8(6);
-                w.u32(*page);
-                w.usize(*writer);
-                w.usize(*dst);
-            }
-            Violation::UngroundedElision {
-                page,
-                writer,
-                ungrounded,
-            } => {
-                w.u8(7);
-                w.u32(*page);
-                w.usize(*writer);
-                ungrounded.encode_state(w);
-            }
-        }
-    }
-
-    /// Decode one [`Violation::encode_state`] finding.
-    fn decode_state(r: &mut SnapReader<'_>) -> Violation {
-        match r.u8() {
-            0 => Violation::Race {
-                kind: match r.u8() {
-                    0 => RaceKind::WriteWrite,
-                    1 => RaceKind::ReadWrite,
-                    2 => RaceKind::WriteRead,
-                    k => panic!("bad race kind tag {k}"),
-                },
-                addr: r.usize(),
-                epoch: r.u64(),
-                first_pid: r.usize(),
-                second_pid: r.usize(),
-            },
-            1 => Violation::StaleRead {
-                pid: r.usize(),
-                addr: r.usize(),
-                epoch: r.u64(),
-                expected: r.bytes().to_vec(),
-                observed: r.bytes().to_vec(),
-            },
-            2 => Violation::VersionSkip {
-                page: r.u32(),
-                old: r.u32(),
-                new: r.u32(),
-            },
-            3 => Violation::VersionRegression {
-                page: r.u32(),
-                prev: r.u32(),
-                old: r.u32(),
-            },
-            4 => Violation::CopysetOmission {
-                page: r.u32(),
-                writer: r.usize(),
-                missing: CopySet::decode_state(r),
-            },
-            5 => Violation::GcLiveNotice {
-                pid: r.usize(),
-                page: r.u32(),
-                writer: r.u16(),
-                epoch: r.u64(),
-            },
-            6 => Violation::UngroundedDup {
-                page: r.u32(),
-                writer: r.usize(),
-                dst: r.usize(),
-            },
-            7 => Violation::UngroundedElision {
-                page: r.u32(),
-                writer: r.usize(),
-                ungrounded: CopySet::decode_state(r),
-            },
-            t => panic!("bad violation tag {t}"),
+/// A placeholder for `Vec<Violation>` to decode into; never observed.
+impl Default for Violation {
+    fn default() -> Violation {
+        Violation::VersionSkip {
+            page: 0,
+            old: 0,
+            new: 0,
         }
     }
 }
+
+dsm_sim::impl_state_enum!(Violation {
+    0 => Race { kind, addr, epoch, first_pid, second_pid },
+    1 => StaleRead { pid, addr, epoch, expected, observed },
+    2 => VersionSkip { page, old, new },
+    3 => VersionRegression { page, prev, old },
+    4 => CopysetOmission { page, writer, missing },
+    5 => GcLiveNotice { pid, page, writer, epoch },
+    6 => UngroundedDup { page, writer, dst },
+    7 => UngroundedElision { page, writer, ungrounded },
+});
 
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -351,63 +232,14 @@ pub struct CheckReport {
     pub dropped_violations: u64,
 }
 
+dsm_sim::impl_state!(CheckReport {
+    state: events, reads, writes, image_writes, barriers, reductions, fetches, update_flushes,
+        version_bumps, notices_recorded, notices_consumed, gc_discards, dup_deliveries,
+        wire_retransmits, false_share_elisions, wire_extra_attempts, hb_edges, words_shadowed,
+        violations, dropped_violations;
+});
+
 impl CheckReport {
-    /// Encode the full report — counters, findings in detection order,
-    /// and the overflow count — for a snapshot.
-    pub fn encode_state(&self, w: &mut SnapWriter) {
-        w.u64(self.events);
-        w.u64(self.reads);
-        w.u64(self.writes);
-        w.u64(self.image_writes);
-        w.u64(self.barriers);
-        w.u64(self.reductions);
-        w.u64(self.fetches);
-        w.u64(self.update_flushes);
-        w.u64(self.version_bumps);
-        w.u64(self.notices_recorded);
-        w.u64(self.notices_consumed);
-        w.u64(self.gc_discards);
-        w.u64(self.dup_deliveries);
-        w.u64(self.wire_retransmits);
-        w.u64(self.false_share_elisions);
-        w.u64(self.wire_extra_attempts);
-        w.u64(self.hb_edges);
-        w.u64(self.words_shadowed);
-        w.usize(self.violations.len());
-        for v in &self.violations {
-            v.encode_state(w);
-        }
-        w.u64(self.dropped_violations);
-    }
-
-    /// Restore a [`CheckReport::encode_state`] capture.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) {
-        self.events = r.u64();
-        self.reads = r.u64();
-        self.writes = r.u64();
-        self.image_writes = r.u64();
-        self.barriers = r.u64();
-        self.reductions = r.u64();
-        self.fetches = r.u64();
-        self.update_flushes = r.u64();
-        self.version_bumps = r.u64();
-        self.notices_recorded = r.u64();
-        self.notices_consumed = r.u64();
-        self.gc_discards = r.u64();
-        self.dup_deliveries = r.u64();
-        self.wire_retransmits = r.u64();
-        self.false_share_elisions = r.u64();
-        self.wire_extra_attempts = r.u64();
-        self.hb_edges = r.u64();
-        self.words_shadowed = r.u64();
-        let n = r.usize();
-        self.violations = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.violations.push(Violation::decode_state(r));
-        }
-        self.dropped_violations = r.u64();
-    }
-
     /// True if no violation of any kind was detected.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty() && self.dropped_violations == 0

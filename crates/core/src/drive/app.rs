@@ -47,12 +47,15 @@ pub trait DsmApp {
 
     /// Serialize application-side mutable state that lives *outside* the
     /// shared segment (recorded residuals, private per-iteration buffers)
-    /// for a snapshot. Apps whose only mutable state is shared memory keep
-    /// the default no-op.
+    /// for a snapshot — typically `State::encode(self, w)` over an
+    /// `impl_state!` declaration of the app's fields. Apps whose only
+    /// mutable state is shared memory keep the default no-op.
     fn save_state(&self, _w: &mut dsm_sim::SnapWriter) {}
 
     /// Restore a [`DsmApp::save_state`] capture.
-    fn load_state(&mut self, _r: &mut dsm_sim::SnapReader<'_>) {}
+    fn load_state(&mut self, _r: &mut dsm_sim::SnapReader<'_>) -> Result<(), dsm_sim::SnapError> {
+        Ok(())
+    }
 }
 
 /// Execute `app` under `cfg` and report statistics, time breakdown, and the
@@ -104,7 +107,7 @@ fn run_app_inner<A: DsmApp + ?Sized>(
 ///
 /// The runner derives its position from the cluster's own `(iter, site)`
 /// counters rather than loop variables, so a cluster restored from a
-/// snapshot (`Cluster::restore_state`) resumes mid-run and executes
+/// snapshot (`Cluster::restore`) resumes mid-run and executes
 /// exactly the steps a from-scratch run would — this is what the explore
 /// driver's checkpoint-restore DFS and the `travel` time-travel bench
 /// build on.

@@ -13,8 +13,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use dsm_net::Network;
-use dsm_sim::{Category, Clock, DetRng, FastMap, SharedScheduler, Time, VirtualTimeScheduler};
-use dsm_vm::{as_bytes, BufPool, FaultKind, PageBuf, PageId, PageStore, Pod, Protection};
+use dsm_sim::{
+    Category, Clock, DetRng, SharedScheduler, SnapError, SnapReader, SnapWriter, Sparse, State,
+    StateHasher, Time, VirtualTimeScheduler,
+};
+use dsm_vm::{as_bytes, BufPool, FaultKind, Image, PageBuf, PageId, PageStore, Pod, Protection};
 
 use crate::check::{CheckEvent, CheckSink};
 use crate::config::{ProtocolKind, RunConfig};
@@ -27,21 +30,27 @@ use crate::proto::overdrive::{OdMode, OdProc};
 
 /// One simulated process.
 pub struct Proc {
-    // audit: skip(hash): virtual time is excluded by design — timing never
-    // influences control flow or the checker
     pub(crate) clock: Clock,
     pub(crate) store: PageStore,
     /// Pages write-trapped (or overdrive-predicted) this epoch, in order.
     pub(crate) dirty: Vec<PageId>,
     /// Protection changes issued this epoch (stress-model input).
-    // audit: skip(hash): per-epoch cost-model input, timing-only
-    // audit: scratch: per-epoch protection counter, zeroed in barrier_core
     pub(crate) protect_ops_epoch: u32,
     /// Homeless-protocol per-process state.
     pub(crate) lmw: LmwProc,
     /// Overdrive per-process state.
     pub(crate) od: OdProc,
 }
+
+// Virtual time is excluded from the hash by design: the clock and the
+// per-epoch mprotect count (a stress-model input) only ever feed costs,
+// never control flow or the checker.
+dsm_sim::impl_state!(Proc {
+    timing: clock;
+    state: store, dirty;
+    timing: protect_ops_epoch;
+    state: lmw, od;
+});
 
 impl Proc {
     fn new(page_size: usize) -> Proc {
@@ -61,29 +70,18 @@ impl Proc {
 // migration_pending, ...), not an encoded state machine.
 #[allow(clippy::struct_excessive_bools)]
 pub struct Cluster {
-    // audit: skip(snap, hash): immutable per-run; the snapshot pins it as
-    // config_digest and restore re-supplies the same config
     pub(crate) cfg: RunConfig,
-    // audit: skip(hash): allocation layout is frozen at distribute() and is a
-    // pure function of the config, which the snapshot pins
     pub(crate) seg: SharedSegment,
-    /// Golden initial contents of every page (what setup wrote).
-    // audit: skip(hash): frozen at distribute(); identical by construction for
-    // equal configs (restore verifies image_digest)
-    pub(crate) image: Vec<PageBuf>,
-    pub(crate) procs: Vec<Proc>,
-    // audit: skip(hash): wire/transport bookkeeping affects timing only;
-    // excluded like clocks and cost statistics
+    /// Golden initial contents of every page (what setup wrote), frozen
+    /// at `distribute()` and shared with every process's page store.
+    pub(crate) image: Image,
+    pub(crate) procs: Box<[Proc]>,
     pub(crate) net: Network,
-    // audit: skip(hash): cost statistics are excluded by design — timing never
-    // influences control flow or the checker
-    // audit: scratch: measurement counters, reset wholesale at start_measurement
     pub(crate) stats: RunStats,
     /// Barrier counter; the epoch between barriers `k-1` and `k` is `k`.
     pub(crate) epoch: u64,
     pub(crate) iter: usize,
     pub(crate) site: usize,
-    // audit: skip(hash): fixed per-app phase count, set once at distribute()
     pub(crate) phases_per_iter: usize,
     /// Per-page home process (bar protocols).
     pub(crate) homes: Vec<usize>,
@@ -93,41 +91,32 @@ pub struct Cluster {
     /// barriers (bar-u family). Sparse: a page gets an entry the first
     /// time any process caches it, so resident memory tracks actual
     /// sharing — O(shared pages × sharers) — never O(nodes × pages).
-    pub(crate) copysets: FastMap<u32, CopySet>,
+    pub(crate) copysets: Sparse<u32, CopySet>,
     /// Latest epoch in which each page was (noticed as) written, and by
     /// whom — maintained from merged barrier notices (homeless protocols).
     pub(crate) last_write_epoch: Vec<u64>,
     pub(crate) last_writer: Vec<u16>,
     /// Writers observed during the first iteration (migration input).
     /// Sparse: entries exist only for pages somebody wrote.
-    pub(crate) iter_writers: FastMap<u32, CopySet>,
+    pub(crate) iter_writers: Sparse<u32, CopySet>,
     /// Write-epoch counts, keyed by (page, pid); entries exist only for
     /// pairs that actually wrote (the dense predecessor was a
     /// `page * nprocs + pid` flattened vector — O(nodes × pages)).
-    pub(crate) iter_write_counts: FastMap<(u32, u16), u32>,
+    pub(crate) iter_write_counts: Sparse<(u32, u16), u32>,
     pub(crate) migrated: bool,
     /// Overdrive cluster mode.
     pub(crate) od_mode: OdMode,
     pub(crate) od_revert_pending: bool,
     /// Deliveries queued during the pre-barrier step, consumed at release.
-    // audit: skip(hash): intra-barrier scratch; hashes are taken at barriers,
-    // where barrier_core proves it drained
     pub(crate) bar_deliveries: BarDeliveries,
-    // audit: skip(hash): measurement-window flag; never influences protocol
-    // decisions
     pub(crate) measuring: bool,
     /// Result of the most recent reduction, visible to all processes.
     pub(crate) last_reduction: Vec<f64>,
     /// Hidden shared arrays backing reduction emulation on lmw.
-    // audit: skip(hash): base/len windows into the shared segment; the backing
-    // data lives in pages already folded by frame_hash
     pub(crate) reduce_mem: Option<crate::drive::reduce::ReduceMem>,
-    // audit: skip(hash): setup-phase latch, always true once the cluster runs
     pub(crate) distributed: bool,
     /// Optional checking sink; `None` (the default) costs one branch per
     /// choke point and leaves the run bit-identical to an unchecked one.
-    // audit: skip(hash): the sink's observable history is folded via
-    // trace_hash as events are emitted; oracle internals are derived state
     pub(crate) check: Option<Box<dyn CheckSink>>,
     /// Decision scheduler shared with the network. The default
     /// [`VirtualTimeScheduler`] reproduces historical behaviour exactly;
@@ -151,10 +140,37 @@ pub struct Cluster {
     /// Host-side free-lists recycling twin buffers and diff run storage
     /// across flushes. Pure wall-clock optimization: pooled memory is
     /// always fully overwritten before reuse and carries no virtual cost.
-    // audit: skip(hash): host-side free-list; recycled buffers carry no
-    // logical state
     pub(crate) pool: BufPool,
 }
+
+// What a snapshot carries and what the explorer's structural hash folds,
+// field by field. Two executions with equal hashes agree on every byte of
+// every resident frame and twin on every process (plus protections,
+// versions seen and applied-through floors), on all protocol-global
+// tables, on all homeless per-process state, and — through `trace_hash`,
+// which the barrier checkpoint folds in — on the event trace the checking
+// sink has observed, so a pruned execution can never hide a verdict the
+// retained one would not also reach. Virtual *time* is deliberately not
+// hashed: clocks and cost statistics never influence control flow or the
+// checker, so schedules that differ only in timing are
+// correctness-equivalent.
+dsm_sim::impl_state!(Cluster {
+    // Re-supplied by construction, setup and the installers; `restore`
+    // checks the page size and the image digest instead of shipping them.
+    config: cfg, image, distributed, check, exploring, pool;
+    state: epoch, iter, site;
+    // Run-progress values that are functions of what is already hashed
+    // (the allocation map and reduction windows grow at fixed points of
+    // the run; `measuring` flips at the warmup boundary), wire and cost
+    // bookkeeping, and the scheduler's generator stream.
+    timing: phases_per_iter, seg, stats, net, measuring, reduce_mem, sched, trace_hash;
+    state: homes, versions, copysets, last_write_epoch, last_writer, iter_writers,
+        iter_write_counts, migrated, od_mode, od_revert_pending, migration_pending,
+        last_reduction, procs;
+    // Empty between steps: deliveries drain inside the barrier, and a
+    // restored execution is live again however the last excursion ended.
+    scratch: bar_deliveries, pruned;
+});
 
 impl Cluster {
     /// Build an empty cluster; allocate shared data through a
@@ -180,7 +196,7 @@ impl Cluster {
         );
         Cluster {
             seg: SharedSegment::new(page_size),
-            image: Vec::new(),
+            image: Image::new(page_size),
             procs: (0..nprocs).map(|_| Proc::new(page_size)).collect(),
             net,
             stats: RunStats::default(),
@@ -190,11 +206,11 @@ impl Cluster {
             phases_per_iter: 1,
             homes: Vec::new(),
             versions: Vec::new(),
-            copysets: FastMap::default(),
+            copysets: Sparse::default(),
             last_write_epoch: Vec::new(),
             last_writer: Vec::new(),
-            iter_writers: FastMap::default(),
-            iter_write_counts: FastMap::default(),
+            iter_writers: Sparse::default(),
+            iter_write_counts: Sparse::default(),
             migrated: false,
             od_mode: OdMode::Learning,
             od_revert_pending: false,
@@ -343,12 +359,14 @@ impl Cluster {
     // Setup and distribution
     // ------------------------------------------------------------------
 
-    /// Grow per-page tables and the image to the current segment size.
+    /// Grow per-page tables (and, during setup, the image) to the current
+    /// segment size. Pages allocated after `distribute()` are
+    /// zero-initialized, which is what the frozen image reads as past its
+    /// end.
     pub(crate) fn grow_tables(&mut self) {
         let n = self.seg.npages();
-        let ps = self.page_size();
-        while self.image.len() < n {
-            self.image.push(PageBuf::zeroed(ps));
+        if !self.distributed {
+            self.image.grow(n);
         }
         self.homes.resize(n, 0);
         self.versions.resize(n, 1);
@@ -370,7 +388,68 @@ impl Cluster {
     pub fn distribute(&mut self) {
         assert!(!self.distributed, "distribute() called twice");
         self.grow_tables();
+        self.image.freeze();
+        for p in &mut self.procs {
+            p.store.share_image(self.image.clone());
+        }
         self.distributed = true;
+    }
+
+    // ------------------------------------------------------------------
+    // Snapshot, restore, structural hash: all three walk the `State`
+    // declarations, from `Cluster` down
+    // ------------------------------------------------------------------
+
+    /// Serialize the cluster's complete observable state — protocol
+    /// tables, per-process page frames, virtual-time clocks, in-flight
+    /// wire state, scheduler RNG. The cluster must be at a step boundary:
+    /// `distribute()` done, no barrier in progress, which is exactly
+    /// where the explore driver checkpoints.
+    pub fn snapshot(&self, w: &mut SnapWriter) {
+        assert!(self.distributed, "snapshot before distribute()");
+        w.usize(self.page_size());
+        w.u64(self.image.digest());
+        self.encode(w);
+    }
+
+    /// Restore a [`Cluster::snapshot`] capture in place, so that
+    /// continuing from here is bit-identical (same `state_hash`, same
+    /// check-event trace, same results) to continuing from the original.
+    /// The cluster must have been built from the same [`RunConfig`] and
+    /// have completed the same setup; everything mutable past that point
+    /// is overwritten. After an error the cluster is partially
+    /// overwritten and only fit to be restored over again.
+    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        assert!(self.distributed, "restore before distribute()");
+        let page_size = r.u64()?;
+        r.geometry("page size", self.page_size() as u64, page_size)?;
+        let digest = r.u64()?;
+        r.geometry("initial image", self.image.digest(), digest)?;
+        self.decode(r)
+    }
+
+    /// Structural 64-bit hash of everything that can influence future
+    /// control flow or checker verdicts: the `state` fields of the
+    /// [`State`] declarations. Stateless model checking keys its visited
+    /// set on this (combined with the trace hash) at every barrier.
+    ///
+    /// Per-frame hashes are served from each frame's revision-keyed memo:
+    /// at a barrier only frames mutated since the previous one are
+    /// re-walked, turning the explorer's dominant cost from O(total
+    /// resident memory) to O(mutated memory) per checkpoint.
+    pub fn state_hash(&self) -> u64 {
+        let mut h = StateHasher::new();
+        self.fold(&mut h);
+        h.finish()
+    }
+
+    /// [`Cluster::state_hash`] recomputing every frame hash from scratch.
+    /// The differential-testing reference for the frame memo: any missed
+    /// invalidation makes the two disagree.
+    pub fn state_hash_uncached(&self) -> u64 {
+        let mut h = StateHasher::uncached();
+        self.fold(&mut h);
+        h.finish()
     }
 
     /// Begin the measurement window (the paper starts timing "only after
@@ -504,9 +583,8 @@ impl Cluster {
             p if p.is_lmw() => self.last_write_epoch[page.index()] == 0,
             _ => self.versions[page.index()] == 1,
         };
-        let image = &self.image[page.index()];
         let f = self.procs[pid].store.frame_mut(page);
-        f.fill_from(image);
+        f.fill_from(self.image.page(page.index()));
         f.set_prot(if valid {
             Protection::Read
         } else {
@@ -683,7 +761,8 @@ impl Cluster {
             let page = a / ps;
             let off = a % ps;
             let n = (ps - off).min(src.len() - done);
-            self.image[page].bytes_mut()[off..off + n].copy_from_slice(&src[done..done + n]);
+            self.image.page_mut(page).bytes_mut()[off..off + n]
+                .copy_from_slice(&src[done..done + n]);
             done += n;
         }
         self.emit(CheckEvent::ImageWrite { addr, data: src });
@@ -697,18 +776,18 @@ impl Cluster {
     /// any cost — used by result verification after a run.
     pub(crate) fn snapshot_page(&self, page: PageId) -> PageBuf {
         match self.cfg.protocol {
-            ProtocolKind::Seq => self.procs[0]
-                .store
-                .frame(page)
-                .map_or_else(|| self.image[page.index()].clone(), |f| f.data().clone()),
+            ProtocolKind::Seq => self.procs[0].store.frame(page).map_or_else(
+                || self.image.page(page.index()).clone(),
+                |f| f.data().clone(),
+            ),
             p if p.is_lmw() => self.lmw_snapshot_page(page),
             _ => {
                 // Home-based: the home copy is current after the last barrier.
                 let home = self.homes[page.index()];
-                self.procs[home]
-                    .store
-                    .frame(page)
-                    .map_or_else(|| self.image[page.index()].clone(), |f| f.data().clone())
+                self.procs[home].store.frame(page).map_or_else(
+                    || self.image.page(page.index()).clone(),
+                    |f| f.data().clone(),
+                )
             }
         }
     }

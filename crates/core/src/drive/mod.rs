@@ -7,5 +7,4 @@ pub mod cluster;
 pub mod ctx;
 pub mod hash;
 pub mod reduce;
-pub mod snap;
 pub mod stats;

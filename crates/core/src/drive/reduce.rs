@@ -65,12 +65,15 @@ impl ReduceOp {
 
 /// Hidden shared arrays backing reduction emulation on the homeless
 /// protocols.
+#[derive(Default)]
 pub struct ReduceMem {
     pub slots: SharedArray<f64>,
     pub result: SharedArray<f64>,
     /// Slots per process.
     pub cap: usize,
 }
+
+dsm_sim::impl_state!(ReduceMem { state: slots, result, cap; });
 
 impl Cluster {
     /// SUIF-style shared-memory reduction: slot writes, barrier, serial

@@ -66,6 +66,14 @@ pub struct RunStats {
     pub net: NetStats,
 }
 
+dsm_sim::impl_state!(RunStats {
+    state: diffs_created, empty_diffs, remote_misses, local_faults, segvs, mprotects, twins,
+        barriers, gc_events, gc_diffs_discarded, migrations, update_inserts,
+        overdrive_zero_diffs, overdrive_unanticipated, overdrive_reversions,
+        consistency_violations, region_twin_skips, region_elided_pushes,
+        region_push_bytes_saved, flush_bytes_by_page, flush_msgs_by_page, net;
+});
+
 impl RunStats {
     /// Record `bytes` of flushed diff traffic for `page` in the per-page
     /// ledger, growing it on demand.
@@ -91,73 +99,6 @@ impl RunStats {
     /// The paper's "Data (kbytes)" column.
     pub fn data_kbytes(&self) -> f64 {
         self.net.data_kbytes()
-    }
-
-    /// Encode every counter and the per-page ledgers for a snapshot.
-    pub fn encode_state(&self, w: &mut dsm_sim::SnapWriter) {
-        for c in self.counters() {
-            w.u64(c);
-        }
-        w.usize(self.flush_bytes_by_page.len());
-        for &b in &self.flush_bytes_by_page {
-            w.u64(b);
-        }
-        w.usize(self.flush_msgs_by_page.len());
-        for &m in &self.flush_msgs_by_page {
-            w.u64(m);
-        }
-        self.net.encode_state(w);
-    }
-
-    /// Restore a [`RunStats::encode_state`] capture.
-    pub fn restore_state(&mut self, r: &mut dsm_sim::SnapReader<'_>) {
-        self.diffs_created = r.u64();
-        self.empty_diffs = r.u64();
-        self.remote_misses = r.u64();
-        self.local_faults = r.u64();
-        self.segvs = r.u64();
-        self.mprotects = r.u64();
-        self.twins = r.u64();
-        self.barriers = r.u64();
-        self.gc_events = r.u64();
-        self.gc_diffs_discarded = r.u64();
-        self.migrations = r.u64();
-        self.update_inserts = r.u64();
-        self.overdrive_zero_diffs = r.u64();
-        self.overdrive_unanticipated = r.u64();
-        self.overdrive_reversions = r.u64();
-        self.consistency_violations = r.u64();
-        self.region_twin_skips = r.u64();
-        self.region_elided_pushes = r.u64();
-        self.region_push_bytes_saved = r.u64();
-        self.flush_bytes_by_page = (0..r.usize()).map(|_| r.u64()).collect();
-        self.flush_msgs_by_page = (0..r.usize()).map(|_| r.u64()).collect();
-        self.net.restore_state(r);
-    }
-
-    /// The scalar counters in declaration order (snapshot wire order).
-    fn counters(&self) -> [u64; 19] {
-        [
-            self.diffs_created,
-            self.empty_diffs,
-            self.remote_misses,
-            self.local_faults,
-            self.segvs,
-            self.mprotects,
-            self.twins,
-            self.barriers,
-            self.gc_events,
-            self.gc_diffs_discarded,
-            self.migrations,
-            self.update_inserts,
-            self.overdrive_zero_diffs,
-            self.overdrive_unanticipated,
-            self.overdrive_reversions,
-            self.consistency_violations,
-            self.region_twin_skips,
-            self.region_elided_pushes,
-            self.region_push_bytes_saved,
-        ]
     }
 }
 

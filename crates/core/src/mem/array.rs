@@ -2,6 +2,7 @@
 
 use core::marker::PhantomData;
 
+use dsm_sim::{SnapError, SnapReader, SnapWriter, State, StateHasher};
 use dsm_vm::Pod;
 
 /// A handle to a contiguous shared array of `T`.
@@ -9,8 +10,6 @@ use dsm_vm::Pod;
 /// Handles are plain `Copy` descriptors — all state lives in the cluster.
 /// Element and range accessors take an [`crate::drive::ctx::ExecCtx`] and go
 /// through the full protection-check/fault path.
-// audit: leaf: a plain base/len descriptor — all element data lives in shared
-// segment pages, snapshotted and hashed with the frames that hold them
 #[derive(Debug)]
 pub struct SharedArray<T: Pod> {
     base: usize,
@@ -27,6 +26,39 @@ impl<T: Pod> Clone for SharedArray<T> {
     }
 }
 impl<T: Pod> Copy for SharedArray<T> {}
+
+/// A descriptor only: the element data lives in segment pages and is
+/// snapshotted and hashed with the frames that hold it.
+impl<T: Pod> State for SharedArray<T> {
+    fn encode(&self, w: &mut SnapWriter) {
+        let SharedArray { base, len, _t: _ } = self;
+        base.encode(w);
+        len.encode(w);
+    }
+
+    fn decode(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let SharedArray { base, len, _t: _ } = self;
+        base.decode(r)?;
+        len.decode(r)?;
+        if base.is_multiple_of(core::mem::align_of::<T>()) {
+            Ok(())
+        } else {
+            r.bad_tag("array alignment", *base as u64)
+        }
+    }
+
+    fn fold(&self, h: &mut StateHasher) {
+        let SharedArray { base, len, _t: _ } = self;
+        base.fold(h);
+        len.fold(h);
+    }
+}
+
+impl<T: Pod> Default for SharedArray<T> {
+    fn default() -> Self {
+        SharedArray::from_raw(0, 0)
+    }
+}
 
 impl<T: Pod> SharedArray<T> {
     /// Construct from a base byte address (must be `T`-aligned) and length.

@@ -11,8 +11,6 @@ use core::marker::PhantomData;
 use dsm_vm::Pod;
 
 /// A handle to a row-major 2-D shared grid of `T`.
-// audit: leaf: a plain base/geometry descriptor — all element data lives in
-// shared segment pages, snapshotted and hashed with the frames that hold them
 #[derive(Debug)]
 pub struct SharedGrid2<T: Pod> {
     base: usize,

@@ -16,12 +16,20 @@ pub struct SharedSegment {
 }
 
 /// One named allocation, for diagnostics.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Alloc {
     pub name: String,
     pub base: usize,
     pub bytes: usize,
 }
+
+// The allocation map grows mid-run (reduction scratch), so it is state;
+// the page size is construction-time configuration.
+dsm_sim::impl_state!(SharedSegment {
+    config: page_size;
+    state: next_page, allocs;
+});
+dsm_sim::impl_state!(Alloc { state: name, base, bytes; });
 
 impl SharedSegment {
     pub fn new(page_size: usize) -> SharedSegment {
@@ -71,32 +79,6 @@ impl SharedSegment {
     /// The page containing byte address `addr`.
     pub fn page_of(&self, addr: usize) -> PageId {
         PageId::containing(addr, self.page_size)
-    }
-
-    /// Encode the allocation map for a snapshot. `page_size` is
-    /// construction-time configuration and is not captured.
-    pub fn encode_state(&self, w: &mut dsm_sim::SnapWriter) {
-        w.usize(self.next_page);
-        w.usize(self.allocs.len());
-        for a in &self.allocs {
-            w.bytes(a.name.as_bytes());
-            w.usize(a.base);
-            w.usize(a.bytes);
-        }
-    }
-
-    /// Restore an [`SharedSegment::encode_state`] capture into a segment
-    /// built with the same page size.
-    pub fn restore_state(&mut self, r: &mut dsm_sim::SnapReader<'_>) {
-        self.next_page = r.usize();
-        let n = r.usize();
-        self.allocs.clear();
-        for _ in 0..n {
-            let name = String::from_utf8(r.bytes().to_vec()).expect("alloc name not utf-8");
-            let base = r.usize();
-            let bytes = r.usize();
-            self.allocs.push(Alloc { name, base, bytes });
-        }
     }
 }
 

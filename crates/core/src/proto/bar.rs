@@ -30,24 +30,24 @@ pub const BUMP_WIRE_BYTES: usize = 12;
 
 /// In-flight one-way messages queued during the pre-barrier step and
 /// consumed at release time, plus the barrier's version-bump ledger.
-#[derive(Default)]
+///
+/// Intra-barrier scratch: the deliveries drain at release and
+/// `barrier_core` clears the ledger, so the whole struct is `Default` at
+/// every step boundary — which is how the cluster's state declaration
+/// classes it.
+#[derive(Default, PartialEq)]
 pub struct BarDeliveries {
     /// Diffs flushed to their home: `(home, page, diff, receiver leg)`.
-    // audit: scratch: drained at release; barrier_core asserts it empty
     pub home_flushes: Vec<(usize, PageId, Diff, Time)>,
     /// Update pushes to consumers: `(dst, page, diff, receiver leg)`.
-    // audit: scratch: drained at release; barrier_core asserts it empty
     pub bar_updates: Vec<(usize, PageId, Diff, Time)>,
     /// lmw-u update flushes: `(dst, page, writer, lo, hi, diff, receiver leg)`.
-    // audit: scratch: drained at release; barrier_core asserts it empty
     pub lmw_updates: Vec<(usize, PageId, u16, u64, u64, Diff, Time)>,
     /// Pages bumped this barrier: `(page, old_version, new_version)`,
     /// page-sorted at collection time for deterministic iteration.
-    // audit: scratch: cleared in barrier_core after homes fold the bumps
     pub bumps: Vec<(PageId, u32, u32)>,
     /// Who contributed each bump: `(writer, page)`. Lets a writer account
     /// for its own modifications when deciding whether its copy is current.
-    // audit: scratch: cleared in barrier_core after homes fold the bumps
     pub writer_bumps: Vec<(usize, PageId)>,
 }
 
@@ -473,7 +473,7 @@ impl Cluster {
         if self.procs[pid].store.frame(page).is_some() {
             return;
         }
-        let image = &self.image[page.index()];
+        let image = self.image.page(page.index());
         let f = self.procs[pid].store.frame_mut(page);
         f.fill_from(image);
         f.set_prot(Protection::Read);

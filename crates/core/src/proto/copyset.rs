@@ -14,6 +14,9 @@
 //! — every run at the paper's scale — never allocates, and its
 //! [`CopySet::digest_words`] stream is exactly the single bitmap word the
 //! pre-scaling format hashed, keeping all committed results byte-stable.
+
+use dsm_sim::{SnapError, SnapReader, SnapWriter, State, StateHasher};
+
 /// A set of processor ids: inline bitmap for pids 0..64, sorted spillover
 /// for the rest. Equality, hashing, and ordering are canonical (the spill
 /// vector is kept sorted and duplicate-free, and never holds pids < 64).
@@ -22,8 +25,6 @@ pub struct CopySet {
     /// Bit `p` set iff process `p < 64` is a member.
     lo: u64,
     /// Members `>= 64`, ascending, no duplicates.
-    // audit: wholesale(hash): digest_words() folds the bitmap word and every
-    // spill entry alike
     spill: Vec<u16>,
 }
 
@@ -154,23 +155,33 @@ impl CopySet {
     pub fn heap_bytes(&self) -> usize {
         self.spill.capacity() * size_of::<u16>()
     }
+}
 
-    /// Encode for a snapshot: member count, then each pid ascending.
-    pub fn encode_state(&self, w: &mut dsm_sim::SnapWriter) {
+/// Hand-written: the snapshot holds the member list (count, then each pid
+/// ascending), independent of the inline/spill split, and the hash folds
+/// [`CopySet::digest_words`], the same stream check events fold.
+impl State for CopySet {
+    fn encode(&self, w: &mut SnapWriter) {
         w.usize(self.len());
         for p in self.iter() {
             w.u16(u16::try_from(p).expect("pid exceeds u16 range"));
         }
     }
 
-    /// Decode a [`CopySet::encode_state`] capture.
-    pub fn decode_state(r: &mut dsm_sim::SnapReader<'_>) -> CopySet {
-        let n = r.usize();
-        let mut s = CopySet::EMPTY;
-        for _ in 0..n {
-            s.insert(usize::from(r.u16()));
+    fn decode(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let CopySet { lo, spill } = self;
+        *lo = 0;
+        spill.clear();
+        for _ in 0..r.count()? {
+            self.insert(usize::from(r.u16()?));
         }
-        s
+        Ok(())
+    }
+
+    fn fold(&self, h: &mut StateHasher) {
+        for w in self.digest_words() {
+            h.u64(w);
+        }
     }
 }
 

@@ -38,12 +38,14 @@ use crate::proto::notice::{WriteNotice, NOTICE_WIRE_BYTES};
 /// page within `[lo, hi)`; concurrent writes *at* `hi` are disjoint
 /// (race-free programs), which makes `(hi, lo, writer)` a sound application
 /// order.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Segment {
     pub lo: u64,
     pub hi: u64,
     pub diff: Diff,
 }
+
+dsm_sim::impl_state!(Segment { state: lo, hi, diff; });
 
 /// Per-process homeless-protocol state.
 #[derive(Default, Debug)]
@@ -67,6 +69,12 @@ pub struct LmwProc {
     /// older words can clobber this process's own newer writes.
     pub applied: FastMap<(u32, u16), u64>,
 }
+
+// Map values that are vectors keep their order verbatim: it is the
+// deterministic push order, observable through fetch/apply sequencing.
+dsm_sim::impl_state!(LmwProc {
+    state: segments, pending, known_notices, pending_updates, copysets, applied;
+});
 
 impl LmwProc {
     /// Total retained diffs (GC-pressure metric).
@@ -640,10 +648,10 @@ impl Cluster {
 
     pub(crate) fn lmw_snapshot_page(&self, page: PageId) -> PageBuf {
         let p0 = &self.procs[0];
-        let mut buf = p0
-            .store
-            .frame(page)
-            .map_or_else(|| self.image[page.index()].clone(), |f| f.data().clone());
+        let mut buf = p0.store.frame(page).map_or_else(
+            || self.image.page(page.index()).clone(),
+            |f| f.data().clone(),
+        );
         let floor = p0.store.frame(page).map_or(0, Frame::applied_through);
         let applied_w = |w: u16| -> u64 {
             p0.lmw

@@ -9,12 +9,14 @@ use dsm_vm::PageId;
 
 /// A notice that `writer` modified `page` during barrier `epoch`, naming
 /// the diff `(page, epoch, writer)`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash, Default)]
 pub struct WriteNotice {
     pub page: u32,
     pub writer: u16,
     pub epoch: u64,
 }
+
+dsm_sim::impl_state!(WriteNotice { state: page, writer, epoch; });
 
 /// Approximate wire size of one notice within a barrier message.
 pub const NOTICE_WIRE_BYTES: usize = 16;

@@ -42,6 +42,12 @@ pub enum OdMode {
     Reverted,
 }
 
+dsm_sim::impl_state_enum!(OdMode {
+    0 => Learning,
+    1 => Overdrive,
+    2 => Reverted,
+});
+
 /// Per-process overdrive state.
 #[derive(Default, Debug)]
 pub struct OdProc {
@@ -54,6 +60,8 @@ pub struct OdProc {
     /// bar-m: pages write-enabled for the whole overdrive phase.
     pub pre_enabled: BTreeSet<u32>,
 }
+
+dsm_sim::impl_state!(OdProc { state: cur_sites, prev_sites, have_prev, pre_enabled; });
 
 impl OdProc {
     fn ensure_sites(&mut self, phases: usize) {

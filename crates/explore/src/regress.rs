@@ -155,7 +155,7 @@ impl DsmApp for CappedApp {
         self.inner.save_state(w);
     }
 
-    fn load_state(&mut self, r: &mut dsm_sim::SnapReader<'_>) {
-        self.inner.load_state(r);
+    fn load_state(&mut self, r: &mut dsm_sim::SnapReader<'_>) -> Result<(), dsm_sim::SnapError> {
+        self.inner.load_state(r)
     }
 }

@@ -1,13 +1,10 @@
-//! The shared `lint-allow.toml` exemption parser.
+//! The `lint-allow.toml` exemption parser.
 //!
-//! Both static tools — `dsm-lint` (determinism + transport rules) and the
-//! `audit` bin in this crate — consume the same workspace-root allowlist,
-//! so the parser lives here once. The format is deliberately tiny:
-//! `[[allow]]` table headers and double-quoted `key = "value"` pairs for
-//! `file`, `rule`, and `reason`. Anything else is a hard error, and every
-//! entry must be consumed by a real violation (`used` flips when it is):
-//! stale entries are reported as errors by both tools, so the allowlist
-//! cannot rot.
+//! The format is deliberately tiny: `[[allow]]` table headers and
+//! double-quoted `key = "value"` pairs for `file`, `rule`, and `reason`.
+//! Anything else is a hard error, and every entry must be consumed by a
+//! real violation (`used` flips when it is): stale entries are reported
+//! as errors, so the allowlist cannot rot.
 
 /// One `[[allow]]` entry from lint-allow.toml.
 #[derive(Debug)]

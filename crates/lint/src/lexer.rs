@@ -1,28 +1,25 @@
-//! A small Rust lexer: the token layer under the audit prover and the
-//! structural lint rules.
+//! A small Rust lexer: the token layer under the structural lint rules.
 //!
 //! The lexer is deliberately partial — it understands exactly as much of
-//! the language as the downstream passes need: identifiers, integer
-//! literals, multi-character operators that matter for item parsing
-//! (`::`, `->`, `=>`, `..`, `&&`, `||`), strings (including raw and byte
-//! strings), char literals vs lifetimes, and comments. String and char
-//! *contents* are dropped (rules bind to code, not to prose about code),
-//! block comments are skipped, and line comments are captured separately
-//! so `// audit:` annotations keep their positions.
+//! the language as the rules need: identifiers, integer literals, the
+//! multi-character operators that must not be split (`::`, `->`, `=>`,
+//! `..`, `&&`, `||`), strings (including raw and byte strings), char
+//! literals vs lifetimes, and comments. String and char *contents* are
+//! dropped and comments are skipped: rules bind to code, not to prose
+//! about code.
 
-/// Token classification. The downstream passes mostly match on text, but
-/// the kind disambiguates `64` (literal) from `x64` (ident) and keeps
-/// lifetimes out of type-ident extraction.
+/// Token classification. The rules mostly match on text, but the kind
+/// disambiguates `64` (literal) from `x64` (ident).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TokKind {
     /// Identifier or keyword.
     Ident,
-    /// Integer / float-ish literal (floats lex as `1` `.` `5`; the audit
-    /// passes only care about integer tokens like `64` and tuple indices).
+    /// Integer / float-ish literal (floats lex as `1` `.` `5`; the rules
+    /// only care about integer tokens like `64`).
     Lit,
     /// String, byte-string, or char literal (contents dropped).
     Str,
-    /// Lifetime (`'a`, `'_`) — distinct so type walks can skip it.
+    /// Lifetime (`'a`, `'_`).
     Lifetime,
     /// Punctuation, possibly multi-character (`::`, `->`, `..`).
     Punct,
@@ -40,22 +37,6 @@ pub struct Tok {
     pub pos: usize,
 }
 
-/// A captured `//` comment (doc comments included), without the slashes.
-#[derive(Clone, Debug)]
-pub struct Comment {
-    /// 1-based source line.
-    pub line: usize,
-    /// Text after the leading `//`, un-trimmed.
-    pub text: String,
-}
-
-/// Lexer output: the code tokens and the line comments, in source order.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    pub toks: Vec<Tok>,
-    pub comments: Vec<Comment>,
-}
-
 fn is_ident_start(c: char) -> bool {
     c.is_ascii_alphabetic() || c == '_'
 }
@@ -65,15 +46,14 @@ fn is_ident_continue(c: char) -> bool {
 }
 
 /// Tokenize `src`. Never fails: unterminated constructs simply end the
-/// stream (the prover then reports missing coverage rather than panicking
-/// over a malformed fixture).
-pub fn lex(src: &str) -> Lexed {
+/// stream.
+pub fn lex(src: &str) -> Vec<Tok> {
     let bytes = src.as_bytes();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut line = 1usize;
-    let push = |out: &mut Lexed, kind: TokKind, text: &str, line: usize, pos: usize| {
-        out.toks.push(Tok {
+    let push = |out: &mut Vec<Tok>, kind: TokKind, text: &str, line: usize, pos: usize| {
+        out.push(Tok {
             kind,
             text: text.to_string(),
             line,
@@ -89,16 +69,9 @@ pub fn lex(src: &str) -> Lexed {
             }
             c if c.is_ascii_whitespace() => i += 1,
             '/' if bytes.get(i + 1) == Some(&b'/') => {
-                let start = i + 2;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'\n' {
-                    j += 1;
+                while i < bytes.len() && bytes[i] != b'\n' {
+                    i += 1;
                 }
-                out.comments.push(Comment {
-                    line,
-                    text: src[start..j].to_string(),
-                });
-                i = j;
             }
             '/' if bytes.get(i + 1) == Some(&b'*') => {
                 // Block comment; Rust block comments nest.
@@ -177,8 +150,7 @@ pub fn lex(src: &str) -> Lexed {
             }
             c if c.is_ascii_digit() => {
                 // Integer literal with optional base prefix and suffix;
-                // the fractional part of a float lexes as `.` + digits,
-                // which is exactly what the tuple-index pass wants.
+                // the fractional part of a float lexes as `.` + digits.
                 let start = i;
                 let mut j = i + 1;
                 if c == '0' && matches!(bytes.get(j), Some(b'x' | b'o' | b'b')) {
@@ -191,8 +163,8 @@ pub fn lex(src: &str) -> Lexed {
                 i = j;
             }
             _ => {
-                // Punctuation: join the few multi-char operators that the
-                // item parser must not split; everything else is one char.
+                // Punctuation: join the few multi-char operators that must
+                // not be split; everything else is one char.
                 let two = src.get(i..i + 2).unwrap_or("");
                 let text = match two {
                     "::" | "->" | "=>" | ".." | "&&" | "||" => two,
@@ -320,7 +292,7 @@ mod tests {
     use super::*;
 
     fn texts(src: &str) -> Vec<String> {
-        lex(src).toks.into_iter().map(|t| t.text).collect()
+        lex(src).into_iter().map(|t| t.text).collect()
     }
 
     #[test]
@@ -332,13 +304,11 @@ mod tests {
     }
 
     #[test]
-    fn comments_are_captured_not_tokenized() {
-        let l = lex("let x = 1; // audit: skip(snap): reason\n/* block\ncomment */ y");
-        assert_eq!(l.comments.len(), 1);
-        assert_eq!(l.comments[0].line, 1);
-        assert!(l.comments[0].text.trim().starts_with("audit:"));
-        assert_eq!(l.toks.last().unwrap().text, "y");
-        assert_eq!(l.toks.last().unwrap().line, 3);
+    fn comments_are_skipped_and_lines_counted() {
+        let toks = lex("let x = 1; // a .. comment\n/* block\ncomment */ y");
+        assert_eq!(toks.len(), 6);
+        assert_eq!(toks.last().unwrap().text, "y");
+        assert_eq!(toks.last().unwrap().line, 3);
     }
 
     #[test]
@@ -404,9 +374,9 @@ mod tests {
 
     #[test]
     fn shift_is_two_adjacent_lt() {
-        let l = lex("1u64 << pid");
-        let t: Vec<_> = l.toks.iter().map(|t| t.text.as_str()).collect();
+        let toks = lex("1u64 << pid");
+        let t: Vec<_> = toks.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(t, ["1u64", "<", "<", "pid"]);
-        assert_eq!(l.toks[2].pos, l.toks[1].pos + 1);
+        assert_eq!(toks[2].pos, toks[1].pos + 1);
     }
 }

@@ -20,20 +20,22 @@
 //!   depend on the invoking environment).
 //!
 //! A second, structural pass enforces the transport discipline
-//! (`send-raw`, `flush-outcome`) and the sparse-scaling contract
-//! (`dense-by-nodes`). Those rules live in [`dsm_audit::rules`] on the
-//! shared token layer — they bind to call-site and statement syntax, not
-//! substrings — and this binary applies them over a wider net than the
-//! determinism needles: `examples/` and `crates/bench/src` can also reach
-//! the transport, so they are scanned for raw sends and discarded
-//! [`FlushOutcome`]s too (the determinism rules stay library-only — host
+//! (`send-raw`, `flush-outcome`), the sparse-scaling contract
+//! (`dense-by-nodes`) and the state-declaration contract (`state-rest`:
+//! no `..` rest pattern inside a hand-written `impl State for …`, so the
+//! compiler's exhaustiveness check stays the proof that every field is
+//! classified). Those rules live in [`rules`] on the [`lexer`]'s token
+//! layer — they bind to call-site and statement syntax, not substrings —
+//! and this binary applies them over a wider net than the determinism
+//! needles: `examples/` and `crates/bench/src` can also reach the
+//! transport, so they are scanned for raw sends and discarded
+//! `FlushOutcome`s too (the determinism rules stay library-only — host
 //! timing is bench's job, and examples may read the environment).
 //!
 //! Deliberate exceptions live in `lint-allow.toml` at the workspace root,
-//! parsed by the shared [`dsm_audit::allow`] reader (the workspace is
-//! dependency-free by design). Every entry names a file, a rule, and a
-//! reason; stale entries that no longer match anything are themselves
-//! errors, so the allowlist cannot rot.
+//! parsed by [`allow`] (the workspace is dependency-free by design). Every
+//! entry names a file, a rule, and a reason; stale entries that no longer
+//! match anything are themselves errors, so the allowlist cannot rot.
 //!
 //! Comments and string literals are stripped before matching: the rules
 //! bind to code, not to prose about code.
@@ -43,9 +45,13 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use dsm_audit::allow::parse_allowlist;
-use dsm_audit::lexer::lex;
-use dsm_audit::rules::{check_dense, check_sends};
+mod allow;
+mod lexer;
+mod rules;
+
+use allow::parse_allowlist;
+use lexer::lex;
+use rules::{check_dense, check_sends, check_state_rest};
 
 /// Library source trees under the determinism contract. `bench` (host
 /// timing is its job) and this crate are deliberately outside it; test
@@ -196,10 +202,11 @@ fn run(root: &Path) -> Result<Vec<String>, String> {
                 }
             }
         }
-        let toks = lex(&text).toks;
+        let toks = lex(&text);
         let structural = check_sends(&rel, &toks)
             .into_iter()
-            .chain(check_dense(&rel, &toks));
+            .chain(check_dense(&rel, &toks))
+            .chain(check_state_rest(&toks));
         for f in structural {
             if let Some(a) = allows
                 .iter_mut()
@@ -257,9 +264,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The structural rules (send-raw, flush-outcome, dense-by-nodes) and
-    // the allowlist parser are tested where they live, in dsm-audit.
 
     #[test]
     fn noise_stripping() {

@@ -1,11 +1,10 @@
-//! The structural lint rules, rebuilt on the token layer.
+//! The structural lint rules, on the token layer.
 //!
-//! These started life in dsm-lint as substring needles over
-//! comment-stripped lines; here they bind to syntax: call sites are
+//! These bind to syntax, not substrings: call sites are
 //! identifier-followed-by-`(` tokens (never `fn` definitions), statement
-//! boundaries are `;`/`{`/`}` tokens, and the pid-width patterns match
-//! token sequences, so prose, strings, and creative formatting can
-//! neither trigger nor dodge them.
+//! boundaries are `;`/`{`/`}` tokens, and the pid-width and rest-pattern
+//! rules match token sequences, so prose, strings, and creative
+//! formatting can neither trigger nor dodge them.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -194,13 +193,86 @@ pub fn check_dense(rel: &str, toks: &[Tok]) -> Vec<Finding> {
     findings
 }
 
+/// State-declaration contract: a hand-written `impl State for …` must
+/// classify every field, which its exhaustive destructures prove to the
+/// compiler — unless one of them says `..`. A rest in a struct pattern
+/// (`..` directly before the closing brace) anywhere in such an impl is an
+/// error; struct-update syntax (`..base }`) and ranges are not patterns
+/// and do not match.
+pub fn check_state_rest(toks: &[Tok]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    let mut i = 0;
+    while i + 1 < toks.len() {
+        let header = toks[i].text == "State"
+            && toks[i + 1].text == "for"
+            && toks[..i]
+                .iter()
+                .rev()
+                .take_while(|t| !matches!(t.text.as_str(), ";" | "{" | "}"))
+                .any(|t| t.text == "impl");
+        i += 1;
+        if !header {
+            continue;
+        }
+        let mut depth = 0usize;
+        while i < toks.len() {
+            match toks[i].text.as_str() {
+                "{" => depth += 1,
+                "}" if depth <= 1 => break,
+                "}" => depth -= 1,
+                ".." if toks.get(i + 1).is_some_and(|n| n.text == "}") => {
+                    findings.push(Finding {
+                        line: toks[i].line,
+                        rule: "state-rest",
+                        msg: "`..` in a struct pattern inside `impl State`: every field \
+                              must be named so that adding one is a compile error here"
+                            .to_string(),
+                    });
+                }
+                _ => {}
+            }
+            i += 1;
+        }
+    }
+    findings
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
 
     fn toks(src: &str) -> Vec<Tok> {
-        lex(src).toks
+        lex(src)
+    }
+
+    #[test]
+    fn rest_pattern_in_state_impl_flagged() {
+        let bad = "impl<T: Pod> State for Frame<T> {\n fn encode(&self, w: &mut W) {\n \
+                   let Frame { data, .. } = self;\n }\n}";
+        let f = check_state_rest(&toks(bad));
+        assert_eq!(f.len(), 1);
+        assert_eq!((f[0].rule, f[0].line), ("state-rest", 3));
+        let arm = "impl State for V { fn fold(&self) { match self { V::A { x, .. } => {} } } }";
+        assert_eq!(check_state_rest(&toks(arm)).len(), 1);
+    }
+
+    #[test]
+    fn rest_outside_state_impls_and_non_patterns_pass() {
+        for ok in [
+            // An inherent impl, and a different trait, may elide fields.
+            "impl Frame { fn f(&self) { let Frame { data, .. } = self; } }",
+            "impl Debug for Frame { fn f(&self) { let Frame { data, .. } = self; } }",
+            // Exhaustive destructure, struct update, ranges, tuple rest.
+            "impl State for H { fn f(&self) { let H { a, b: _ } = self; \
+             let h = H { a: 1, ..H::new() }; for i in 0..n {} let (x, ..) = t; &v[1..]; } }",
+            // The impl ends at its closing brace.
+            "impl State for H { fn f(&self) {} } fn g(h: &H) { let H { a, .. } = h; }",
+            // A bound or a path mentioning State is not an impl header.
+            "fn f<T: State>(t: &T) { let P { a, .. } = p; }",
+        ] {
+            assert!(check_state_rest(&toks(ok)).is_empty(), "{ok}");
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@ use std::fmt;
 use std::rc::Rc;
 
 use dsm_sim::{
-    CostModel, DetRng, FaultProfile, RdmaParams, SharedScheduler, SnapReader, SnapWriter, Time,
-    TransportKind, VirtualTimeScheduler,
+    CostModel, DetRng, FaultProfile, RdmaParams, SharedScheduler, Time, TransportKind,
+    VirtualTimeScheduler,
 };
 
 use crate::message::{FlushKind, MsgKind, ReliableKind, HEADER_BYTES};
@@ -68,14 +68,10 @@ pub struct FlushOutcome {
 /// traffic always rides the two-sided reliable wire.
 pub struct Network {
     nprocs: usize,
-    // audit: skip(snap): static cost model, rebuilt from config at construction
     costs: CostModel,
-    // audit: scratch: statistics window, replaced wholesale in reset_stats
     stats: NetStats,
     /// Per (src, dst) message counts, for diagnostics and tests.
-    // audit: scratch: per-link counters, zeroed in reset_stats
-    link_msgs: Vec<u64>,
-    // audit: skip(snap): per-run constant from config
+    link_msgs: Box<[u64]>,
     drop_prob: f64,
     /// The two-sided fault-injecting transport (sequence numbers, bursts,
     /// FIFO, retransmission timers). Always present: sync traffic rides it
@@ -86,13 +82,19 @@ pub struct Network {
     /// [`TransportKind::TwoSided`].
     rdma: Rdma,
     /// Which personality carries data traffic.
-    // audit: skip(snap): per-run constant from config
     backend: TransportKind,
     /// Resolves every random decision (legacy flush drops and wire fault
     /// draws). The default wraps the RNG stream handed to [`Network::new`];
     /// an exploration driver swaps in its own via [`Network::set_scheduler`].
     sched: SharedScheduler,
 }
+
+// Cost model, drop probability, backend selection and the fault profile
+// are configuration; the scheduler is the cluster's, snapshotted there.
+dsm_sim::impl_state!(Network {
+    config: nprocs, costs, drop_prob, backend, sched;
+    state: stats, link_msgs, wire, rdma;
+});
 
 impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -159,7 +161,7 @@ impl Network {
             nprocs,
             costs,
             stats: NetStats::new(),
-            link_msgs: vec![0; nprocs * nprocs],
+            link_msgs: vec![0; nprocs * nprocs].into(),
             drop_prob,
             wire: Wire::new(nprocs, fault, WireTuning::default()),
             rdma: Rdma::new(nprocs, rdma),
@@ -380,33 +382,7 @@ impl Network {
     /// state are connection-lifetime and survive the reset.
     pub fn reset_stats(&mut self) {
         self.stats = NetStats::new();
-        self.link_msgs.iter_mut().for_each(|c| *c = 0);
-    }
-
-    /// Encode the network's dynamic state: statistics window, per-link
-    /// counters, and both transport personalities. Cost model, drop
-    /// probability, backend selection, and fault profile are configuration;
-    /// the scheduler snapshots itself.
-    pub fn encode_state(&self, w: &mut SnapWriter) {
-        self.stats.encode_state(w);
-        w.usize(self.link_msgs.len());
-        for &c in &self.link_msgs {
-            w.u64(c);
-        }
-        Transport::encode_state(&self.wire, w);
-        Transport::encode_state(&self.rdma, w);
-    }
-
-    /// Restore a [`Network::encode_state`] capture.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) {
-        self.stats.restore_state(r);
-        let n = r.usize();
-        assert_eq!(n, self.link_msgs.len(), "snapshot from a different nprocs");
-        for c in &mut self.link_msgs {
-            *c = r.u64();
-        }
-        Transport::restore_state(&mut self.wire, r);
-        Transport::restore_state(&mut self.rdma, r);
+        self.link_msgs.fill(0);
     }
 
     pub fn nprocs(&self) -> usize {
@@ -436,6 +412,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsm_sim::{SnapReader, SnapWriter, State};
 
     fn net(drop: f64) -> Network {
         Network::new(
@@ -752,11 +729,10 @@ mod tests {
         );
         n.send_reliable(0, 1, ReliableKind::BarrierArrive, 16, Time::from_ms(2));
         let mut w = SnapWriter::new();
-        n.encode_state(&mut w);
+        n.encode(&mut w);
         let bytes = w.into_bytes();
         let mut fresh = one_sided(0.0, FaultProfile::none());
-        let mut r = SnapReader::new(&bytes);
-        fresh.restore_state(&mut r);
+        fresh.decode(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(fresh.stats(), n.stats());
         assert_eq!(fresh.rdma().completions(), 1);
         assert_eq!(fresh.rdma().posted(0, 1), 1);

@@ -25,9 +25,7 @@
 //! costs around the verbs (segv, mprotect, diff creation) stay at the
 //! paper's 1998 values — that asymmetry is the experiment.
 
-use dsm_sim::{
-    CostModel, RdmaParams, Scheduler, SnapReader, SnapWriter, Time, TimerQueue, TransportKind,
-};
+use dsm_sim::{CostModel, RdmaParams, Scheduler, Time, TimerQueue, TransportKind};
 
 use crate::network::{FlushOutcome, Transit};
 use crate::transport::{FetchDelivery, PushDelivery, Transport};
@@ -43,14 +41,15 @@ struct QpState {
     posted: u64,
 }
 
+dsm_sim::impl_state!(QpState { state: connected, clear_at, posted; });
+
 /// The one-sided transport: a QP table, the completion [`TimerQueue`],
 /// and verb counters.
 #[derive(Clone, Debug)]
 pub struct Rdma {
     nprocs: usize,
-    // audit: skip(snap): static cost parameters from config
     params: RdmaParams,
-    qps: Vec<QpState>,
+    qps: Box<[QpState]>,
     timers: TimerQueue,
     /// Queue pairs established so far (each charged `qp_setup_ns` once).
     qp_setups: u64,
@@ -58,12 +57,17 @@ pub struct Rdma {
     completions: u64,
 }
 
+dsm_sim::impl_state!(Rdma {
+    config: nprocs, params;
+    state: qps, timers, qp_setups, completions;
+});
+
 impl Rdma {
     pub fn new(nprocs: usize, params: RdmaParams) -> Rdma {
         Rdma {
             nprocs,
             params,
-            qps: vec![QpState::default(); nprocs * nprocs],
+            qps: vec![QpState::default(); nprocs * nprocs].into(),
             timers: TimerQueue::new(),
             qp_setups: 0,
             completions: 0,
@@ -206,61 +210,12 @@ impl Transport for Rdma {
             duplicated: false,
         }
     }
-
-    /// Encode the dynamic state: per-QP connection/clamp/post
-    /// bookkeeping, live completion timers, and the verb counters.
-    /// `nprocs` and the params are configuration, not state.
-    fn encode_state(&self, w: &mut SnapWriter) {
-        w.usize(self.qps.len());
-        for q in &self.qps {
-            w.bool(q.connected);
-            w.u64(q.clear_at.as_ns());
-            w.u64(q.posted);
-        }
-        let (live, next_id) = self.timers.snapshot_state();
-        w.usize(live.len());
-        for (at, id) in live {
-            w.u64(at.as_ns());
-            w.u64(id);
-        }
-        w.u64(next_id);
-        w.u64(self.qp_setups);
-        w.u64(self.completions);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) {
-        let n = r.usize();
-        assert_eq!(n, self.qps.len(), "snapshot from a different nprocs");
-        for q in &mut self.qps {
-            q.connected = r.bool();
-            q.clear_at = Time::from_ns(r.u64());
-            q.posted = r.u64();
-        }
-        let nlive = r.usize();
-        let live: Vec<(Time, u64)> = (0..nlive)
-            .map(|_| {
-                let at = Time::from_ns(r.u64());
-                (at, r.u64())
-            })
-            .collect();
-        let next_id = r.u64();
-        self.timers.restore_state(&live, next_id);
-        self.qp_setups = r.u64();
-        self.completions = r.u64();
-    }
-
-    fn reset(&mut self) {
-        self.qps = vec![QpState::default(); self.nprocs * self.nprocs];
-        self.timers = TimerQueue::new();
-        self.qp_setups = 0;
-        self.completions = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsm_sim::VirtualTimeScheduler;
+    use dsm_sim::{SnapReader, SnapWriter, State, VirtualTimeScheduler};
 
     fn rdma(n: usize) -> Rdma {
         Rdma::new(n, RdmaParams::default())
@@ -364,11 +319,10 @@ mod tests {
         r.read(0, 1, 8192, Time::from_ms(1));
         r.write(1, 0, 64, Time::from_ms(2));
         let mut w = SnapWriter::new();
-        Transport::encode_state(&r, &mut w);
+        r.encode(&mut w);
         let bytes = w.into_bytes();
         let mut fresh = rdma(2);
-        let mut rd = SnapReader::new(&bytes);
-        Transport::restore_state(&mut fresh, &mut rd);
+        fresh.decode(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(fresh.qp_setups(), r.qp_setups());
         assert_eq!(fresh.completions(), r.completions());
         assert_eq!(fresh.posted(0, 1), 1);
@@ -377,8 +331,5 @@ mod tests {
         let a = r.read(0, 1, 64, Time::from_ms(3));
         let b = fresh.read(0, 1, 64, Time::from_ms(3));
         assert_eq!(a, b);
-        Transport::reset(&mut fresh);
-        assert_eq!(fresh.qp_setups(), 0);
-        assert_eq!(fresh.posted(0, 1), 0);
     }
 }

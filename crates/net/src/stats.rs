@@ -1,7 +1,5 @@
 //! Traffic statistics — the raw material of the paper's Table 1.
 
-use dsm_sim::{SnapReader, SnapWriter};
-
 use crate::message::{MsgCategory, MsgKind, HEADER_BYTES};
 
 /// Message and byte counters, per kind.
@@ -25,6 +23,11 @@ pub struct NetStats {
     /// number (ack-loss echoes; invisible to the protocol layer).
     pub dups_suppressed: u64,
 }
+
+dsm_sim::impl_state!(NetStats {
+    state: msgs, payload_bytes, flushes_dropped, flushes_duplicated, retransmits,
+        retransmit_bytes, dups_suppressed;
+});
 
 impl NetStats {
     pub fn new() -> Self {
@@ -90,36 +93,6 @@ impl NetStats {
     /// The paper's "Data (kbytes)" column.
     pub fn data_kbytes(&self) -> f64 {
         self.total_payload_bytes() as f64 / 1024.0
-    }
-
-    /// Encode the full counter state for a snapshot.
-    pub fn encode_state(&self, w: &mut SnapWriter) {
-        for v in self.msgs {
-            w.u64(v);
-        }
-        for v in self.payload_bytes {
-            w.u64(v);
-        }
-        w.u64(self.flushes_dropped);
-        w.u64(self.flushes_duplicated);
-        w.u64(self.retransmits);
-        w.u64(self.retransmit_bytes);
-        w.u64(self.dups_suppressed);
-    }
-
-    /// Restore an [`NetStats::encode_state`] capture.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) {
-        for v in &mut self.msgs {
-            *v = r.u64();
-        }
-        for v in &mut self.payload_bytes {
-            *v = r.u64();
-        }
-        self.flushes_dropped = r.u64();
-        self.flushes_duplicated = r.u64();
-        self.retransmits = r.u64();
-        self.retransmit_bytes = r.u64();
-        self.dups_suppressed = r.u64();
     }
 
     /// Merge another window into this one.

@@ -22,7 +22,7 @@
 //! NIC does not interrupt the remote CPU, so a barrier still needs the
 //! active two-sided receiver.
 
-use dsm_sim::{CostModel, Scheduler, SnapReader, SnapWriter, Time, TransportKind};
+use dsm_sim::{CostModel, Scheduler, Time, TransportKind};
 
 use crate::message::HEADER_BYTES;
 use crate::network::{FlushOutcome, Transit};
@@ -124,15 +124,6 @@ pub trait Transport {
         now: Time,
         sched: &mut dyn Scheduler,
     ) -> FlushOutcome;
-
-    /// Serialize dynamic state (snapshot codec).
-    fn encode_state(&self, w: &mut SnapWriter);
-
-    /// Restore an [`Transport::encode_state`] capture.
-    fn restore_state(&mut self, r: &mut SnapReader<'_>);
-
-    /// Clear dynamic state (fresh-connection semantics).
-    fn reset(&mut self);
 }
 
 impl Transport for Wire {
@@ -225,18 +216,6 @@ impl Transport for Wire {
             delivered,
             duplicated: delivered && f.duplicated,
         }
-    }
-
-    fn encode_state(&self, w: &mut SnapWriter) {
-        Wire::encode_state(self, w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) {
-        Wire::restore_state(self, r);
-    }
-
-    fn reset(&mut self) {
-        Wire::reset(self);
     }
 }
 

@@ -33,7 +33,7 @@
 //! therefore byte-identical to one built without the sublayer; the
 //! committed `results/*.txt` files pin this.
 
-use dsm_sim::{FaultProfile, Scheduler, SnapReader, SnapWriter, Time, TimerQueue};
+use dsm_sim::{FaultProfile, Scheduler, Time, TimerQueue};
 
 /// Backoff/retry policy for reliable kinds.
 #[derive(Clone, Debug)]
@@ -84,6 +84,8 @@ struct ChannelState {
     clear_at: Time,
 }
 
+dsm_sim::impl_state!(ChannelState { state: next_seq, delivered_seq, burst_left, clear_at; });
+
 /// What happened to one reliable message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReliableDelivery {
@@ -127,15 +129,18 @@ pub struct FlushDelivery {
 #[derive(Debug, Clone)]
 pub struct Wire {
     nprocs: usize,
-    // audit: skip(snap): static fault profile from config, reinstalled at build
     fault: FaultProfile,
-    // audit: skip(snap): static RTO/attempt tuning from config
     tuning: WireTuning,
-    channels: Vec<ChannelState>,
+    channels: Box<[ChannelState]>,
     timers: TimerQueue,
     /// Timer firings observed (diagnostics; mirrors `observe_timer` calls).
     timer_fires: u64,
 }
+
+dsm_sim::impl_state!(Wire {
+    config: nprocs, fault, tuning;
+    state: channels, timers, timer_fires;
+});
 
 impl Wire {
     pub fn new(nprocs: usize, fault: FaultProfile, tuning: WireTuning) -> Wire {
@@ -143,7 +148,7 @@ impl Wire {
             nprocs,
             fault,
             tuning,
-            channels: vec![ChannelState::default(); nprocs * nprocs],
+            channels: vec![ChannelState::default(); nprocs * nprocs].into(),
             timers: TimerQueue::new(),
             timer_fires: 0,
         }
@@ -161,58 +166,6 @@ impl Wire {
     /// Highest in-order-delivered sequence number on `src → dst`.
     pub fn delivered_seq(&self, src: usize, dst: usize) -> u64 {
         self.channels[src * self.nprocs + dst].delivered_seq
-    }
-
-    /// Reset channel and timer state (new measurement window does *not*
-    /// reset it; sequences are connection-lifetime).
-    pub fn reset(&mut self) {
-        self.channels = vec![ChannelState::default(); self.nprocs * self.nprocs];
-        self.timers = TimerQueue::new();
-        self.timer_fires = 0;
-    }
-
-    /// Encode the wire's dynamic state: per-channel sequence/burst/FIFO
-    /// bookkeeping, live retransmission timers, and the firing count.
-    /// `nprocs`, the fault profile, and the tuning are configuration, not
-    /// state.
-    pub fn encode_state(&self, w: &mut SnapWriter) {
-        w.usize(self.channels.len());
-        for c in &self.channels {
-            w.u64(c.next_seq);
-            w.u64(c.delivered_seq);
-            w.u32(c.burst_left);
-            w.u64(c.clear_at.as_ns());
-        }
-        let (live, next_id) = self.timers.snapshot_state();
-        w.usize(live.len());
-        for (at, id) in live {
-            w.u64(at.as_ns());
-            w.u64(id);
-        }
-        w.u64(next_id);
-        w.u64(self.timer_fires);
-    }
-
-    /// Restore a [`Wire::encode_state`] capture.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) {
-        let n = r.usize();
-        assert_eq!(n, self.channels.len(), "snapshot from a different nprocs");
-        for c in &mut self.channels {
-            c.next_seq = r.u64();
-            c.delivered_seq = r.u64();
-            c.burst_left = r.u32();
-            c.clear_at = Time::from_ns(r.u64());
-        }
-        let nlive = r.usize();
-        let live: Vec<(Time, u64)> = (0..nlive)
-            .map(|_| {
-                let at = Time::from_ns(r.u64());
-                (at, r.u64())
-            })
-            .collect();
-        let next_id = r.u64();
-        self.timers.restore_state(&live, next_id);
-        self.timer_fires = r.u64();
     }
 
     /// Scale legs for the per-node slowdown, if `src` or `dst` is slow.
@@ -587,15 +540,5 @@ mod tests {
             first_try_instant_deliveries > 50,
             "ack loss alone must not delay delivery"
         );
-    }
-
-    #[test]
-    fn reset_clears_sequences_and_timers() {
-        let mut wire = Wire::new(2, FaultProfile::iid_loss(), WireTuning::default());
-        let mut sched = VirtualTimeScheduler::from_seed(1);
-        wire.resolve_reliable(0, 1, legs(), Time::ZERO, &mut sched);
-        wire.reset();
-        assert_eq!(wire.delivered_seq(0, 1), 0);
-        assert_eq!(wire.timer_fires(), 0);
     }
 }

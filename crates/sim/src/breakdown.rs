@@ -63,6 +63,8 @@ pub struct TimeBreakdown {
     pub retrans: Time,
 }
 
+crate::impl_state!(TimeBreakdown { state: app, os, sigio, wait, retrans; });
+
 impl TimeBreakdown {
     /// A breakdown with all buckets empty.
     pub const ZERO: TimeBreakdown = TimeBreakdown {

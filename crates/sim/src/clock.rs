@@ -12,11 +12,11 @@ use crate::time::Time;
 #[derive(Clone, Debug, Default)]
 pub struct Clock {
     now: Time,
-    // audit: scratch: measurement-window floor, rebased in reset_measurement
     base: Time,
-    // audit: scratch: measured time split, zeroed in reset_measurement
     breakdown: TimeBreakdown,
 }
+
+crate::impl_state!(Clock { state: now, base, breakdown; });
 
 impl Clock {
     /// A clock at the virtual epoch.
@@ -72,19 +72,6 @@ impl Clock {
     #[inline]
     pub fn breakdown(&self) -> TimeBreakdown {
         self.breakdown
-    }
-
-    /// Full clock state `(now, base, breakdown)` for snapshot encoding.
-    pub fn snapshot_state(&self) -> (Time, Time, TimeBreakdown) {
-        (self.now, self.base, self.breakdown)
-    }
-
-    /// Restore a [`Clock::snapshot_state`] capture, measurement window and
-    /// attribution included.
-    pub fn restore_state(&mut self, now: Time, base: Time, breakdown: TimeBreakdown) {
-        self.now = now;
-        self.base = base;
-        self.breakdown = breakdown;
     }
 }
 

@@ -32,8 +32,11 @@
 //! * [`prop`] — a small deterministic property-test harness built on
 //!   [`rng::DetRng`] (the workspace builds offline and carries no external
 //!   test dependencies).
-//! * [`snapio`] — the byte-level encoder/decoder primitives behind the
-//!   `dsm-snap` snapshot format.
+//! * [`snapio`] — the byte-level encoder and fallible decoder primitives
+//!   behind the `dsm-snap` snapshot format.
+//! * [`state`] — the [`State`] trait and the `impl_state!` field-list
+//!   declaration that derive snapshot, restore and state hash from one
+//!   classification of every field.
 //! * [`config`] — simulation-wide configuration shared by the higher layers.
 //!
 //! Nothing in this crate knows about pages, messages, or protocols; those
@@ -51,6 +54,7 @@ pub mod prop;
 pub mod rng;
 pub mod sched;
 pub mod snapio;
+pub mod state;
 pub mod stress;
 pub mod time;
 pub mod timer;
@@ -64,7 +68,8 @@ pub use fasthash::{FastBuild, FastMap, FastSet, IntHasher};
 pub use fault::FaultProfile;
 pub use rng::DetRng;
 pub use sched::{Candidate, ChoiceKind, Scheduler, SharedScheduler, VirtualTimeScheduler};
-pub use snapio::{SnapReader, SnapWriter};
+pub use snapio::{SnapError, SnapErrorKind, SnapReader, SnapWriter};
+pub use state::{decode_table, encode_table, fold_encoding, Sparse, State, StateHasher};
 pub use stress::StressModel;
 pub use time::Time;
 pub use timer::{TimerId, TimerQueue};

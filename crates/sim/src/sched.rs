@@ -37,6 +37,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::rng::DetRng;
+use crate::snapio::{SnapError, SnapReader, SnapWriter};
+use crate::state::{State, StateHasher};
 
 /// Which kind of decision a choice point resolves.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -197,6 +199,28 @@ pub trait Scheduler {
 
 /// Shared handle: the cluster and the network consult the same scheduler.
 pub type SharedScheduler = Rc<RefCell<dyn Scheduler>>;
+
+/// The handle's state is the scheduler's generator stream, if it owns one
+/// ([`Scheduler::rng_state`]); a snapshot taken under a stateless
+/// scheduler restores under a stateful one without touching its stream.
+impl State for SharedScheduler {
+    fn encode(&self, w: &mut SnapWriter) {
+        self.borrow().rng_state().encode(w);
+    }
+
+    fn decode(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let mut stream: Option<[u64; 4]> = None;
+        stream.decode(r)?;
+        if let Some(s) = stream {
+            self.borrow_mut().set_rng_state(s);
+        }
+        Ok(())
+    }
+
+    fn fold(&self, h: &mut StateHasher) {
+        self.borrow().rng_state().fold(h);
+    }
+}
 
 /// The default scheduler: the cluster's historical behaviour.
 ///

@@ -16,6 +16,8 @@ use core::ops::{Add, AddAssign, Sub, SubAssign};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(pub u64);
 
+crate::impl_state!(Time(state));
+
 impl Time {
     /// The zero instant / empty duration.
     pub const ZERO: Time = Time(0);

@@ -15,6 +15,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::fasthash::FastSet;
+use crate::snapio::{SnapError, SnapReader, SnapWriter};
+use crate::state::{State, StateHasher};
 use crate::time::Time;
 
 /// Handle for one armed timer (unique within its queue's lifetime).
@@ -88,30 +90,61 @@ impl TimerQueue {
     pub fn pending(&self) -> usize {
         self.live
     }
+}
 
-    /// Snapshot the live timers in firing order plus the id counter.
-    ///
-    /// Cancelled-but-unpopped heap entries are dropped: they can never fire,
-    /// so a queue restored without them behaves identically. `next_id` is
-    /// preserved exactly so ids armed after a restore sort after every
-    /// restored id (ties fire in arming order).
-    pub fn snapshot_state(&self) -> (Vec<(Time, u64)>, u64) {
-        let mut live: Vec<(Time, u64)> = self
-            .heap
-            .iter()
-            .map(|&Reverse(e)| e)
-            .filter(|(_, id)| !self.cancelled.contains(id))
-            .collect();
-        live.sort_unstable();
-        (live, self.next_id)
+/// The armed timers in firing order.
+fn armed(heap: &BinaryHeap<Reverse<(Time, u64)>>, cancelled: &FastSet<u64>) -> Vec<(Time, u64)> {
+    let mut armed: Vec<(Time, u64)> = heap
+        .iter()
+        .map(|&Reverse(e)| e)
+        .filter(|(_, id)| !cancelled.contains(id))
+        .collect();
+    armed.sort_unstable();
+    armed
+}
+
+/// Hand-written: the heap and the lazy-deletion set are one logical value,
+/// the armed timers in firing order. Cancelled-but-unpopped heap entries
+/// are dropped — they can never fire, so a queue restored without them
+/// behaves identically. `next_id` is kept exactly so ids armed after a
+/// restore sort after every restored id (ties fire in arming order).
+impl State for TimerQueue {
+    fn encode(&self, w: &mut SnapWriter) {
+        let TimerQueue {
+            heap,
+            cancelled,
+            next_id,
+            live: _,
+        } = self;
+        armed(heap, cancelled).encode(w);
+        next_id.encode(w);
     }
 
-    /// Rebuild a queue from a [`TimerQueue::snapshot_state`] capture.
-    pub fn restore_state(&mut self, live: &[(Time, u64)], next_id: u64) {
-        self.heap = live.iter().map(|&e| Reverse(e)).collect();
-        self.cancelled = FastSet::default();
-        self.next_id = next_id;
-        self.live = live.len();
+    fn decode(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let TimerQueue {
+            heap,
+            cancelled,
+            next_id,
+            live,
+        } = self;
+        let mut timers: Vec<(Time, u64)> = Vec::new();
+        timers.decode(r)?;
+        next_id.decode(r)?;
+        *live = timers.len();
+        *heap = timers.into_iter().map(Reverse).collect();
+        cancelled.clear();
+        Ok(())
+    }
+
+    fn fold(&self, h: &mut StateHasher) {
+        let TimerQueue {
+            heap,
+            cancelled,
+            next_id,
+            live: _,
+        } = self;
+        armed(heap, cancelled).fold(h);
+        next_id.fold(h);
     }
 }
 
@@ -173,5 +206,26 @@ mod tests {
         q.schedule(Time::from_us(7));
         q.cancel(a);
         assert_eq!(q.next_deadline(), Some(Time::from_us(7)));
+    }
+
+    #[test]
+    fn snapshot_drops_cancelled_and_keeps_the_id_counter() {
+        let mut q = TimerQueue::new();
+        let a = q.schedule(Time::from_us(9));
+        q.schedule(Time::from_us(3));
+        q.cancel(a);
+        let mut w = SnapWriter::new();
+        q.encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut back = TimerQueue::new();
+        back.schedule(Time::from_us(1));
+        back.decode(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(back.pending(), 1);
+        let fresh = back.schedule(Time::from_us(3));
+        assert_eq!(fresh, TimerId(2), "ids continue past every restored id");
+        let t = Time::from_us(3);
+        assert_eq!(back.pop_due(t), Some((t, TimerId(1))));
+        assert_eq!(back.pop_due(t), Some((t, fresh)));
+        assert_eq!(back.pop_due(Time::from_us(99)), None);
     }
 }

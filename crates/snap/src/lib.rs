@@ -12,39 +12,49 @@
 //!
 //! ```text
 //! magic    8 bytes  b"DSMSNAP\0"
-//! version  u8       SNAP_VERSION (2)
+//! version  u8       SNAP_VERSION (3)
 //! flags    u8       bit 0: CHECK section present
 //! digest   u64      configuration digest (see [`config_digest`])
-//! sections ...      tag u32 (fourcc) + length u64 + payload, in order:
-//!   "CORE"          Cluster::encode_state
-//!   "CHCK"          Checker::encode_state   (iff flags bit 0)
+//! sections ...      fourcc + length u64 + payload, in order:
+//!   "CORE"          Cluster::snapshot
+//!   "CHCK"          Checker::snapshot      (iff flags bit 0)
 //!   "APP\0"         DsmApp::save_state
 //! ```
 //!
-//! All integers are little-endian (the `dsm_sim::SnapWriter` convention).
-//! Unknown trailing sections are an error — the format is closed per
-//! version; readers of version N reject every other version byte, which
-//! keeps compatibility logic out of the simulator entirely (the committed
-//! golden snapshot test pins the byte layout instead).
+//! All integers are little-endian (the `dsm_sim::SnapWriter` convention),
+//! and each section's payload is the `dsm_sim::State` walk of its root:
+//! field order and container framing come from the `impl_state!`
+//! declarations, not from code here. Unknown trailing sections are an
+//! error — the format is closed per version; readers of version N reject
+//! every other version byte, which keeps compatibility logic out of the
+//! simulator entirely (the committed golden snapshot test pins the byte
+//! layout instead).
+//!
+//! A snapshot is outside input: [`read_snapshot`] returns a
+//! [`SnapError`] naming section, offset and cause for anything truncated,
+//! corrupt, or taken from a differently shaped run, and never panics on
+//! its bytes.
 
 #![forbid(unsafe_code)]
 
 use dsm_check::Checker;
 use dsm_core::{Cluster, DsmApp, RunConfig, StepRun};
+pub use dsm_sim::SnapError;
 use dsm_sim::{SnapReader, SnapWriter};
 
 /// The one and only snapshot format version this crate reads and writes.
-/// v2: the CORE section's network state carries both transport
-/// personalities (two-sided wire channels *and* one-sided QP/timer state),
-/// and the config digest folds the selected transport backend.
-pub const SNAP_VERSION: u8 = 2;
+/// v3: section payloads are generated from the `State` declarations
+/// (DESIGN.md §16 lists every layout change against v2); the bulk
+/// encodings — frame delta runs, race-detector shadow words, oracle pages
+/// — are unchanged.
+pub const SNAP_VERSION: u8 = 3;
 
 /// Magic prefix of every snapshot.
 pub const SNAP_MAGIC: [u8; 8] = *b"DSMSNAP\0";
 
-const TAG_CORE: u32 = u32::from_le_bytes(*b"CORE");
-const TAG_CHECK: u32 = u32::from_le_bytes(*b"CHCK");
-const TAG_APP: u32 = u32::from_le_bytes(*b"APP\0");
+const TAG_CORE: [u8; 4] = *b"CORE";
+const TAG_CHECK: [u8; 4] = *b"CHCK";
+const TAG_APP: [u8; 4] = *b"APP\0";
 
 const FLAG_CHECK: u8 = 1;
 
@@ -81,18 +91,6 @@ pub fn config_digest(cfg: &RunConfig) -> u64 {
     h
 }
 
-fn begin_section(w: &mut SnapWriter, tag: u32) -> usize {
-    w.u32(tag);
-    let at = w.len();
-    w.u64(0); // length, patched by end_section
-    at
-}
-
-fn end_section(w: &mut SnapWriter, at: usize) {
-    let len = (w.len() - at - 8) as u64;
-    w.patch_u64(at, len);
-}
-
 /// Serialize `cluster` (+ optional checker + application state) into a
 /// self-describing snapshot.
 pub fn write_snapshot<A: DsmApp + ?Sized>(
@@ -106,75 +104,68 @@ pub fn write_snapshot<A: DsmApp + ?Sized>(
     w.u8(if checker.is_some() { FLAG_CHECK } else { 0 });
     w.u64(config_digest(cluster.config()));
 
-    let at = begin_section(&mut w, TAG_CORE);
-    cluster.encode_state(&mut w);
-    end_section(&mut w, at);
+    let at = w.begin_section(TAG_CORE);
+    cluster.snapshot(&mut w);
+    w.end_section(at);
 
     if let Some(ck) = checker {
-        let at = begin_section(&mut w, TAG_CHECK);
-        ck.encode_state(&mut w);
-        end_section(&mut w, at);
+        let at = w.begin_section(TAG_CHECK);
+        ck.snapshot(&mut w);
+        w.end_section(at);
     }
 
-    let at = begin_section(&mut w, TAG_APP);
+    let at = w.begin_section(TAG_APP);
     app.save_state(&mut w);
-    end_section(&mut w, at);
+    w.end_section(at);
 
     w.into_bytes()
 }
 
 /// Restore a [`write_snapshot`] capture into `cluster`/`app` (and the
 /// checker, when the snapshot carries a CHECK section — in which case a
-/// checker must be supplied). The cluster must come from the same
-/// configuration and completed setup; panics on any mismatch, truncation,
-/// or version skew.
+/// checker must be supplied). The cluster must come
+/// from the same configuration and completed setup; any mismatch,
+/// truncation, corruption or version skew is an error, after which the
+/// targets are partially overwritten and only fit to be restored over.
 pub fn read_snapshot<A: DsmApp + ?Sized>(
     bytes: &[u8],
     cluster: &mut Cluster,
     app: &mut A,
     checker: Option<&Checker>,
-) {
+) -> Result<(), SnapError> {
     let mut r = SnapReader::new(bytes);
-    assert_eq!(r.raw(8), &SNAP_MAGIC[..], "not a DSM snapshot");
-    let version = r.u8();
-    assert_eq!(
-        version, SNAP_VERSION,
-        "unsupported snapshot version {version}"
-    );
-    let flags = r.u8();
-    assert_eq!(
-        r.u64(),
-        config_digest(cluster.config()),
-        "snapshot from a different configuration"
-    );
-
-    expect_section(&mut r, TAG_CORE, |r| cluster.restore_state(r));
-    if flags & FLAG_CHECK != 0 {
-        let ck = checker.expect("snapshot carries checker state but no checker was supplied");
-        expect_section(&mut r, TAG_CHECK, |r| ck.restore_state(r));
+    let magic = r.raw(8)?;
+    if magic != SNAP_MAGIC {
+        let found = u64::from_le_bytes(magic.try_into().expect("8 bytes"));
+        return r.bad_tag("magic", found);
     }
-    expect_section(&mut r, TAG_APP, |r| app.load_state(r));
-    assert_eq!(r.remaining(), 0, "trailing bytes after the last section");
-}
+    let version = r.u8()?;
+    if version != SNAP_VERSION {
+        return r.bad_tag("version", u64::from(version));
+    }
+    let flags = r.u8()?;
+    if flags & !FLAG_CHECK != 0 {
+        return r.bad_tag("flags", u64::from(flags));
+    }
+    let digest = r.u64()?;
+    r.geometry("configuration", config_digest(cluster.config()), digest)?;
 
-fn expect_section(r: &mut SnapReader<'_>, tag: u32, body: impl FnOnce(&mut SnapReader<'_>)) {
-    let got = r.u32();
-    assert_eq!(
-        got.to_le_bytes(),
-        tag.to_le_bytes(),
-        "unexpected snapshot section {:?}",
-        String::from_utf8_lossy(&got.to_le_bytes()),
-    );
-    let len = r.u64() as usize;
-    let payload = r.raw(len);
-    let mut sub = SnapReader::new(payload);
-    body(&mut sub);
-    assert_eq!(
-        sub.remaining(),
-        0,
-        "section {:?} not fully consumed",
-        String::from_utf8_lossy(&tag.to_le_bytes()),
-    );
+    let mut core = r.section(TAG_CORE)?;
+    cluster.restore(&mut core)?;
+    core.finish()?;
+    if flags & FLAG_CHECK != 0 {
+        let Some(ck) = checker else {
+            // Checker state with no checker to receive it.
+            return r.bad_tag("flags", u64::from(flags));
+        };
+        let mut check = r.section(TAG_CHECK)?;
+        ck.restore(&mut check)?;
+        check.finish()?;
+    }
+    let mut state = r.section(TAG_APP)?;
+    app.load_state(&mut state)?;
+    state.finish()?;
+    r.finish()
 }
 
 /// [`write_snapshot`] over a [`StepRun`]: the convenience entry the
@@ -186,14 +177,18 @@ pub fn snapshot_run<A: DsmApp + ?Sized>(
     write_snapshot(run.cluster(), run.app(), checker)
 }
 
-/// [`read_snapshot`] over a [`StepRun`].
+/// [`read_snapshot`] over a [`StepRun`], for bytes this process produced
+/// with [`snapshot_run`]: a failure to decode them is a broken internal
+/// invariant, not bad input, so it panics with the error.
 pub fn restore_run<A: DsmApp + ?Sized>(
     bytes: &[u8],
     run: &mut StepRun<'_, A>,
     checker: Option<&Checker>,
 ) {
     let (cl, app) = run.cluster_and_app_mut();
-    read_snapshot(bytes, cl, app, checker);
+    if let Err(e) = read_snapshot(bytes, cl, app, checker) {
+        panic!("restoring a snapshot this process wrote: {e}");
+    }
 }
 
 #[cfg(test)]

@@ -80,8 +80,6 @@ pub fn as_bytes_mut<T: Pod>(xs: &mut [T]) -> &mut [u8] {
 ///
 /// Backed by a `Box<[u64]>` so the allocation is always 8-byte aligned;
 /// exposed as bytes (for diffs) or as scalar slices (for kernels).
-// audit: leaf: an aligned byte buffer; snapshotted as delta runs against the
-// image and hashed as raw bytes, both via as_bytes()
 #[derive(Clone, PartialEq)]
 pub struct PageBuf {
     words: Box<[u64]>,

@@ -24,13 +24,15 @@ use crate::page::PageId;
 use crate::pool::BufPool;
 
 /// One contiguous modified byte range.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct DiffRun {
     /// Byte offset within the page.
     pub offset: u32,
     /// The new bytes.
     pub data: Vec<u8>,
 }
+
+dsm_sim::impl_state!(DiffRun { state: offset, data; });
 
 /// All modifications to one page in one interval.
 ///
@@ -48,13 +50,15 @@ pub struct DiffRun {
 /// diff.apply_to(&mut rebuilt);
 /// assert_eq!(rebuilt.bytes(), cur.bytes());
 /// ```
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct Diff {
     /// The page this diff applies to.
     pub page: PageId,
     /// Modified ranges, in ascending non-overlapping offset order.
     pub runs: Vec<DiffRun>,
 }
+
+dsm_sim::impl_state!(Diff { state: page, runs; });
 
 /// Comparison granularity: diffs are computed on 8-byte words, matching the
 /// word-comparison loop of the original implementation.

@@ -22,20 +22,22 @@ const WORD: usize = 8;
 #[derive(Clone, Debug, Default)]
 pub struct DirtyRanges {
     /// Disjoint, non-adjacent, sorted `[start, end)` byte ranges.
-    // audit: wholesale(hash): folded via the dirty_ranges() span view in
-    // frame_hash
     ranges: Vec<(u32, u32)>,
     /// Collapsed state: the entire page must be scanned.
-    // audit: wholesale(hash): collapse state is visible through the same span
-    // view (a collapsed set yields the whole-page span)
     all: bool,
     /// Coarsened state: [`DirtyRanges::insert_coarse`] merged across a
     /// gap, so the ranges are a cover of the written words rather than an
     /// exact record.
-    // audit: skip(hash): precision flag only — coarse and exact sets with the
-    // same spans scan the same bytes
     coarse: bool,
 }
+
+// `coarse` is snapshotted but not hashed: it is a precision flag only —
+// coarse and exact sets with the same spans scan the same bytes.
+dsm_sim::impl_state!(DirtyRanges {
+    state: all;
+    timing: coarse;
+    state: ranges;
+});
 
 impl DirtyRanges {
     /// Range-count cap; beyond it the set collapses to the whole page.
@@ -172,28 +174,6 @@ impl DirtyRanges {
         }
         let o = offset as u32;
         self.ranges.iter().any(|&(s, e)| s <= o && o < e)
-    }
-
-    /// The raw representation `(ranges, all, coarse)` for snapshot
-    /// encoding.
-    pub fn snapshot_parts(&self) -> (&[(u32, u32)], bool, bool) {
-        (&self.ranges, self.all, self.coarse)
-    }
-
-    /// Rebuild from [`DirtyRanges::snapshot_parts`]. `ranges` must be the
-    /// sorted, disjoint, non-adjacent set a tracking interval produced —
-    /// snapshots only ever round-trip values this type itself emitted.
-    pub fn from_parts(ranges: Vec<(u32, u32)>, all: bool, coarse: bool) -> DirtyRanges {
-        debug_assert!(
-            ranges.windows(2).all(|w| w[0].1 < w[1].0),
-            "dirty ranges not sorted/disjoint: {ranges:?}"
-        );
-        debug_assert!(!all || ranges.is_empty(), "collapsed set carries ranges");
-        DirtyRanges {
-            ranges,
-            all,
-            coarse,
-        }
     }
 
     /// True if every recorded range lies inside the union of `spans`

@@ -8,9 +8,9 @@
 //!   only the written ranges instead of the whole page (byte-identical
 //!   output; see `diff.rs`);
 //! * **a revision counter** — every observable mutation bumps `rev`,
-//!   letting callers cache derived values (the explorer's structural
-//!   frame hash) keyed on the revision, with writes and protocol
-//!   mutations invalidating the cache for free.
+//!   which keys the memo of the frame's structural hash
+//!   ([`Frame::fold`]), so writes and protocol mutations invalidate it
+//!   for free.
 //!
 //! Neither affects *virtual* cost: twins, diffs, and protection changes
 //! are charged by the protocol layer exactly as before; dirty tracking
@@ -21,6 +21,8 @@
 //! the hash-cache invalidation, so there is no such path.
 
 use core::cell::Cell;
+
+use dsm_sim::{SnapError, SnapReader, SnapWriter, State, StateHasher};
 
 use crate::buf::PageBuf;
 use crate::diff::Diff;
@@ -57,13 +59,8 @@ pub struct Frame {
     /// the recorded ranges alone (no twin comparison) bound the delta.
     tracking: bool,
     /// Bumped on every observable mutation; keys derived-value caches.
-    // audit: skip(snap, hash): host-side cache key; rebuilt on restore, and a
-    // derived value by definition
     rev: u64,
-    /// Revision-keyed cache slot for a derived 64-bit value (the
-    /// explorer's structural frame hash): `(revision, value)`.
-    // audit: skip(snap, hash): memo of the frame hash itself; recomputed on
-    // demand, never observable
+    /// Memo of [`Frame::fold`]'s structural hash: `(revision, hash)`.
     hash_cache: Cell<Option<(u64, u64)>>,
 }
 
@@ -159,21 +156,6 @@ impl Frame {
             (Protection::Read, true) => Some(FaultKind::WriteReadOnly),
             _ => None,
         }
-    }
-
-    /// Revision-keyed cache for a derived 64-bit value: returns the cached
-    /// value if it was stored at the current revision, otherwise computes,
-    /// stores, and returns it. The caller must pass a pure function of the
-    /// frame's observable state (contents, twin, protection, versions).
-    pub fn cached_u64(&self, compute: impl FnOnce(&Frame) -> u64) -> u64 {
-        if let Some((rev, v)) = self.hash_cache.get() {
-            if rev == self.rev {
-                return v;
-            }
-        }
-        let v = compute(self);
-        self.hash_cache.set(Some((self.rev, v)));
-        v
     }
 
     // ------------------------------------------------------------------
@@ -346,45 +328,135 @@ impl Frame {
         self.touch();
     }
 
-    /// Snapshot restore: rebuild the frame's full observable state in
-    /// place. `base` is the pristine page image; `data_runs` and
-    /// `twin_runs` express the restored contents as deltas (against `base`
-    /// and against the restored data respectively); `twin_present`
-    /// distinguishes "no twin" from "twin equal to data". Buffers recycle
-    /// through `pool`, and the revision bumps so derived-value caches
-    /// refresh.
-    #[allow(clippy::too_many_arguments)]
-    pub fn restore_state(
+    // ------------------------------------------------------------------
+    // State: snapshot, restore, hash (`PageStore`'s `State` impl drives
+    // these; a frame alone lacks the image page its contents delta against)
+    // ------------------------------------------------------------------
+
+    /// Write the frame's observable state. Contents are delta-encoded:
+    /// the data as diff runs against `base` (the pristine image page), the
+    /// twin as runs against the frame's own data. Steady-state iterative
+    /// applications touch a small, stable fraction of each page per epoch,
+    /// so snapshots stay small even for large segments — the observation
+    /// that makes diff-based DSM cheap makes diff-based snapshots cheap.
+    pub(crate) fn encode(&self, page: PageId, base: &PageBuf, w: &mut SnapWriter) {
+        let Frame {
+            data,
+            prot,
+            twin,
+            version_seen,
+            applied_through,
+            dirty,
+            tracking,
+            rev: _,
+            hash_cache: _,
+        } = self;
+        prot.encode(w);
+        version_seen.encode(w);
+        applied_through.encode(w);
+        tracking.encode(w);
+        dirty.encode(w);
+        Diff::between(page, base, data).runs.encode(w);
+        w.bool(twin.is_some());
+        if let Some(t) = twin {
+            Diff::between(page, data, t).runs.encode(w);
+        }
+    }
+
+    /// Restore an [`Frame::encode`] capture in place, reusing the frame's
+    /// buffers. The revision bumps, so derived-value caches refresh.
+    pub(crate) fn decode(
         &mut self,
         base: &PageBuf,
-        data_runs: &Diff,
-        twin_present: bool,
-        twin_runs: &Diff,
-        prot: Protection,
-        version_seen: u32,
-        applied_through: u64,
-        dirty: DirtyRanges,
-        tracking: bool,
-        pool: &mut BufPool,
-    ) {
-        self.data.copy_from(base);
-        data_runs.apply_to(&mut self.data);
-        if twin_present {
-            if self.twin.is_none() {
-                self.twin = Some(pool.take_page(self.data.len()));
-            }
-            let t = self.twin.as_mut().unwrap();
-            t.copy_from(&self.data);
-            twin_runs.apply_to(t);
-        } else if let Some(t) = self.twin.take() {
-            pool.put_page(t);
+        r: &mut SnapReader<'_>,
+    ) -> Result<(), SnapError> {
+        let Frame {
+            data,
+            prot,
+            twin,
+            version_seen,
+            applied_through,
+            dirty,
+            tracking,
+            rev,
+            hash_cache: _,
+        } = self;
+        *rev += 1;
+        prot.decode(r)?;
+        version_seen.decode(r)?;
+        applied_through.decode(r)?;
+        tracking.decode(r)?;
+        dirty.decode(r)?;
+        let reach = dirty.iter().map(|(_, end)| end).max().unwrap_or(0);
+        r.index(u64::from(reach), data.len() + 1)?;
+        data.copy_from(base);
+        apply_runs(data, r)?;
+        if r.bool()? {
+            let t = match twin {
+                Some(t) => {
+                    t.copy_from(data);
+                    t
+                }
+                None => twin.insert(data.clone()),
+            };
+            apply_runs(t, r)?;
+        } else {
+            *twin = None;
         }
-        self.prot = prot;
-        self.version_seen = version_seen;
-        self.applied_through = applied_through;
-        self.dirty = dirty;
-        self.tracking = tracking;
-        self.touch();
+        Ok(())
+    }
+
+    /// Fold the frame's structural hash: protection, versions, contents,
+    /// twin. A pure function of the frame's observable state, so it is
+    /// memoized keyed on the revision — every mutation path bumps the
+    /// revision, invalidating the memo — and a barrier re-walks only the
+    /// frames mutated since the previous one. An
+    /// [uncached](StateHasher::uncached) hasher recomputes regardless.
+    pub(crate) fn fold(&self, h: &mut StateHasher) {
+        if h.bypasses_caches() {
+            return h.u64(self.structural_hash());
+        }
+        let hash = match self.hash_cache.get() {
+            Some((rev, hash)) if rev == self.rev => hash,
+            _ => {
+                let hash = self.structural_hash();
+                self.hash_cache.set(Some((self.rev, hash)));
+                hash
+            }
+        };
+        h.u64(hash);
+    }
+
+    fn structural_hash(&self) -> u64 {
+        let Frame {
+            data,
+            prot,
+            twin,
+            version_seen,
+            applied_through,
+            dirty,
+            tracking,
+            rev: _,
+            hash_cache: _,
+        } = self;
+        let mut h = StateHasher::new();
+        prot.fold(&mut h);
+        version_seen.fold(&mut h);
+        applied_through.fold(&mut h);
+        h.bytes(data.bytes());
+        h.byte(u8::from(twin.is_some()));
+        if let Some(t) = twin {
+            h.bytes(t.bytes());
+        }
+        // Twin-free dirty tracking (bar-r): the recorded ranges determine
+        // the next region delta, so they are observable state — but only
+        // while tracking is armed. Under a twin they are a host-side scan
+        // accelerator: the diff is the same whatever they hold.
+        tracking.fold(&mut h);
+        if *tracking {
+            dirty.fold(&mut h);
+        }
+        h.finish()
     }
 
     /// Create the diff of modifications since the twin was taken, leaving
@@ -407,6 +479,18 @@ impl Frame {
             .expect("diff_against_twin called without a twin");
         Diff::between_ranges_in(page, twin, &self.data, &self.dirty, pool)
     }
+}
+
+/// Read a run list and write it into `target`, rejecting runs that leave
+/// the page.
+fn apply_runs(target: &mut PageBuf, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    for _ in 0..r.count()? {
+        let offset = u64::from(r.u32()?);
+        let data = r.bytes()?;
+        let end = r.index(offset + data.len() as u64, target.len() + 1)?;
+        target.bytes_mut()[end - data.len()..end].copy_from_slice(data);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -565,22 +649,6 @@ mod tests {
         let r3 = f.revision();
         f.make_twin();
         assert!(f.revision() > r3);
-    }
-
-    #[test]
-    fn cached_u64_invalidates_on_mutation() {
-        let mut f = Frame::new(64);
-        let calls = Cell::new(0u32);
-        let compute = |fr: &Frame| {
-            calls.set(calls.get() + 1);
-            u64::from(fr.data().bytes()[0])
-        };
-        assert_eq!(f.cached_u64(compute), 0);
-        assert_eq!(f.cached_u64(compute), 0);
-        assert_eq!(calls.get(), 1, "second call served from cache");
-        f.write_at(0, &[9]);
-        assert_eq!(f.cached_u64(compute), 9);
-        assert_eq!(calls.get(), 2, "mutation invalidated the cache");
     }
 
     #[test]

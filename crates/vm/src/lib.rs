@@ -19,6 +19,8 @@
 //! * [`dirty`] — word-aligned dirty-range tracking for twinned frames,
 //!   feeding the incremental diff fast path.
 //! * [`frame`] — one process's copy of one page: data + protection + twin.
+//! * [`image`] — the pristine segment image setup wrote, shared by every
+//!   store as the base its frames delta-encode against.
 //! * [`pool`] — free-lists recycling twin buffers and diff run storage.
 //! * [`store`] — a process's page table over the shared segment.
 
@@ -28,6 +30,7 @@ pub mod buf;
 pub mod diff;
 pub mod dirty;
 pub mod frame;
+pub mod image;
 pub mod page;
 pub mod pool;
 pub mod store;
@@ -36,6 +39,7 @@ pub use buf::{as_bytes, as_bytes_mut, cast_slice, cast_slice_mut, PageBuf, Pod};
 pub use diff::{Diff, DiffRun};
 pub use dirty::DirtyRanges;
 pub use frame::Frame;
+pub use image::Image;
 pub use page::{FaultKind, PageId, Protection};
 pub use pool::BufPool;
 pub use store::PageStore;

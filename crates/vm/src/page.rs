@@ -3,8 +3,10 @@
 use core::fmt;
 
 /// Index of a page within the shared segment.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PageId(pub u32);
+
+dsm_sim::impl_state!(PageId(state));
 
 impl PageId {
     /// The page containing byte address `addr` for `page_size`-byte pages.
@@ -56,6 +58,12 @@ pub enum Protection {
     /// Full access: neither reads nor writes fault.
     ReadWrite,
 }
+
+dsm_sim::impl_state_enum!(Protection {
+    0 => Invalid,
+    1 => Read,
+    2 => ReadWrite,
+});
 
 impl Protection {
     #[inline]

@@ -20,9 +20,10 @@ const RUN_LISTS_CAP: usize = 128;
 const RUN_BUFS_CAP: usize = 512;
 
 /// A free-list for [`PageBuf`]s (twins, copies) and the two vectors a
-/// [`Diff`] is made of (the run list and each run's payload).
-// audit: leaf: buffer recycling free-list; pooled memory is interchangeable
-// scratch, fully overwritten before reuse, never logical state
+/// [`Diff`] is made of (the run list and each run's payload). Pooled
+/// memory is interchangeable scratch, fully overwritten before reuse —
+/// never logical state, so owners class it `config` in their state
+/// declarations.
 #[derive(Debug, Default)]
 pub struct BufPool {
     pages: Vec<PageBuf>,

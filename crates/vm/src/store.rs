@@ -1,6 +1,9 @@
 //! A process's page table over the shared segment.
 
+use dsm_sim::{decode_table, encode_table, SnapError, SnapReader, SnapWriter, State, StateHasher};
+
 use crate::frame::Frame;
+use crate::image::Image;
 use crate::page::{FaultKind, PageId, Protection};
 
 /// All page frames of one simulated process.
@@ -10,11 +13,10 @@ use crate::page::{FaultKind, PageId, Protection};
 /// an `Invalid` frame.
 #[derive(Debug)]
 pub struct PageStore {
-    // audit: skip(hash): fixed geometry, a pure function of the pinned config
     page_size: usize,
-    // audit: wholesale(snap, hash): walked via iter()/npages()/resident();
-    // coverage is proven per-field on Frame below
     frames: Vec<Option<Box<Frame>>>,
+    /// The pristine segment image frames are delta-encoded against.
+    image: Image,
 }
 
 impl PageStore {
@@ -24,7 +26,14 @@ impl PageStore {
         PageStore {
             page_size,
             frames: Vec::new(),
+            image: Image::new(page_size),
         }
+    }
+
+    /// Install the (frozen) segment image this store's frames are
+    /// snapshotted against.
+    pub fn share_image(&mut self, image: Image) {
+        self.image = image;
     }
 
     /// Page size in bytes.
@@ -98,30 +107,57 @@ impl PageStore {
         self.frame_mut(page).set_prot(prot)
     }
 
-    /// Remove a materialized frame — snapshot restore de-materializes
-    /// pages resident now but absent from the restored state, so an
-    /// untouched-page lookup behaves exactly as before the page was ever
-    /// touched. No-op for never-materialized pages.
-    pub fn clear_frame(&mut self, page: PageId) {
-        if let Some(slot) = self.frames.get_mut(page.index()) {
-            *slot = None;
-        }
-    }
-
-    /// Shrink the table back to `npages` pages, dropping any frames past
-    /// the cut (snapshot restore of an earlier, smaller segment).
-    pub fn truncate_pages(&mut self, npages: usize) {
-        if npages < self.frames.len() {
-            self.frames.truncate(npages);
-        }
-    }
-
     /// Iterate over materialized `(PageId, &Frame)` pairs in page order.
     pub fn iter(&self) -> impl Iterator<Item = (PageId, &Frame)> + '_ {
         self.frames
             .iter()
             .enumerate()
             .filter_map(|(i, f)| f.as_deref().map(|fr| (PageId(i as u32), fr)))
+    }
+}
+
+/// Hand-written: frames are written sparsely (`encode_table`), each
+/// frame's contents as delta runs against the shared image.
+/// Residency itself is state: restore de-materializes pages resident now
+/// but absent from the snapshot, so an untouched-page lookup behaves as
+/// before the page was ever touched, and the hash folds the frame set.
+impl State for PageStore {
+    fn encode(&self, w: &mut SnapWriter) {
+        let PageStore {
+            page_size: _,
+            frames,
+            image,
+        } = self;
+        encode_table(frames, w, |page, f, w| {
+            f.encode(PageId(page as u32), image.page(page), w);
+        });
+    }
+
+    fn decode(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let PageStore {
+            page_size,
+            frames,
+            image,
+        } = self;
+        decode_table(frames, r, |page, slot, r| {
+            slot.get_or_insert_with(|| Box::new(Frame::new(*page_size)))
+                .decode(image.page(page), r)
+        })
+    }
+
+    fn fold(&self, h: &mut StateHasher) {
+        let PageStore {
+            page_size: _,
+            frames,
+            image: _,
+        } = self;
+        h.usize(frames.len());
+        for f in frames {
+            h.byte(u8::from(f.is_some()));
+            if let Some(f) = f {
+                f.fold(h);
+            }
+        }
     }
 }
 
@@ -192,5 +228,85 @@ mod tests {
         s.frame_mut(PageId(3));
         let pages: Vec<u32> = s.iter().map(|(p, _)| p.0).collect();
         assert_eq!(pages, vec![1, 3, 5]);
+    }
+
+    fn image_with(byte: u8) -> Image {
+        let mut image = Image::new(512);
+        image.grow(4);
+        image.page_mut(1).bytes_mut().fill(byte);
+        image.freeze();
+        image
+    }
+
+    fn hash(s: &PageStore, mut h: StateHasher) -> u64 {
+        s.fold(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn snapshot_round_trips_frames_and_residency() {
+        let image = image_with(9);
+        let mut a = PageStore::new(512);
+        a.share_image(image.clone());
+        a.ensure_pages(4);
+        a.frame_mut(PageId(1)).fill_from(image.page(1));
+        a.frame_mut(PageId(1)).make_twin();
+        a.frame_mut(PageId(1)).write_at(8, &[1, 2, 3]);
+        a.frame_mut(PageId(3)).set_prot(Protection::Read);
+        let mut w = SnapWriter::new();
+        a.encode(&mut w);
+        let bytes = w.into_bytes();
+        assert!(
+            bytes.len() < 200,
+            "delta-encoded, not {} bytes",
+            bytes.len()
+        );
+
+        // Restore over a store with different residency and contents.
+        let mut b = PageStore::new(512);
+        b.share_image(image);
+        b.ensure_pages(6);
+        b.frame_mut(PageId(0)).write_at(0, &[5]);
+        b.frame_mut(PageId(1)).write_at(40, &[5]);
+        b.frame_mut(PageId(5));
+        let mut r = SnapReader::new(&bytes);
+        b.decode(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(b.npages(), 4);
+        let resident: Vec<u32> = b.iter().map(|(p, _)| p.0).collect();
+        assert_eq!(resident, vec![1, 3]);
+        let f = b.frame(PageId(1)).unwrap();
+        assert_eq!(f.data().bytes(), a.frame(PageId(1)).unwrap().data().bytes());
+        assert_eq!(f.twin().unwrap().bytes()[8], 9);
+        assert!(f.dirty_ranges().covers(8));
+        assert_eq!(hash(&a, StateHasher::new()), hash(&b, StateHasher::new()));
+        assert_eq!(
+            hash(&b, StateHasher::new()),
+            hash(&b, StateHasher::uncached())
+        );
+        let mut w = SnapWriter::new();
+        b.encode(&mut w);
+        assert_eq!(w.into_bytes(), bytes);
+    }
+
+    #[test]
+    fn corrupt_frames_are_errors() {
+        let mut a = PageStore::new(512);
+        a.ensure_pages(2);
+        a.frame_mut(PageId(1)).write_at(496, &[1; 16]);
+        let mut w = SnapWriter::new();
+        a.encode(&mut w);
+        let good = w.into_bytes();
+        let decode = |bytes: &[u8]| PageStore::new(512).decode(&mut SnapReader::new(bytes));
+        assert!(decode(&good).is_ok());
+        for cut in 0..good.len() {
+            assert!(decode(&good[..cut]).is_err(), "prefix {cut}");
+        }
+        // A run may not leave the page.
+        let at = good.len() - 4 - 8 - 16 - 1; // the run's u32 offset, then len, data, twin flag
+        assert_eq!(good[at..at + 4], 496u32.to_le_bytes());
+        let mut bad = good.clone();
+        bad[at] += 8;
+        assert!(decode(&bad).is_err());
     }
 }
