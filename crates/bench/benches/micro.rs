@@ -1,12 +1,15 @@
 //! Microbenchmarks of the substrate primitives: diffs, twins, page stores,
-//! copysets, the deterministic RNG, and the FFT kernel.
+//! copysets, the deterministic RNG, the FFT kernel, and the checker's
+//! per-access and per-barrier paths.
 
 use dsm_bench::quick::{BatchSize, Criterion, Throughput};
 use dsm_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 
 use dsm_apps::fft_math::fft_inplace;
-use dsm_core::{Cluster, ProtocolKind, RunConfig, SharedArray};
+use dsm_check::oracle::OracleState;
+use dsm_check::Checker;
+use dsm_core::{CheckEvent, Cluster, ProtocolKind, RunConfig, SharedArray};
 use dsm_sim::DetRng;
 use dsm_vm::{BufPool, Diff, Frame, PageBuf, PageId, PageStore, Protection};
 
@@ -204,6 +207,74 @@ fn bench_fft(c: &mut Criterion) {
     g.finish();
 }
 
+/// The checker's primitives at the access size the paper-scale stencil
+/// apps use (a 4 KB row, half an 8 KB page), through the same sink the
+/// cluster feeds. An epoch's first touch needs a barrier before it, and
+/// the runner cannot keep one out of the timed region, so those
+/// iterations include a barrier release: empty for the reads, folding the
+/// previous iteration's row for the writes. `overlay_write` is the part
+/// of `barrier/fold_half_page` that is not the fold.
+fn bench_checker(c: &mut Criterion) {
+    const ROW: usize = 4096;
+    let cfg = RunConfig::with_nprocs(ProtocolKind::BarU, 4);
+    let mut rng = DetRng::new(11);
+    let (a, b) = (random_page(&mut rng), random_page(&mut rng));
+    let (a, b) = (&a.bytes()[..ROW], &b.bytes()[..ROW]);
+    let release = || CheckEvent::BarrierRelease { epoch: 1 };
+    let read = |data| CheckEvent::Read {
+        pid: 1,
+        addr: 0,
+        data,
+    };
+    let write = |data| CheckEvent::Write {
+        pid: 0,
+        addr: 0,
+        data,
+    };
+    let mut g = c.benchmark_group("checker");
+    g.throughput(Throughput::Bytes(ROW as u64));
+
+    let checker = Checker::new(&cfg);
+    let mut sink = checker.sink();
+    sink.on_event(CheckEvent::ImageWrite { addr: 0, data: a });
+    g.bench_function("row_read/first_touch", |bch| {
+        bch.iter(|| {
+            sink.on_event(release());
+            sink.on_event(read(a));
+        });
+    });
+    g.bench_function("row_read/repeat", |bch| {
+        bch.iter(|| sink.on_event(read(a)));
+    });
+    let mut flip = false;
+    g.bench_function("row_write/changing", |bch| {
+        bch.iter(|| {
+            flip = !flip;
+            sink.on_event(release());
+            sink.on_event(write(if flip { b } else { a }));
+        });
+    });
+    g.bench_function("row_write/silent", |bch| {
+        bch.iter(|| {
+            sink.on_event(release());
+            sink.on_event(write(a));
+        });
+    });
+    assert!(checker.report().is_clean());
+
+    let mut oracle = OracleState::new(4, cfg.sim.page_size);
+    g.bench_function("overlay_write", |bch| {
+        bch.iter(|| oracle.on_write(0, 0, black_box(a)));
+    });
+    g.bench_function("barrier/fold_half_page", |bch| {
+        bch.iter(|| {
+            oracle.on_write(0, 0, black_box(a));
+            oracle.barrier_release();
+        });
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_diff,
@@ -213,6 +284,7 @@ criterion_group!(
     bench_page_store,
     bench_copyset,
     bench_rng,
-    bench_fft
+    bench_fft,
+    bench_checker
 );
 criterion_main!(benches);

@@ -23,11 +23,11 @@
 
 use std::sync::Arc;
 
-use dsm_apps::{all_apps, app_by_name, AppSpec, Scale};
+use dsm_apps::{all_apps, app_by_name, Scale};
+use dsm_bench::harness::region_table;
 use dsm_bench::table::TextTable;
 use dsm_check::checked_run;
-use dsm_core::{ProtocolKind, RegionTable, RunConfig};
-use dsm_plan::{analyze, build_schedule, prove_regions};
+use dsm_core::{ProtocolKind, RunConfig};
 use dsm_sim::FaultProfile;
 
 /// All seven real protocols: the five unconditionally-sound ones,
@@ -43,22 +43,6 @@ const PROTOCOLS: [ProtocolKind; 7] = [
     ProtocolKind::BarM,
     ProtocolKind::BarR,
 ];
-
-fn protocol_by_label(label: &str) -> ProtocolKind {
-    let all = [
-        ProtocolKind::Seq,
-        ProtocolKind::LmwI,
-        ProtocolKind::LmwU,
-        ProtocolKind::BarI,
-        ProtocolKind::BarU,
-        ProtocolKind::BarS,
-        ProtocolKind::BarM,
-        ProtocolKind::BarR,
-    ];
-    all.into_iter()
-        .find(|p| p.label() == label)
-        .unwrap_or_else(|| panic!("unknown protocol {label:?}"))
-}
 
 /// The campaign's named fault profiles, zero-fault reference first.
 fn profiles(nprocs: usize) -> Vec<(&'static str, FaultProfile)> {
@@ -110,7 +94,13 @@ fn parse_args() -> Args {
                     .collect();
             }
             "--protocols" => {
-                args.protocols = val.split(',').map(protocol_by_label).collect();
+                args.protocols = val
+                    .split(',')
+                    .map(|l| {
+                        ProtocolKind::from_label(l)
+                            .unwrap_or_else(|| panic!("unknown protocol {l:?}"))
+                    })
+                    .collect();
             }
             "--nprocs" => args.nprocs = val.parse().expect("--nprocs"),
             "--scale" => {
@@ -124,15 +114,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-/// Prove the region table for one (app, nprocs, scale) cell, exactly as
-/// the `regions` report bin does.
-fn region_table(spec: &AppSpec, nprocs: usize, scale: Scale) -> RegionTable {
-    let mut probe = spec.build_planned(scale);
-    let an = analyze(probe.as_mut(), nprocs);
-    let sched = build_schedule(&an.plan, ProtocolKind::BarR, an.iters);
-    prove_regions(&an.plan, &an.layout, &sched)
 }
 
 #[allow(clippy::cast_precision_loss)]

@@ -12,10 +12,16 @@
 
 #![forbid(unsafe_code)]
 
+use std::sync::Arc;
+
 use dsm_apps::{all_apps, app_by_name, Scale};
+use dsm_bench::harness::region_table;
 use dsm_bench::table::TextTable;
 use dsm_check::checked_run;
 use dsm_core::{ProtocolKind, RunConfig};
+
+const USAGE: &str = "usage: checked [--apps a,b,..] [--protocols lmw-i,bar-u,..] \
+                     [--nprocs N] [--scale small|paper]";
 
 const SOUND: [ProtocolKind; 5] = [
     ProtocolKind::LmwI,
@@ -25,21 +31,6 @@ const SOUND: [ProtocolKind; 5] = [
     ProtocolKind::BarS,
 ];
 
-fn protocol_by_label(label: &str) -> ProtocolKind {
-    let all = [
-        ProtocolKind::Seq,
-        ProtocolKind::LmwI,
-        ProtocolKind::LmwU,
-        ProtocolKind::BarI,
-        ProtocolKind::BarU,
-        ProtocolKind::BarS,
-        ProtocolKind::BarM,
-    ];
-    all.into_iter()
-        .find(|p| p.label() == label)
-        .unwrap_or_else(|| panic!("unknown protocol {label:?}"))
-}
-
 struct Args {
     apps: Vec<&'static str>,
     protocols: Vec<ProtocolKind>,
@@ -47,46 +38,65 @@ struct Args {
     scale: Scale,
 }
 
-fn parse_args() -> Args {
+/// Parse the command line; the error is the one-line reason it is bad.
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         apps: all_apps().iter().map(|s| s.name).collect(),
         protocols: SOUND.to_vec(),
         nprocs: 4,
         scale: Scale::Small,
     };
-    let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let val = it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
+        let mut val = || it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
             "--apps" => {
-                args.apps = val
+                args.apps = val()?
                     .split(',')
                     .map(|a| {
                         app_by_name(a)
-                            .unwrap_or_else(|| panic!("unknown app {a:?}"))
-                            .name
+                            .map(|spec| spec.name)
+                            .ok_or_else(|| format!("unknown app {a:?}"))
                     })
-                    .collect();
+                    .collect::<Result<_, _>>()?;
             }
             "--protocols" => {
-                args.protocols = val.split(',').map(protocol_by_label).collect();
+                args.protocols = val()?
+                    .split(',')
+                    .map(|l| {
+                        ProtocolKind::from_label(l).ok_or_else(|| format!("unknown protocol {l:?}"))
+                    })
+                    .collect::<Result<_, _>>()?;
             }
-            "--nprocs" => args.nprocs = val.parse().expect("--nprocs"),
+            "--nprocs" => {
+                let val = val()?;
+                // The checker stamps pids into 16 bits, one value reserved.
+                args.nprocs = match val.parse() {
+                    Ok(n) if (1..usize::from(u16::MAX)).contains(&n) => n,
+                    _ => {
+                        return Err(format!(
+                            "--nprocs needs an integer in 1..65535, not {val:?}"
+                        ))
+                    }
+                };
+            }
             "--scale" => {
-                args.scale = match val.as_str() {
+                args.scale = match val()?.as_str() {
                     "small" => Scale::Small,
                     "paper" => Scale::Paper,
-                    other => panic!("unknown scale {other:?}"),
+                    other => return Err(format!("unknown scale {other:?}")),
                 }
             }
-            other => panic!("unknown flag {other:?}"),
+            other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|why| {
+        eprintln!("checked: {why}\n{USAGE}");
+        std::process::exit(2);
+    });
     let mut t = TextTable::new(vec![
         "app",
         "protocol",
@@ -104,7 +114,12 @@ fn main() {
     for app in &args.apps {
         let spec = app_by_name(app).unwrap();
         for &protocol in &args.protocols {
-            let cfg = RunConfig::with_nprocs(protocol, args.nprocs);
+            let mut cfg = RunConfig::with_nprocs(protocol, args.nprocs);
+            // bar-r runs with the app's proven region table installed, as
+            // in `campaign` and `transport`; without one it is bar-u.
+            if protocol.is_region() {
+                cfg.regions = Some(Arc::new(region_table(&spec, args.nprocs, args.scale)));
+            }
             let (_, check) = checked_run(spec.build(args.scale).as_mut(), cfg);
             let clean = check.is_clean();
             if !clean {
@@ -135,5 +150,41 @@ fn main() {
     if dirty > 0 {
         eprintln!("{dirty} run(s) flagged violations");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn every_protocol_label_parses() {
+        let args =
+            parse("--protocols lmw-i,bar-r,seq --apps sor --nprocs 2 --scale paper").unwrap();
+        assert_eq!(
+            args.protocols,
+            [ProtocolKind::LmwI, ProtocolKind::BarR, ProtocolKind::Seq]
+        );
+        assert_eq!((args.apps, args.nprocs), (vec!["sor"], 2));
+    }
+
+    #[test]
+    fn bad_input_is_an_error_not_a_panic() {
+        for line in [
+            "--frobnicate 1",
+            "--apps",
+            "--apps nosuch",
+            "--protocols bar-x",
+            "--nprocs four",
+            "--nprocs 0",
+            "--nprocs 65535",
+            "--scale huge",
+        ] {
+            assert!(parse(line).is_err(), "{line}");
+        }
     }
 }

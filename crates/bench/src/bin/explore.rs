@@ -30,8 +30,7 @@ use dsm_apps::{all_apps, app_by_name, Scale};
 use dsm_bench::table::TextTable;
 use dsm_core::{DsmApp, PlantedBug, ProtocolKind, RunConfig};
 use dsm_explore::{
-    config_for_trace, explore, protocol_by_label, replay, Bounds, CappedApp, ChoiceTrace,
-    ExploreOpts, RegressApp,
+    config_for_trace, explore, replay, Bounds, CappedApp, ChoiceTrace, ExploreOpts, RegressApp,
 };
 
 /// The six real protocols (seq has no inter-process choices to explore).
@@ -110,7 +109,7 @@ fn parse_args() -> Args {
                         args.protocols = val
                             .split(',')
                             .map(|l| {
-                                protocol_by_label(l)
+                                ProtocolKind::from_label(l)
                                     .unwrap_or_else(|| panic!("unknown protocol {l:?}"))
                             })
                             .collect();

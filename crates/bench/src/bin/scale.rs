@@ -34,11 +34,12 @@
 use std::sync::Arc;
 
 use dsm_apps::{app_by_name, AppSpec, Scale};
+use dsm_bench::harness::region_table;
 use dsm_bench::table::TextTable;
 use dsm_check::checked_run;
-use dsm_core::{ProtocolKind, RegionTable, RunConfig};
+use dsm_core::{ProtocolKind, RunConfig};
 use dsm_net::MsgKind;
-use dsm_plan::{analyze, build_schedule, derive_law, measure, prove_regions, ScaleLaw, METRICS};
+use dsm_plan::{derive_law, measure, ScaleLaw, METRICS};
 
 /// All seven real protocols, in the house order.
 const PROTOCOLS: [ProtocolKind; 7] = [
@@ -92,15 +93,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-/// Prove the region table for one `(app, nprocs)` cell, exactly as the
-/// `regions` report bin does.
-fn region_table(spec: &AppSpec, nprocs: usize) -> RegionTable {
-    let mut probe = spec.build_planned(Scale::Small);
-    let an = analyze(probe.as_mut(), nprocs);
-    let sched = build_schedule(&an.plan, ProtocolKind::BarR, an.iters);
-    prove_regions(&an.plan, &an.layout, &sched)
 }
 
 /// Derive the certified law for one modelable cell.
@@ -189,7 +181,9 @@ fn main() {
                 .find(|(a, p, _)| *a == spec.name && *p == proto)
                 .map(|(_, _, l)| l);
             for &n in &args.sweep {
-                let regions = proto.is_region().then(|| Arc::new(region_table(&spec, n)));
+                let regions = proto
+                    .is_region()
+                    .then(|| Arc::new(region_table(&spec, n, Scale::Small)));
                 let mut cfg = RunConfig::with_nprocs(proto, n);
                 cfg.regions.clone_from(&regions);
                 // The symbolic laws cover the whole run; disable the

@@ -26,11 +26,11 @@
 
 use std::sync::Arc;
 
-use dsm_apps::{all_apps, app_by_name, AppSpec, Scale};
+use dsm_apps::{all_apps, app_by_name, Scale};
+use dsm_bench::harness::region_table;
 use dsm_bench::table::TextTable;
 use dsm_check::checked_run;
-use dsm_core::{ProtocolKind, RegionTable, RunConfig};
-use dsm_plan::{analyze, build_schedule, prove_regions};
+use dsm_core::{ProtocolKind, RunConfig};
 use dsm_sim::transport::TransportKind;
 
 /// All seven real protocols (bar-r runs with its proven region table).
@@ -45,22 +45,6 @@ const PROTOCOLS: [ProtocolKind; 7] = [
 ];
 
 const BACKENDS: [TransportKind; 2] = [TransportKind::TwoSided, TransportKind::OneSided];
-
-fn protocol_by_label(label: &str) -> ProtocolKind {
-    let all = [
-        ProtocolKind::Seq,
-        ProtocolKind::LmwI,
-        ProtocolKind::LmwU,
-        ProtocolKind::BarI,
-        ProtocolKind::BarU,
-        ProtocolKind::BarS,
-        ProtocolKind::BarM,
-        ProtocolKind::BarR,
-    ];
-    all.into_iter()
-        .find(|p| p.label() == label)
-        .unwrap_or_else(|| panic!("unknown protocol {label:?}"))
-}
 
 struct Args {
     apps: Vec<&'static str>,
@@ -91,7 +75,13 @@ fn parse_args() -> Args {
                     .collect();
             }
             "--protocols" => {
-                args.protocols = val.split(',').map(protocol_by_label).collect();
+                args.protocols = val
+                    .split(',')
+                    .map(|l| {
+                        ProtocolKind::from_label(l)
+                            .unwrap_or_else(|| panic!("unknown protocol {l:?}"))
+                    })
+                    .collect();
             }
             "--nprocs" => args.nprocs = val.parse().expect("--nprocs"),
             "--scale" => {
@@ -105,15 +95,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-/// Prove the region table for one (app, nprocs, scale) cell, exactly as
-/// the `regions` report bin does.
-fn region_table(spec: &AppSpec, nprocs: usize, scale: Scale) -> RegionTable {
-    let mut probe = spec.build_planned(scale);
-    let an = analyze(probe.as_mut(), nprocs);
-    let sched = build_schedule(&an.plan, ProtocolKind::BarR, an.iters);
-    prove_regions(&an.plan, &an.layout, &sched)
 }
 
 #[allow(clippy::cast_precision_loss)]

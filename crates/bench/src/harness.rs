@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use dsm_apps::{all_apps, AppSpec, Scale};
-use dsm_core::{run_app, ProtocolKind, RunConfig, RunReport};
+use dsm_core::{run_app, ProtocolKind, RegionTable, RunConfig, RunReport};
+use dsm_plan::{analyze, build_schedule, prove_regions};
 use dsm_sim::Time;
 
 /// Run `worker` over `items` on at most `available_parallelism` threads,
@@ -173,6 +174,15 @@ pub fn find<'a>(outcomes: &'a [Outcome], app: &str, protocol: ProtocolKind) -> &
         .iter()
         .find(|o| o.plan.app == app && o.plan.protocol == protocol)
         .unwrap_or_else(|| panic!("missing outcome {app}/{}", protocol.label()))
+}
+
+/// Prove the `bar-r` region table for one (app, nprocs, scale) cell,
+/// exactly as the `regions` report bin does.
+pub fn region_table(spec: &AppSpec, nprocs: usize, scale: Scale) -> RegionTable {
+    let mut probe = spec.build_planned(scale);
+    let an = analyze(probe.as_mut(), nprocs);
+    let sched = build_schedule(&an.plan, ProtocolKind::BarR, an.iters);
+    prove_regions(&an.plan, &an.layout, &sched)
 }
 
 #[cfg(test)]

@@ -25,6 +25,8 @@
 pub mod invariants;
 pub mod oracle;
 pub mod race;
+#[cfg(test)]
+mod reference;
 pub mod report;
 
 use std::cell::RefCell;

@@ -109,7 +109,7 @@ pub struct RaceState {
 /// order (`encode_table`), and within a page only the live words — index,
 /// then the cell — since most of a touched page's cells are still the
 /// all-zero "never accessed" identity. The rest is the plain declaration;
-/// a spilled reader set keeps its insertion order verbatim (`on_access`
+/// a spilled reader set keeps its insertion order verbatim (`on_write`
 /// scans it front-to-back and stops at the first unordered reader, so the
 /// order is observable). The page geometry is construction-time.
 impl State for RaceState {
@@ -216,10 +216,94 @@ impl RaceState {
         (touched * self.words_per_page) as u64
     }
 
+    /// The shadow cells of words `[w, hi]`, which must lie on one page;
+    /// the page's cells are allocated on first touch.
+    fn cells_mut(
+        shadow: &mut Vec<Option<Box<[Word]>>>,
+        wpp: usize,
+        shift: u32,
+        w: usize,
+        hi: usize,
+    ) -> &mut [Word] {
+        let page = w >> shift;
+        let base = page << shift;
+        if page >= shadow.len() {
+            shadow.resize_with(page + 1, || None);
+        }
+        let cells =
+            shadow[page].get_or_insert_with(|| vec![Word::default(); wpp].into_boxed_slice());
+        &mut cells[w - base..=hi - base]
+    }
+
+    /// Record a read of `[addr, addr + len)` by `pid`; push newly racy
+    /// words into `out`, in ascending word order.
+    pub fn on_read(&mut self, pid: usize, addr: usize, len: usize, out: &mut Vec<RaceHit>) {
+        if len == 0 {
+            return;
+        }
+        // Split borrow: the accessor's clock is only read, while the shadow
+        // cells and racy set are mutated; destructuring keeps the borrow
+        // checker happy without cloning the clock on every access.
+        let RaceState {
+            clocks,
+            shadow,
+            racy,
+            read_sets,
+            words_per_page,
+            wpp_shift,
+        } = self;
+        let clock = &clocks[pid];
+        let c = clock.0[pid];
+        let me = pid as u16;
+        let last = (addr + len - 1) / WORD;
+        let mut w = addr / WORD;
+        while w <= last {
+            let hi = last.min(w | (*words_per_page - 1));
+            let cells = Self::cells_mut(shadow, *words_per_page, *wpp_shift, w, hi);
+            for (key, cell) in (w as u64..).zip(cells) {
+                let ordered =
+                    cell.wc == 0 || cell.wp == me || clock.covers(cell.wc, cell.wp as usize);
+                // A repeat read in the same epoch (the stencil apps read
+                // each row up to three times) changes nothing: leave the
+                // cell, and its cache line, alone.
+                if ordered && cell.rp == me && cell.rc == c {
+                    continue;
+                }
+                // Prior write vs this read.
+                if !ordered && racy.insert(key) {
+                    out.push(RaceHit {
+                        kind: RaceKind::WriteRead,
+                        word_key: key,
+                        first_pid: cell.wp as usize,
+                        second_pid: pid,
+                    });
+                }
+                // Record the read. One reader is tracked inline; a second
+                // spills the set — each reader keeping its own clock — to
+                // the side table.
+                if cell.rc == 0 || cell.rp == me {
+                    cell.rp = me;
+                } else if cell.rp == READERS_SHARED {
+                    let set = read_sets.get_mut(&key).expect("spilled read set");
+                    match set.iter_mut().find(|(_, q)| *q == me) {
+                        Some(e) => e.0 = e.0.max(c),
+                        None => set.push((c, me)),
+                    }
+                } else {
+                    read_sets.insert(key, vec![(cell.rc, cell.rp), (c, me)]);
+                    cell.rp = READERS_SHARED;
+                }
+                cell.rc = cell.rc.max(c);
+            }
+            w = hi + 1;
+        }
+    }
+
     /// Record a write of `new` at `addr` by `pid`; push newly racy words
-    /// into `out`. `cur` is the writer's LRC-expected view of the same
-    /// range: words where `new == cur` are silent stores and are skipped
-    /// entirely (no race test, no stamp).
+    /// into `out`, in ascending word order and, within a word, the prior
+    /// write before the prior reads. `cur` is the writer's LRC-expected
+    /// view of the same range: words where `new == cur` are silent stores
+    /// and are skipped entirely (no race test, no stamp).
     pub fn on_write(
         &mut self,
         pid: usize,
@@ -229,15 +313,124 @@ impl RaceState {
         out: &mut Vec<RaceHit>,
     ) {
         debug_assert_eq!(new.len(), cur.len());
-        self.on_access(pid, addr, new.len(), Some((new, cur)), out);
+        let len = new.len();
+        if len == 0 {
+            return;
+        }
+        let RaceState {
+            clocks,
+            shadow,
+            racy,
+            read_sets,
+            words_per_page,
+            wpp_shift,
+        } = self;
+        let clock = &clocks[pid];
+        let c = clock.0[pid];
+        let me = pid as u16;
+        let first = addr / WORD;
+        let last = (addr + len - 1) / WORD;
+        let mut w = first;
+        while w <= last {
+            let hi = last.min(w | (*words_per_page - 1));
+            let cells = Self::cells_mut(shadow, *words_per_page, *wpp_shift, w, hi);
+            for (k, cell) in (w..).zip(cells) {
+                // Already stamped by this writer this epoch and never read:
+                // silent or not, the store changes nothing.
+                if cell.wc == c && cell.wp == me && cell.rc == 0 {
+                    continue;
+                }
+                // Silent store: this word is rewritten with the bytes the
+                // writer already sees; the diff-based protocols cannot
+                // propagate it, so it is not a write here either. Only the
+                // first and last word of an access can be partly covered;
+                // every word between them is one u64 compare.
+                let ws = k * WORD;
+                let silent = if k == first || k == last {
+                    let lo = ws.max(addr) - addr;
+                    let hi_b = (ws + WORD).min(addr + len) - addr;
+                    new[lo..hi_b] == cur[lo..hi_b]
+                } else {
+                    let at = ws - addr;
+                    let word = |b: &[u8]| {
+                        u64::from_ne_bytes(b[at..at + WORD].try_into().expect("eight-byte slice"))
+                    };
+                    word(new) == word(cur)
+                };
+                if silent {
+                    continue;
+                }
+                let key = k as u64;
+                // Prior write vs this write.
+                if cell.wc != 0
+                    && cell.wp != me
+                    && !clock.covers(cell.wc, cell.wp as usize)
+                    && racy.insert(key)
+                {
+                    out.push(RaceHit {
+                        kind: RaceKind::WriteWrite,
+                        word_key: key,
+                        first_pid: cell.wp as usize,
+                        second_pid: pid,
+                    });
+                }
+                // Prior reads vs this write: the first unordered reader of
+                // a spilled set, in insertion order.
+                if cell.rc != 0 {
+                    let unordered = if cell.rp == READERS_SHARED {
+                        let set = read_sets.get(&key).expect("spilled read set");
+                        set.iter()
+                            .find(|&&(qc, q)| q != me && !clock.covers(qc, q as usize))
+                            .map(|&(_, q)| q)
+                    } else {
+                        (cell.rp != me && !clock.covers(cell.rc, cell.rp as usize))
+                            .then_some(cell.rp)
+                    };
+                    if let Some(q) = unordered {
+                        if racy.insert(key) {
+                            out.push(RaceHit {
+                                kind: RaceKind::ReadWrite,
+                                word_key: key,
+                                first_pid: q as usize,
+                                second_pid: pid,
+                            });
+                        }
+                    }
+                }
+                cell.wc = c;
+                cell.wp = me;
+            }
+            w = hi + 1;
+        }
+    }
+}
+
+/// The word-at-a-time loop the split read and write loops replaced, kept
+/// as the model they are tested against (`crate::reference`).
+#[cfg(test)]
+impl RaceState {
+    pub(crate) fn ref_on_write(
+        &mut self,
+        pid: usize,
+        addr: usize,
+        new: &[u8],
+        cur: &[u8],
+        out: &mut Vec<RaceHit>,
+    ) {
+        self.ref_on_access(pid, addr, new.len(), Some((new, cur)), out);
     }
 
-    /// Record a read of `[addr, addr + len)` by `pid`.
-    pub fn on_read(&mut self, pid: usize, addr: usize, len: usize, out: &mut Vec<RaceHit>) {
-        self.on_access(pid, addr, len, None, out);
+    pub(crate) fn ref_on_read(
+        &mut self,
+        pid: usize,
+        addr: usize,
+        len: usize,
+        out: &mut Vec<RaceHit>,
+    ) {
+        self.ref_on_access(pid, addr, len, None, out);
     }
 
-    fn on_access(
+    fn ref_on_access(
         &mut self,
         pid: usize,
         addr: usize,

@@ -47,6 +47,21 @@ impl ProtocolKind {
         }
     }
 
+    /// Inverse of [`ProtocolKind::label`].
+    pub fn from_label(s: &str) -> Option<ProtocolKind> {
+        match s {
+            "lmw-i" => Some(ProtocolKind::LmwI),
+            "lmw-u" => Some(ProtocolKind::LmwU),
+            "bar-i" => Some(ProtocolKind::BarI),
+            "bar-u" => Some(ProtocolKind::BarU),
+            "bar-r" => Some(ProtocolKind::BarR),
+            "bar-s" => Some(ProtocolKind::BarS),
+            "bar-m" => Some(ProtocolKind::BarM),
+            "seq" => Some(ProtocolKind::Seq),
+            _ => None,
+        }
+    }
+
     /// The four protocols of Table 1 / Figure 2, in paper order.
     pub const BASE_FOUR: [ProtocolKind; 4] = [
         ProtocolKind::LmwI,
@@ -252,6 +267,15 @@ mod tests {
     fn labels_match_paper() {
         assert_eq!(ProtocolKind::LmwI.label(), "lmw-i");
         assert_eq!(ProtocolKind::BarM.label(), "bar-m");
+    }
+
+    #[test]
+    fn labels_round_trip() {
+        use ProtocolKind::*;
+        for p in [LmwI, LmwU, BarI, BarU, BarR, BarS, BarM, Seq] {
+            assert_eq!(ProtocolKind::from_label(p.label()), Some(p));
+        }
+        assert_eq!(ProtocolKind::from_label("bar-x"), None);
     }
 
     #[test]

@@ -31,4 +31,4 @@ pub use driver::{
 };
 pub use regress::{CappedApp, RegressApp};
 pub use sched::{Bounds, ChoicePoint, ExploreScheduler, SchedCheckpoint, StaticGroups, Visited};
-pub use trace::{protocol_by_label, ChoiceTrace};
+pub use trace::ChoiceTrace;

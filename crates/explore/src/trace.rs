@@ -78,7 +78,8 @@ impl ChoiceTrace {
                 "app" => app = Some(val.to_string()),
                 "protocol" => {
                     protocol = Some(
-                        protocol_by_label(val).ok_or_else(|| format!("unknown protocol {val}"))?,
+                        ProtocolKind::from_label(val)
+                            .ok_or_else(|| format!("unknown protocol {val}"))?,
                     );
                 }
                 "nprocs" => nprocs = Some(parse_num(key, val)?),
@@ -136,22 +137,6 @@ impl ChoiceTrace {
 fn parse_num<T: core::str::FromStr>(key: &str, val: &str) -> Result<T, String> {
     val.parse()
         .map_err(|_| format!("bad number for '{key}': '{val}'"))
-}
-
-/// Protocol from its paper label.
-pub fn protocol_by_label(s: &str) -> Option<ProtocolKind> {
-    [
-        ProtocolKind::LmwI,
-        ProtocolKind::LmwU,
-        ProtocolKind::BarI,
-        ProtocolKind::BarU,
-        ProtocolKind::BarS,
-        ProtocolKind::BarM,
-        ProtocolKind::BarR,
-        ProtocolKind::Seq,
-    ]
-    .into_iter()
-    .find(|p| p.label() == s)
 }
 
 #[cfg(test)]
