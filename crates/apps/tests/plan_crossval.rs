@@ -1,41 +1,42 @@
 //! Cross-validation of the static access plans against real runs.
 //!
-//! For every app × protocol in the matrix, a [`PlanSink`] watches a Small
-//! run and asserts:
+//! For every app × protocol × transport in the matrix, a [`PlanSink`]
+//! watches a Small run and asserts:
 //!
 //! * **containment** — every dynamic read/write lands inside the plan's
 //!   lowered load/store spans for its `(pid, epoch)`;
 //! * **barrier count** — the run executes exactly the barriers the
 //!   schedule declares;
-//! * **flush equality** (exact plans, update protocols) — the observed
-//!   per-barrier `(writer, page, copyset)` flush triples equal the
-//!   protocol simulator's prediction, including the steady-state copyset
-//!   fixed point of the final iterations;
+//! * **two substrates agree** (exact plans) — the same protocol code run
+//!   over page digests ([`predict`]) and over real frames yields the same
+//!   per-barrier `(writer, page, copyset)` flush triples, update traffic,
+//!   notices, fetches, data-plane message count, homes, migrations and
+//!   copyset tables — including the steady-state copyset fixed point of
+//!   the final iterations;
 //! * **zero flushes** (invalidate protocols) — no `UpdateFlush` is ever
 //!   emitted.
-//!
-//! `bar-s` runs are compared against the `bar-u` prediction: on a plan
-//! whose write sets are iteration-invariant, overdrive flushes exactly
-//! what plain bar-u flushes.
 
 use std::collections::HashMap;
 
 use dsm_apps::common::Scale;
 use dsm_apps::registry::{make_app, make_planned};
 use dsm_core::proto::CopySet;
-use dsm_core::{run_app_checked, ProtocolKind, RunConfig};
+use dsm_core::{ProtocolKind, RunConfig, StepRun};
 use dsm_plan::{
     analyze, build_schedule, predict, FlushTriple, PlanSink, Prediction, SteadyCopysets,
 };
+use dsm_sim::transport::TransportKind;
 
 const NPROCS: usize = 4;
 
-const MATRIX: [ProtocolKind; 5] = [
+/// Everything the predictor accepts.
+const MATRIX: [ProtocolKind; 6] = [
     ProtocolKind::LmwI,
     ProtocolKind::LmwU,
     ProtocolKind::BarI,
     ProtocolKind::BarU,
     ProtocolKind::BarS,
+    ProtocolKind::BarM,
 ];
 
 /// Final-iteration copysets extracted from the observed flush stream must
@@ -87,8 +88,8 @@ fn check_steady_copysets(p: &Prediction, observed: &[Vec<FlushTriple>], iters: u
     }
 }
 
-fn crossval(name: &str, proto: ProtocolKind) {
-    let tag = format!("{name}/{}", proto.label());
+fn crossval(name: &str, proto: ProtocolKind, transport: TransportKind) {
+    let tag = format!("{name}/{}/{}", proto.label(), transport.label());
     let mut probe = make_planned(name, Scale::Small).expect("known app");
     let an = analyze(probe.as_mut(), NPROCS);
     let sched = build_schedule(&an.plan, proto, an.iters);
@@ -96,13 +97,14 @@ fn crossval(name: &str, proto: ProtocolKind) {
 
     let (sink, outcome) = PlanSink::new(an.plan.clone(), an.layout.clone(), sched.clone());
     let mut app = make_app(name, Scale::Small).expect("known app");
-    let _ = run_app_checked(
-        app.as_mut(),
-        RunConfig::with_nprocs(proto, NPROCS),
-        Box::new(sink),
-    );
+    let mut cfg = RunConfig::with_nprocs(proto, NPROCS);
+    cfg.sim.transport = transport;
+    // Predictions cover the whole run, so the counters must too.
+    cfg.warmup_iters = 0;
+    let mut run = StepRun::new(app.as_mut(), cfg, Some(Box::new(sink)), None);
+    while run.step() {}
 
-    let out = outcome.borrow();
+    let out = outcome.take();
     assert!(
         out.errors.is_empty(),
         "{tag}: dynamic accesses escaped the declared plan:\n{}",
@@ -115,31 +117,20 @@ fn crossval(name: &str, proto: ProtocolKind) {
             out.observed_flushes.iter().all(Vec::is_empty),
             "{tag}: invalidate protocol emitted update flushes"
         );
-        return;
     }
     if !an.plan.exact {
         // Barnes: containment only; the update machinery must still move
         // data (its dynamic cuts guarantee cross-band sharing).
         assert!(
-            out.observed_flushes.iter().any(|b| !b.is_empty()),
+            !proto.is_update() || out.observed_flushes.iter().any(|b| !b.is_empty()),
             "{tag}: no update traffic at all"
         );
         return;
     }
-    // Overdrive flushes what plain bar-u flushes once plans are exact and
-    // iteration-invariant in their write sets.
-    let predicted_as = if proto == ProtocolKind::BarS {
-        ProtocolKind::BarU
-    } else {
-        proto
-    };
-    let p = predict(&an.plan, &an.layout, &sched, predicted_as);
-    assert_eq!(
-        p.flushes.len(),
-        out.observed_flushes.len(),
-        "{tag}: barriers"
-    );
-    for (bi, (pred, obs)) in p.flushes.iter().zip(&out.observed_flushes).enumerate() {
+    let p = predict(&an.plan, &an.layout, &sched, proto, transport);
+    let got = Prediction::read(run.cluster(), out);
+    assert_eq!(p.flushes.len(), got.flushes.len(), "{tag}: barriers");
+    for (bi, (pred, obs)) in p.flushes.iter().zip(&got.flushes).enumerate() {
         assert_eq!(
             pred,
             obs,
@@ -149,7 +140,31 @@ fn crossval(name: &str, proto: ProtocolKind) {
             obs.len()
         );
     }
-    check_steady_copysets(&p, &out.observed_flushes, an.iters, &tag);
+    let mut facts = vec![
+        ("flush_msgs", p.flush_msgs, got.flush_msgs),
+        ("notices", p.notices, got.notices),
+        ("fetches", p.fetches, got.fetches),
+        ("transport_ops", p.transport_ops(), got.transport_ops()),
+        ("migrations", p.migrations as u64, got.migrations as u64),
+    ];
+    if an.plan.value_exact {
+        // Elsewhere a stencil may rewrite a word with its old value, and
+        // the dynamic diff shrinks below the declared mods.
+        facts.push(("flush_words", p.flush_words, got.flush_words));
+        facts.push(("flush_runs", p.flush_runs, got.flush_runs));
+    }
+    for (what, predicted, observed) in facts {
+        assert_eq!(predicted, observed, "{tag}: {what}");
+    }
+    // The layout reserves the reduction scratch pages under every
+    // protocol; a native-reduction run never allocates them.
+    let (shared, scratch) = p.homes.split_at(got.homes.len());
+    assert_eq!(shared, got.homes, "{tag}: homes");
+    assert!(scratch.iter().all(|&h| h == 0), "{tag}: scratch page homed");
+    assert_eq!(p.copysets, got.copysets, "{tag}: end-of-run copysets");
+    if proto.is_update() {
+        check_steady_copysets(&p, &got.flushes, an.iters, &tag);
+    }
 }
 
 macro_rules! crossval_app {
@@ -158,7 +173,9 @@ macro_rules! crossval_app {
             #[test]
             fn $test() {
                 for proto in MATRIX {
-                    crossval($name, proto);
+                    for transport in [TransportKind::TwoSided, TransportKind::OneSided] {
+                        crossval($name, proto, transport);
+                    }
                 }
             }
         )*

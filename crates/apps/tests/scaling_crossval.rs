@@ -19,7 +19,8 @@ use dsm_net::MsgKind;
 use dsm_plan::{derive_law, measure, ScaleLaw};
 use dsm_sim::prop;
 
-/// The protocols the symbolic prover models.
+/// The protocols whose laws `scale` commits (the predictor also accepts
+/// `bar-m`).
 const MODELED: [ProtocolKind; 5] = [
     ProtocolKind::LmwI,
     ProtocolKind::LmwU,

@@ -23,7 +23,8 @@
 
 use std::sync::Arc;
 
-use dsm_apps::{all_apps, app_by_name, Scale};
+use dsm_apps::{app_by_name, Scale};
+use dsm_bench::cli::{or_usage, CliError, Flags, Matrix};
 use dsm_bench::harness::region_table;
 use dsm_bench::table::TextTable;
 use dsm_check::checked_run;
@@ -55,65 +56,23 @@ fn profiles(nprocs: usize) -> Vec<(&'static str, FaultProfile)> {
     ]
 }
 
-struct Args {
-    apps: Vec<&'static str>,
-    protocols: Vec<ProtocolKind>,
-    nprocs: usize,
-    scale: Scale,
-    smoke: bool,
-}
+const USAGE: &str = "usage: campaign [--apps a,b,..] [--protocols lmw-i,bar-u,..] \
+                     [--nprocs N] [--scale small|paper] [--smoke]";
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        apps: all_apps().iter().map(|s| s.name).collect(),
-        protocols: PROTOCOLS.to_vec(),
-        nprocs: 4,
-        scale: Scale::Small,
-        smoke: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
+fn parse_args(it: impl Iterator<Item = String>) -> Result<Matrix, CliError> {
+    let mut args = Matrix::new(&PROTOCOLS, 4, Scale::Small);
+    let mut flags = Flags::new(it);
+    while let Some(flag) = flags.next_flag() {
         if flag == "--smoke" {
             // A two-app, two-protocol cut of the matrix for the fast CI
             // diff gate; the full campaign runs in its own job.
-            args.smoke = true;
             args.apps = vec!["jacobi", "fft"];
             args.protocols = vec![ProtocolKind::LmwU, ProtocolKind::BarU, ProtocolKind::BarR];
-            continue;
-        }
-        let val = it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
-        match flag.as_str() {
-            "--apps" => {
-                args.apps = val
-                    .split(',')
-                    .map(|a| {
-                        app_by_name(a)
-                            .unwrap_or_else(|| panic!("unknown app {a:?}"))
-                            .name
-                    })
-                    .collect();
-            }
-            "--protocols" => {
-                args.protocols = val
-                    .split(',')
-                    .map(|l| {
-                        ProtocolKind::from_label(l)
-                            .unwrap_or_else(|| panic!("unknown protocol {l:?}"))
-                    })
-                    .collect();
-            }
-            "--nprocs" => args.nprocs = val.parse().expect("--nprocs"),
-            "--scale" => {
-                args.scale = match val.as_str() {
-                    "small" => Scale::Small,
-                    "paper" => Scale::Paper,
-                    other => panic!("unknown scale {other:?}"),
-                }
-            }
-            other => panic!("unknown flag {other:?}"),
+        } else if !args.take(&mut flags)? {
+            return Err(CliError::unknown_flag(&flag));
         }
     }
-    args
+    Ok(args)
 }
 
 #[allow(clippy::cast_precision_loss)]
@@ -122,7 +81,7 @@ fn percent(part: u64, base: u64) -> String {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = or_usage("campaign", USAGE, parse_args(std::env::args().skip(1)));
     assert!(args.nprocs >= 2, "a campaign needs at least two processes");
     let profiles = profiles(args.nprocs);
     println!("== wire fault-injection campaign ==");

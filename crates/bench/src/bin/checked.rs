@@ -14,7 +14,8 @@
 
 use std::sync::Arc;
 
-use dsm_apps::{all_apps, app_by_name, Scale};
+use dsm_apps::{app_by_name, Scale};
+use dsm_bench::cli::{or_usage, CliError, Matrix};
 use dsm_bench::harness::region_table;
 use dsm_bench::table::TextTable;
 use dsm_check::checked_run;
@@ -31,72 +32,13 @@ const SOUND: [ProtocolKind; 5] = [
     ProtocolKind::BarS,
 ];
 
-struct Args {
-    apps: Vec<&'static str>,
-    protocols: Vec<ProtocolKind>,
-    nprocs: usize,
-    scale: Scale,
-}
-
 /// Parse the command line; the error is the one-line reason it is bad.
-fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut args = Args {
-        apps: all_apps().iter().map(|s| s.name).collect(),
-        protocols: SOUND.to_vec(),
-        nprocs: 4,
-        scale: Scale::Small,
-    };
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--apps" => {
-                args.apps = val()?
-                    .split(',')
-                    .map(|a| {
-                        app_by_name(a)
-                            .map(|spec| spec.name)
-                            .ok_or_else(|| format!("unknown app {a:?}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--protocols" => {
-                args.protocols = val()?
-                    .split(',')
-                    .map(|l| {
-                        ProtocolKind::from_label(l).ok_or_else(|| format!("unknown protocol {l:?}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--nprocs" => {
-                let val = val()?;
-                // The checker stamps pids into 16 bits, one value reserved.
-                args.nprocs = match val.parse() {
-                    Ok(n) if (1..usize::from(u16::MAX)).contains(&n) => n,
-                    _ => {
-                        return Err(format!(
-                            "--nprocs needs an integer in 1..65535, not {val:?}"
-                        ))
-                    }
-                };
-            }
-            "--scale" => {
-                args.scale = match val()?.as_str() {
-                    "small" => Scale::Small,
-                    "paper" => Scale::Paper,
-                    other => return Err(format!("unknown scale {other:?}")),
-                }
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    Ok(args)
+fn parse_args(it: impl Iterator<Item = String>) -> Result<Matrix, CliError> {
+    Matrix::new(&SOUND, 4, Scale::Small).parse(it)
 }
 
 fn main() {
-    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|why| {
-        eprintln!("checked: {why}\n{USAGE}");
-        std::process::exit(2);
-    });
+    let args = or_usage("checked", USAGE, parse_args(std::env::args().skip(1)));
     let mut t = TextTable::new(vec![
         "app",
         "protocol",
@@ -157,7 +99,7 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn parse(line: &str) -> Result<Args, String> {
+    fn parse(line: &str) -> Result<Matrix, CliError> {
         parse_args(line.split_whitespace().map(String::from))
     }
 

@@ -26,11 +26,12 @@
 
 #![forbid(unsafe_code)]
 
-use dsm_apps::{all_apps, app_by_name, Scale};
+use dsm_apps::Scale;
+use dsm_bench::cli::{or_usage, read_trace, trace_app, CliError, Flags, Matrix};
 use dsm_bench::table::TextTable;
-use dsm_core::{DsmApp, PlantedBug, ProtocolKind, RunConfig};
+use dsm_core::{PlantedBug, ProtocolKind, RunConfig};
 use dsm_explore::{
-    config_for_trace, explore, replay, Bounds, CappedApp, ChoiceTrace, ExploreOpts, RegressApp,
+    config_for_trace, explore, replay, Bounds, ChoiceTrace, ExploreOpts, RegressApp,
 };
 
 /// The six real protocols (seq has no inter-process choices to explore).
@@ -57,10 +58,13 @@ fn default_budget(p: ProtocolKind) -> usize {
     }
 }
 
+const USAGE: &str = "usage: explore [--apps a,b,..] [--protocols lmw-u,bar-u,..] [--nprocs N] \
+                     [--iters-cap N] [--budget N] [--drop-points N] [--dup-points N] \
+                     [--defers N] [--no-por] [--no-prune] [--por-factor] [--hunt] \
+                     [--jobs N] [--save-trace PATH] [--replay FILE]";
+
 struct Args {
-    apps: Vec<&'static str>,
-    protocols: Vec<ProtocolKind>,
-    nprocs: usize,
+    matrix: Matrix,
     iters_cap: usize,
     budget: Option<usize>,
     bounds: Bounds,
@@ -68,14 +72,12 @@ struct Args {
     hunt: bool,
     jobs: usize,
     save_trace: Option<String>,
-    replay: Option<String>,
+    replay: Option<ChoiceTrace>,
 }
 
-fn parse_args() -> Args {
+fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, CliError> {
     let mut args = Args {
-        apps: all_apps().iter().map(|s| s.name).collect(),
-        protocols: PROTOCOLS.to_vec(),
-        nprocs: 2,
+        matrix: Matrix::new(&PROTOCOLS, 2, Scale::Small),
         iters_cap: 2,
         budget: None,
         bounds: Bounds::default(),
@@ -85,71 +87,30 @@ fn parse_args() -> Args {
         save_trace: None,
         replay: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
+    let mut flags = Flags::new(it);
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
             "--no-por" => args.bounds.por = false,
             "--no-prune" => args.bounds.state_prune = false,
             "--por-factor" => args.por_factor = true,
             "--hunt" => args.hunt = true,
-            _ => {
-                let val = it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
-                match flag.as_str() {
-                    "--apps" => {
-                        args.apps = val
-                            .split(',')
-                            .map(|a| {
-                                app_by_name(a)
-                                    .unwrap_or_else(|| panic!("unknown app {a:?}"))
-                                    .name
-                            })
-                            .collect();
-                    }
-                    "--protocols" => {
-                        args.protocols = val
-                            .split(',')
-                            .map(|l| {
-                                ProtocolKind::from_label(l)
-                                    .unwrap_or_else(|| panic!("unknown protocol {l:?}"))
-                            })
-                            .collect();
-                    }
-                    "--nprocs" => args.nprocs = val.parse().expect("--nprocs"),
-                    "--iters-cap" => args.iters_cap = val.parse().expect("--iters-cap"),
-                    "--budget" => args.budget = Some(val.parse().expect("--budget")),
-                    "--drop-points" => {
-                        args.bounds.max_drop_points = val.parse().expect("--drop-points");
-                    }
-                    "--dup-points" => {
-                        args.bounds.max_dup_points = val.parse().expect("--dup-points");
-                    }
-                    "--defers" => args.bounds.max_defers = val.parse().expect("--defers"),
-                    "--jobs" => {
-                        let want: usize = val.parse().expect("--jobs");
-                        let avail = std::thread::available_parallelism()
-                            .map_or(1, std::num::NonZeroUsize::get);
-                        args.jobs = want.clamp(1, avail);
-                    }
-                    "--save-trace" => args.save_trace = Some(val),
-                    "--replay" => args.replay = Some(val),
-                    other => panic!("unknown flag {other:?}"),
-                }
+            "--iters-cap" => args.iters_cap = flags.parsed()?,
+            "--budget" => args.budget = Some(flags.parsed()?),
+            "--drop-points" => args.bounds.max_drop_points = flags.parsed()?,
+            "--dup-points" => args.bounds.max_dup_points = flags.parsed()?,
+            "--defers" => args.bounds.max_defers = flags.parsed()?,
+            "--jobs" => {
+                let avail =
+                    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+                args.jobs = flags.parsed::<usize>()?.clamp(1, avail);
             }
+            "--save-trace" => args.save_trace = Some(flags.value()?),
+            "--replay" => args.replay = Some(read_trace(&flags.value()?)?),
+            _ if args.matrix.take(&mut flags)? => {}
+            other => return Err(CliError::unknown_flag(other)),
         }
     }
-    args
-}
-
-/// Build the application a trace (or the hunt) names: the purpose-built
-/// regression app, or a registry app capped to the exploration iteration
-/// budget.
-fn build_app(name: &str, iters_cap: usize) -> Box<dyn DsmApp> {
-    if name == "regress" {
-        Box::new(RegressApp::new())
-    } else {
-        let spec = app_by_name(name).unwrap_or_else(|| panic!("unknown app {name:?}"));
-        Box::new(CappedApp::new(spec.build(Scale::Small), iters_cap))
-    }
+    Ok(args)
 }
 
 /// One explored app x protocol cell, rendered: the table row plus any
@@ -163,14 +124,14 @@ struct CellOut {
 /// any worker thread in any order.
 fn run_cell(app: &'static str, protocol: ProtocolKind, args: &Args) -> CellOut {
     let budget = args.budget.unwrap_or_else(|| default_budget(protocol));
-    let cfg = RunConfig::with_nprocs(protocol, args.nprocs);
+    let cfg = RunConfig::with_nprocs(protocol, args.matrix.nprocs);
     let opts = ExploreOpts {
         max_schedules: budget,
         stop_on_violation: true,
         bounds: args.bounds,
         static_groups: None,
     };
-    let rep = explore(|| build_app(app, args.iters_cap), &cfg, &opts);
+    let rep = explore(|| trace_app(app, args.iters_cap), &cfg, &opts);
     let stderr = rep.violation.as_ref().map_or_else(String::new, |v| {
         format!(
             "--- {app} under {} (schedule {}):\n{}\n",
@@ -237,11 +198,8 @@ fn run_cells(cells: &[(&'static str, ProtocolKind)], args: &Args) -> Vec<CellOut
         .collect()
 }
 
-fn replay_mode(path: &str) -> ! {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read trace {path:?}: {e}"));
-    let trace = ChoiceTrace::parse(&text).unwrap_or_else(|e| panic!("bad trace {path:?}: {e}"));
-    let cfg = config_for_trace(&trace);
+fn replay_mode(trace: &ChoiceTrace) -> ! {
+    let cfg = config_for_trace(trace);
     println!(
         "replaying {} choice points: {} under {} ({} procs, planted={})",
         trace.choices.len(),
@@ -250,7 +208,7 @@ fn replay_mode(path: &str) -> ! {
         trace.nprocs,
         trace.planted.label(),
     );
-    let report = replay(|| build_app(&trace.app, trace.iters_cap), &cfg, &trace);
+    let report = replay(|| trace_app(&trace.app, trace.iters_cap), &cfg, trace);
     println!(
         "races={} stale={} invariant={}",
         report.races(),
@@ -355,9 +313,9 @@ fn hunt_section(save_trace: Option<&str>) -> bool {
 }
 
 fn main() {
-    let args = parse_args();
-    if let Some(path) = &args.replay {
-        replay_mode(path);
+    let args = or_usage("explore", USAGE, parse_args(std::env::args().skip(1)));
+    if let Some(trace) = &args.replay {
+        replay_mode(trace);
     }
 
     println!("== bounded schedule/fault-space exploration ==");
@@ -370,7 +328,7 @@ fn main() {
     };
     println!(
         "config: nprocs={} iters-cap={} drop-points={}{dups} defers={} por={} prune={}",
-        args.nprocs,
+        args.matrix.nprocs,
         args.iters_cap,
         args.bounds.max_drop_points,
         args.bounds.max_defers,
@@ -379,10 +337,11 @@ fn main() {
     );
     println!();
 
-    let cells: Vec<(&'static str, ProtocolKind)> = args
+    let matrix = &args.matrix;
+    let cells: Vec<(&'static str, ProtocolKind)> = matrix
         .apps
         .iter()
-        .flat_map(|&app| args.protocols.iter().map(move |&p| (app, p)))
+        .flat_map(|&app| matrix.protocols.iter().map(move |&p| (app, p)))
         .collect();
     let outs = run_cells(&cells, &args);
 
@@ -408,7 +367,7 @@ fn main() {
     print!("{}", t.render());
 
     if args.por_factor {
-        por_factor_section(args.nprocs);
+        por_factor_section(matrix.nprocs);
     }
     let mut hunt_ok = true;
     if args.hunt {

@@ -34,6 +34,7 @@
 use std::sync::Arc;
 
 use dsm_apps::{app_by_name, AppSpec, Scale};
+use dsm_bench::cli::{or_usage, CliError};
 use dsm_bench::harness::region_table;
 use dsm_bench::table::TextTable;
 use dsm_check::checked_run;
@@ -52,8 +53,9 @@ const PROTOCOLS: [ProtocolKind; 7] = [
     ProtocolKind::BarR,
 ];
 
-/// The subset the symbolic prover models: `bar-m` diffs span overdrive
-/// phases and `bar-r` is validated by the regions cross-check instead.
+/// The protocols whose laws the committed reports carry. The predictor
+/// accepts `bar-m` as well; `bar-r` is validated by the regions
+/// cross-check instead.
 const MODELED: [ProtocolKind; 5] = [
     ProtocolKind::LmwI,
     ProtocolKind::LmwU,
@@ -70,7 +72,7 @@ struct Args {
     smoke: bool,
 }
 
-fn parse_args() -> Args {
+fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, CliError> {
     let mut args = Args {
         apps: dsm_apps::all_apps().iter().map(|s| s.name).collect(),
         sweep: vec![16, 64, 256],
@@ -78,7 +80,7 @@ fn parse_args() -> Args {
         spots: vec![128, 256],
         smoke: false,
     };
-    for flag in std::env::args().skip(1) {
+    for flag in it {
         match flag.as_str() {
             // Two-app cut for the fast CI diff gate; the full matrix runs
             // in its own job.
@@ -89,10 +91,10 @@ fn parse_args() -> Args {
                 args.fit_hi = 80;
                 args.spots = vec![128];
             }
-            other => panic!("unknown flag {other:?}"),
+            other => return Err(CliError::unknown_flag(other)),
         }
     }
-    args
+    Ok(args)
 }
 
 /// Derive the certified law for one modelable cell.
@@ -108,7 +110,11 @@ fn cell_law(spec: &AppSpec, proto: ProtocolKind, fit_hi: u64, spots: &[u64]) -> 
 }
 
 fn main() {
-    let args = parse_args();
+    let args = or_usage(
+        "scale",
+        "usage: scale [--smoke]",
+        parse_args(std::env::args().skip(1)),
+    );
     println!("== dsm-scale: symbolic node-count laws and dynamic sweep ==");
     println!(
         "config: scale=small fit=2..={} spots={} sweep={}{}",

@@ -26,7 +26,8 @@
 
 use std::sync::Arc;
 
-use dsm_apps::{all_apps, app_by_name, Scale};
+use dsm_apps::{app_by_name, Scale};
+use dsm_bench::cli::{or_usage, Matrix};
 use dsm_bench::harness::region_table;
 use dsm_bench::table::TextTable;
 use dsm_check::checked_run;
@@ -46,56 +47,8 @@ const PROTOCOLS: [ProtocolKind; 7] = [
 
 const BACKENDS: [TransportKind; 2] = [TransportKind::TwoSided, TransportKind::OneSided];
 
-struct Args {
-    apps: Vec<&'static str>,
-    protocols: Vec<ProtocolKind>,
-    nprocs: usize,
-    scale: Scale,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        apps: all_apps().iter().map(|s| s.name).collect(),
-        protocols: PROTOCOLS.to_vec(),
-        nprocs: 8,
-        scale: Scale::Paper,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let val = it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
-        match flag.as_str() {
-            "--apps" => {
-                args.apps = val
-                    .split(',')
-                    .map(|a| {
-                        app_by_name(a)
-                            .unwrap_or_else(|| panic!("unknown app {a:?}"))
-                            .name
-                    })
-                    .collect();
-            }
-            "--protocols" => {
-                args.protocols = val
-                    .split(',')
-                    .map(|l| {
-                        ProtocolKind::from_label(l)
-                            .unwrap_or_else(|| panic!("unknown protocol {l:?}"))
-                    })
-                    .collect();
-            }
-            "--nprocs" => args.nprocs = val.parse().expect("--nprocs"),
-            "--scale" => {
-                args.scale = match val.as_str() {
-                    "small" => Scale::Small,
-                    "paper" => Scale::Paper,
-                    other => panic!("unknown scale {other:?}"),
-                }
-            }
-            other => panic!("unknown flag {other:?}"),
-        }
-    }
-    args
-}
+const USAGE: &str = "usage: transport [--apps a,b,..] [--protocols lmw-i,bar-u,..] \
+                     [--nprocs N] [--scale small|paper]";
 
 #[allow(clippy::cast_precision_loss)]
 fn percent(now: u64, base: u64) -> String {
@@ -127,7 +80,8 @@ fn winner(
 }
 
 fn main() {
-    let args = parse_args();
+    let parsed = Matrix::new(&PROTOCOLS, 8, Scale::Paper).parse(std::env::args().skip(1));
+    let args = or_usage("transport", USAGE, parsed);
     assert!(args.nprocs >= 2, "the matrix needs at least two processes");
     println!("== dual-backend transport matrix ==");
     println!(

@@ -17,33 +17,30 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dsm_apps::{app_by_name, Scale};
+use dsm_bench::cli::{or_usage, read_trace, trace_app, CliError, Flags};
 use dsm_check::Checker;
-use dsm_core::{DsmApp, StepRun};
-use dsm_explore::{config_for_trace, Bounds, CappedApp, ChoiceTrace, ExploreScheduler, RegressApp};
+use dsm_core::StepRun;
+use dsm_explore::{config_for_trace, Bounds, ChoiceTrace, ExploreScheduler};
 use dsm_sim::SharedScheduler;
 
-fn build_app(name: &str, iters_cap: usize) -> Box<dyn DsmApp> {
-    if name == "regress" {
-        Box::new(RegressApp::new())
-    } else {
-        let spec = app_by_name(name).unwrap_or_else(|| panic!("unknown app {name:?}"));
-        Box::new(CappedApp::new(spec.build(Scale::Small), iters_cap))
+const USAGE: &str = "usage: travel [--trace PATH]";
+
+/// The trace the command line names, read and parsed, and its path.
+fn parse_args(it: impl Iterator<Item = String>) -> Result<(String, ChoiceTrace), CliError> {
+    let mut path = "results/repro/lmw-u-coverage-gap.trace".to_string();
+    let mut flags = Flags::new(it);
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--trace" => path = flags.value()?,
+            other => return Err(CliError::unknown_flag(other)),
+        }
     }
+    let trace = read_trace(&path)?;
+    Ok((path, trace))
 }
 
 fn main() {
-    let mut path = "results/repro/lmw-u-coverage-gap.trace".to_string();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--trace" => path = it.next().expect("--trace needs a value"),
-            other => panic!("unknown flag {other:?}"),
-        }
-    }
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read trace {path:?}: {e}"));
-    let trace = ChoiceTrace::parse(&text).unwrap_or_else(|e| panic!("bad trace {path:?}: {e}"));
+    let (path, trace) = or_usage("travel", USAGE, parse_args(std::env::args().skip(1)));
     let cfg = config_for_trace(&trace);
     println!(
         "time-travelling {}: {} under {} ({} procs, planted={}, {} choice points)",
@@ -65,7 +62,7 @@ fn main() {
     let sched = Rc::new(RefCell::new(ExploreScheduler::new(bounds, prefix, None)));
     let shared: SharedScheduler = Rc::<RefCell<ExploreScheduler>>::clone(&sched);
     let checker = Checker::new(&cfg);
-    let mut app = build_app(&trace.app, trace.iters_cap);
+    let mut app = trace_app(&trace.app, trace.iters_cap);
     let mut run = StepRun::new(
         app.as_mut(),
         cfg.clone(),

@@ -16,6 +16,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod harness;
 pub mod paper;
 pub mod quick;

@@ -150,6 +150,7 @@ impl CheckState {
                 writer,
                 page,
                 copyset,
+                ..
             } => {
                 report.update_flushes += 1;
                 inv.on_update_flush(writer, page, copyset, &mut found);

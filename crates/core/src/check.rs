@@ -42,11 +42,16 @@ pub enum CheckEvent<'a> {
     Reduction { op: &'static str, len: usize },
     /// `pid` fetched page content (diffs or a full copy) from `from`.
     Fetch { pid: usize, from: usize, page: u32 },
-    /// `writer` pushed its diff of `page` toward the members of `copyset`.
+    /// `writer` pushed its diff of `page` toward the members of `copyset`:
+    /// `pushes` messages (the copyset minus the writer, the home for the
+    /// bar family, and bar-r's elided members), each carrying `diff`
+    /// (bar-r clips it per reader).
     UpdateFlush {
         writer: usize,
         page: u32,
         copyset: &'a crate::proto::CopySet,
+        pushes: usize,
+        diff: &'a dyn dsm_vm::Delta,
     },
     /// The per-page version index moved `old` → `new` (home-based family).
     VersionBump { page: u32, old: u32, new: u32 },

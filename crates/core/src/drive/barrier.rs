@@ -11,6 +11,7 @@
 
 use dsm_net::ReliableKind;
 use dsm_sim::{Category, Time};
+use dsm_vm::Pages;
 
 use crate::check::CheckEvent;
 use crate::config::ProtocolKind;
@@ -24,37 +25,56 @@ impl Cluster {
     /// An application-level barrier ending the current phase, optionally
     /// carrying a reduction (per-process contribution vectors).
     pub fn barrier_app(&mut self, reduce: Option<(ReduceOp, Vec<Vec<f64>>)>) {
-        assert!(self.distributed, "barrier before distribute()");
-        let ending_site = self.site;
-        let phases = self.phases_per_iter;
-        let overdrive = self.cfg.protocol.is_overdrive();
-
-        if overdrive {
-            match self.od_mode {
-                OdMode::Learning => self.od_record(ending_site),
-                OdMode::Overdrive => {
-                    if self.cfg.overdrive.validate && self.cfg.protocol == ProtocolKind::BarM {
-                        self.od_validate_shadow(ending_site);
-                    }
-                }
-                OdMode::Reverted => {}
-            }
-        }
-
+        self.barrier_enter();
         match reduce {
             Some((op, contribs)) if !self.cfg.protocol.native_reductions() => {
                 // Homeless protocols: SUIF-style shared-memory emulation
                 // (includes its own internal barriers).
                 self.reduce_emulated(op, &contribs);
             }
-            other => self.barrier_core(other),
+            other => self.barrier_checked(other),
         }
         if self.pruned {
             // Pruned mid-barrier: skip the remaining protocol work (the
             // panic-unwind path used to); state past here is unspecified.
             return;
         }
+        self.barrier_leave();
+    }
 
+    /// One protocol barrier followed by the exploration checkpoint.
+    pub(crate) fn barrier_checked(&mut self, reduce: Option<(ReduceOp, Vec<Vec<f64>>)>) {
+        self.barrier_core(reduce);
+        self.explore_barrier_checkpoint();
+    }
+}
+
+/// The three stages of an application-level barrier that need no page
+/// bytes. [`Cluster::barrier_app`] runs them around the reduction
+/// dispatch; a dataless instantiation calls them directly.
+impl<S: Pages> Cluster<S> {
+    /// Overdrive bookkeeping for the epoch that just ended.
+    pub fn barrier_enter(&mut self) {
+        assert!(self.distributed, "barrier before distribute()");
+        if !self.cfg.protocol.is_overdrive() {
+            return;
+        }
+        match self.od_mode {
+            OdMode::Learning => self.od_record(self.site),
+            OdMode::Overdrive => {
+                if self.cfg.overdrive.validate && self.cfg.protocol == ProtocolKind::BarM {
+                    self.od_validate_shadow(self.site);
+                }
+            }
+            OdMode::Reverted => {}
+        }
+    }
+
+    /// Post-barrier work — migration, overdrive arming, homeless GC — and
+    /// the advance to the next phase site.
+    pub fn barrier_leave(&mut self) {
+        let ending_site = self.site;
+        let phases = self.phases_per_iter;
         if self.cfg.protocol.is_bar() {
             // The migration decision is ready at the end of the first
             // iteration; the default executes it immediately (today's
@@ -71,7 +91,7 @@ impl Cluster {
                     self.bar_migrate();
                 }
             }
-            if overdrive {
+            if self.cfg.protocol.is_overdrive() {
                 if self.od_revert_pending && self.od_mode == OdMode::Overdrive {
                     self.od_do_revert();
                 }
@@ -96,7 +116,7 @@ impl Cluster {
 
     /// One protocol barrier (no site bookkeeping — also used by the
     /// reduction emulation's internal barriers).
-    pub(crate) fn barrier_core(&mut self, reduce: Option<(ReduceOp, Vec<Vec<f64>>)>) {
+    pub fn barrier_core(&mut self, reduce: Option<(ReduceOp, Vec<Vec<f64>>)>) {
         self.stats.barriers += 1;
 
         if self.cfg.protocol == ProtocolKind::Seq {
@@ -111,7 +131,6 @@ impl Cluster {
             self.emit(CheckEvent::BarrierArrive { pid: 0, epoch });
             self.emit(CheckEvent::BarrierRelease { epoch });
             self.epoch += 1;
-            self.explore_barrier_checkpoint();
             return;
         }
 
@@ -168,13 +187,7 @@ impl Cluster {
             // Retransmission overhead delays the master's release: the
             // annex lands on the clock that ends up waiting.
             self.procs[master].clock.note_retrans(tr.retrans_wait);
-            if tr.attempts > 1 {
-                self.emit(CheckEvent::WireRetransmit {
-                    src: pid,
-                    dst: master,
-                    attempts: tr.attempts,
-                });
-            }
+            self.note_attempts(pid, master, tr.attempts);
             self.charge(master, Category::Sigio, tr.receiver);
         }
         self.procs[master].clock.wait_until(land);
@@ -220,13 +233,7 @@ impl Cluster {
             // A retransmitted release stalls the released process, not the
             // master: annotate the waiter's clock.
             self.procs[pid].clock.note_retrans(tr.retrans_wait);
-            if tr.attempts > 1 {
-                self.emit(CheckEvent::WireRetransmit {
-                    src: master,
-                    dst: pid,
-                    attempts: tr.attempts,
-                });
-            }
+            self.note_attempts(master, pid, tr.attempts);
             self.procs[pid].clock.wait_until(deliver_at);
             self.charge(pid, Category::Os, tr.receiver);
         }
@@ -251,6 +258,5 @@ impl Cluster {
         let epoch = self.epoch;
         self.emit(CheckEvent::BarrierRelease { epoch });
         self.epoch += 1;
-        self.explore_barrier_checkpoint();
     }
 }

@@ -12,12 +12,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dsm_net::Network;
+use dsm_net::{Network, ReliableKind};
 use dsm_sim::{
     Category, Clock, DetRng, SharedScheduler, SnapError, SnapReader, SnapWriter, Sparse, State,
     StateHasher, Time, VirtualTimeScheduler,
 };
-use dsm_vm::{as_bytes, BufPool, FaultKind, Image, PageBuf, PageId, PageStore, Pod, Protection};
+use dsm_vm::{as_bytes, FaultKind, Image, PageBuf, PageId, PageStore, Pages, Pod, Protection};
 
 use crate::check::{CheckEvent, CheckSink};
 use crate::config::{ProtocolKind, RunConfig};
@@ -29,15 +29,15 @@ use crate::proto::lmw::LmwProc;
 use crate::proto::overdrive::{OdMode, OdProc};
 
 /// One simulated process.
-pub struct Proc {
+pub struct Proc<S: Pages = PageStore> {
     pub(crate) clock: Clock,
-    pub(crate) store: PageStore,
+    pub(crate) store: S,
     /// Pages write-trapped (or overdrive-predicted) this epoch, in order.
     pub(crate) dirty: Vec<PageId>,
     /// Protection changes issued this epoch (stress-model input).
     pub(crate) protect_ops_epoch: u32,
     /// Homeless-protocol per-process state.
-    pub(crate) lmw: LmwProc,
+    pub(crate) lmw: LmwProc<S::Diff>,
     /// Overdrive per-process state.
     pub(crate) od: OdProc,
 }
@@ -45,18 +45,18 @@ pub struct Proc {
 // Virtual time is excluded from the hash by design: the clock and the
 // per-epoch mprotect count (a stress-model input) only ever feed costs,
 // never control flow or the checker.
-dsm_sim::impl_state!(Proc {
+dsm_sim::impl_state!(Proc<PageStore> {
     timing: clock;
     state: store, dirty;
     timing: protect_ops_epoch;
     state: lmw, od;
 });
 
-impl Proc {
-    fn new(page_size: usize) -> Proc {
+impl<S: Pages> Proc<S> {
+    fn new(page_size: usize) -> Proc<S> {
         Proc {
             clock: Clock::new(),
-            store: PageStore::new(page_size),
+            store: S::new(page_size),
             dirty: Vec::new(),
             protect_ops_epoch: 0,
             lmw: LmwProc::default(),
@@ -65,17 +65,20 @@ impl Proc {
     }
 }
 
-/// The simulated DSM cluster.
+/// The simulated DSM cluster, generic over what a page *is* and nothing
+/// else: over [`PageStore`] (the default) it is the runtime; over
+/// `dsm-plan`'s dataless page digests the same protocol code is the static
+/// predictor.
 // The flags are genuinely independent (exploring, migrated,
 // migration_pending, ...), not an encoded state machine.
 #[allow(clippy::struct_excessive_bools)]
-pub struct Cluster {
+pub struct Cluster<S: Pages = PageStore> {
     pub(crate) cfg: RunConfig,
     pub(crate) seg: SharedSegment,
     /// Golden initial contents of every page (what setup wrote), frozen
     /// at `distribute()` and shared with every process's page store.
     pub(crate) image: Image,
-    pub(crate) procs: Box<[Proc]>,
+    pub(crate) procs: Box<[Proc<S>]>,
     pub(crate) net: Network,
     pub(crate) stats: RunStats,
     /// Barrier counter; the epoch between barriers `k-1` and `k` is `k`.
@@ -108,7 +111,7 @@ pub struct Cluster {
     pub(crate) od_mode: OdMode,
     pub(crate) od_revert_pending: bool,
     /// Deliveries queued during the pre-barrier step, consumed at release.
-    pub(crate) bar_deliveries: BarDeliveries,
+    pub(crate) bar_deliveries: BarDeliveries<S::Diff>,
     pub(crate) measuring: bool,
     /// Result of the most recent reduction, visible to all processes.
     pub(crate) last_reduction: Vec<f64>,
@@ -140,7 +143,7 @@ pub struct Cluster {
     /// Host-side free-lists recycling twin buffers and diff run storage
     /// across flushes. Pure wall-clock optimization: pooled memory is
     /// always fully overwritten before reuse and carries no virtual cost.
-    pub(crate) pool: BufPool,
+    pub(crate) pool: S::Pool,
 }
 
 // What a snapshot carries and what the explorer's structural hash folds,
@@ -154,7 +157,7 @@ pub struct Cluster {
 // hashed: clocks and cost statistics never influence control flow or the
 // checker, so schedules that differ only in timing are
 // correctness-equivalent.
-dsm_sim::impl_state!(Cluster {
+dsm_sim::impl_state!(Cluster<PageStore> {
     // Re-supplied by construction, setup and the installers; `restore`
     // checks the page size and the image digest instead of shipping them.
     config: cfg, image, distributed, check, exploring, pool;
@@ -172,10 +175,10 @@ dsm_sim::impl_state!(Cluster {
     scratch: bar_deliveries, pruned;
 });
 
-impl Cluster {
+impl<S: Pages> Cluster<S> {
     /// Build an empty cluster; allocate shared data through a
     /// [`crate::drive::ctx::SetupCtx`], then call [`Cluster::distribute`].
-    pub fn new(cfg: RunConfig) -> Cluster {
+    pub fn new(cfg: RunConfig) -> Cluster<S> {
         let errs = cfg.sim.validate();
         assert!(errs.is_empty(), "invalid config: {errs:?}");
         let nprocs = cfg.sim.nprocs;
@@ -225,7 +228,7 @@ impl Cluster {
             pruned: false,
             trace_hash: 0,
             migration_pending: false,
-            pool: BufPool::new(),
+            pool: S::Pool::default(),
             cfg,
         }
     }
@@ -321,6 +324,25 @@ impl Cluster {
         self.od_mode == OdMode::Overdrive
     }
 
+    /// Per-page home process (all zero outside the bar family).
+    pub fn homes(&self) -> &[usize] {
+        &self.homes
+    }
+
+    /// Every copyset table entry as `(page, writer, members)`, unordered:
+    /// the home-maintained set per page (bar update family, no writer) and
+    /// each process's own view of who caches the pages it writes (lmw-u).
+    pub fn copysets(&self) -> impl Iterator<Item = (u32, Option<u16>, &CopySet)> {
+        let per_page = self.copysets.iter().map(|(&pg, cs)| (pg, None, cs));
+        let per_writer = self.procs.iter().enumerate().flat_map(|(w, p)| {
+            let w = Some(w as u16);
+            p.lmw.copysets.iter().map(move |(&pg, cs)| (pg, w, cs))
+        });
+        per_page.chain(per_writer)
+    }
+}
+
+impl Cluster {
     // ------------------------------------------------------------------
     // Manual driving (alternative to the DsmApp runner)
     // ------------------------------------------------------------------
@@ -341,7 +363,9 @@ impl Cluster {
     pub fn check_ctx(&self) -> crate::drive::ctx::CheckCtx<'_> {
         crate::drive::ctx::CheckCtx { cl: self }
     }
+}
 
+impl<S: Pages> Cluster<S> {
     /// Declare the number of barrier phases per iteration (the overdrive
     /// protocols predict per phase site). The [`crate::drive::app::run_app`]
     /// runner sets this from the application automatically.
@@ -359,15 +383,13 @@ impl Cluster {
     // Setup and distribution
     // ------------------------------------------------------------------
 
-    /// Grow per-page tables (and, during setup, the image) to the current
-    /// segment size. Pages allocated after `distribute()` are
-    /// zero-initialized, which is what the frozen image reads as past its
-    /// end.
-    pub(crate) fn grow_tables(&mut self) {
+    /// Reserve `bytes` of shared segment under `name` and grow the
+    /// per-page tables to cover it; returns the base address. Pages
+    /// allocated after `distribute()` are zero-initialized, which is what
+    /// the frozen image reads as past its end.
+    pub fn alloc(&mut self, name: &str, bytes: usize) -> usize {
+        let base = self.seg.alloc(name, bytes);
         let n = self.seg.npages();
-        if !self.distributed {
-            self.image.grow(n);
-        }
         self.homes.resize(n, 0);
         self.versions.resize(n, 1);
         // copysets / iter_writers / iter_write_counts are sparse maps:
@@ -377,6 +399,7 @@ impl Cluster {
         for p in &mut self.procs {
             p.store.ensure_pages(n);
         }
+        base
     }
 
     /// Finish setup: freeze the initial image as the distributed state.
@@ -387,14 +410,15 @@ impl Cluster {
     /// image on first touch).
     pub fn distribute(&mut self) {
         assert!(!self.distributed, "distribute() called twice");
-        self.grow_tables();
         self.image.freeze();
         for p in &mut self.procs {
             p.store.share_image(self.image.clone());
         }
         self.distributed = true;
     }
+}
 
+impl Cluster {
     // ------------------------------------------------------------------
     // Snapshot, restore, structural hash: all three walk the `State`
     // declarations, from `Cluster` down
@@ -451,7 +475,9 @@ impl Cluster {
         self.fold(&mut h);
         h.finish()
     }
+}
 
+impl<S: Pages> Cluster<S> {
     /// Begin the measurement window (the paper starts timing "only after
     /// the applications have reached a steady state").
     pub fn start_measurement(&mut self) {
@@ -532,8 +558,44 @@ impl Cluster {
         }
     }
 
+    /// Tell the checker that a reliable message from `src` to `dst` was
+    /// retransmitted.
+    pub(crate) fn note_attempts(&mut self, src: usize, dst: usize, attempts: u32) {
+        if attempts > 1 {
+            self.emit(CheckEvent::WireRetransmit { src, dst, attempts });
+        }
+    }
+
+    /// Fetch data from `server` on `pid`'s behalf — `(kind, bytes)` of the
+    /// request and of the reply — and charge both ends: the faulting
+    /// process waits out the round trip (any retransmission delay of
+    /// either leg included) plus `fixed`; the server pays its handler.
+    pub(crate) fn fetch_from(
+        &mut self,
+        pid: usize,
+        server: usize,
+        req: (ReliableKind, usize),
+        rep: (ReliableKind, usize),
+        fixed: Time,
+    ) {
+        let prep = Time::from_ns(self.cfg.sim.costs.page_prep_ns);
+        let now = self.procs[pid].clock.now();
+        let d = self
+            .net
+            .fetch(pid, server, req.0, req.1, rep.0, rep.1, prep, now);
+        self.charge(pid, Category::Wait, d.wait + fixed);
+        self.procs[pid].clock.note_retrans(d.retrans_wait);
+        self.note_attempts(pid, server, d.req_attempts);
+        self.note_attempts(server, pid, d.rep_attempts);
+        self.charge(server, Category::Sigio, d.server_cpu);
+    }
+
     /// Two distinct processes, mutably.
-    pub(crate) fn pair_mut(procs: &mut [Proc], a: usize, b: usize) -> (&mut Proc, &mut Proc) {
+    pub(crate) fn pair_mut(
+        procs: &mut [Proc<S>],
+        a: usize,
+        b: usize,
+    ) -> (&mut Proc<S>, &mut Proc<S>) {
         assert_ne!(a, b);
         if a < b {
             let (lo, hi) = procs.split_at_mut(b);
@@ -555,11 +617,13 @@ impl Cluster {
         let first = addr >> shift;
         let last = (addr + bytes - 1) >> shift;
         for pg in first..=last {
-            self.ensure_page(pid, PageId(pg as u32), write);
+            self.access(pid, PageId(pg as u32), write);
         }
     }
 
-    fn ensure_page(&mut self, pid: usize, page: PageId, write: bool) {
+    /// Make `page` accessible to `pid`, faulting as needed, and hand back
+    /// the process's page table for the access itself.
+    pub fn access(&mut self, pid: usize, page: PageId, write: bool) -> &mut S {
         debug_assert!(self.distributed, "access before distribute()");
         self.materialize_pristine(pid, page);
         let mut guard = 0;
@@ -568,6 +632,7 @@ impl Cluster {
             guard += 1;
             assert!(guard <= 3, "fault handler made no progress on {page:?}");
         }
+        &mut self.procs[pid].store
     }
 
     /// First touch of a page by this process: hand it the initial
@@ -575,7 +640,7 @@ impl Cluster {
     /// version; otherwise the frame materializes stale-invalid and the
     /// normal fault path brings it current.
     pub(crate) fn materialize_pristine(&mut self, pid: usize, page: PageId) {
-        if self.procs[pid].store.frame(page).is_some() {
+        if self.procs[pid].store.meta(page).is_some() {
             return;
         }
         let valid = match self.cfg.protocol {
@@ -583,14 +648,12 @@ impl Cluster {
             p if p.is_lmw() => self.last_write_epoch[page.index()] == 0,
             _ => self.versions[page.index()] == 1,
         };
-        let f = self.procs[pid].store.frame_mut(page);
-        f.fill_from(self.image.page(page.index()));
-        f.set_prot(if valid {
+        let prot = if valid {
             Protection::Read
         } else {
             Protection::Invalid
-        });
-        f.set_version_seen(1);
+        };
+        self.procs[pid].store.materialize(page, prot);
         // Acquiring a cached copy makes this process part of the page's
         // copyset ("bitmaps that specify which processors cache a given
         // page"); the home-based update protocols push to it from now on.
@@ -625,7 +688,9 @@ impl Cluster {
             _ => self.bar_fault(pid, page, kind),
         }
     }
+}
 
+impl Cluster {
     // ------------------------------------------------------------------
     // Typed element and byte-range access (used by the handles in `mem`)
     // ------------------------------------------------------------------
@@ -753,7 +818,6 @@ impl Cluster {
     /// Setup-time write into the golden image (uncharged, pre-distribution).
     pub(crate) fn write_image_bytes(&mut self, addr: usize, src: &[u8]) {
         assert!(!self.distributed, "image writes only before distribute()");
-        self.grow_tables();
         let ps = self.page_size();
         let mut done = 0;
         while done < src.len() {

@@ -168,10 +168,16 @@ impl SetupCtx<'_> {
         &self.cl.seg
     }
 
+    /// Reserve segment space and extend the golden image over it.
+    fn alloc(&mut self, name: &str, bytes: usize) -> usize {
+        let base = self.cl.alloc(name, bytes);
+        self.cl.image.grow(self.cl.seg.npages());
+        base
+    }
+
     /// Allocate a shared 1-D array (page-aligned).
     pub fn alloc_array<T: Pod>(&mut self, name: &str, len: usize) -> SharedArray<T> {
-        let base = self.cl.seg.alloc(name, len * core::mem::size_of::<T>());
-        self.cl.grow_tables();
+        let base = self.alloc(name, len * core::mem::size_of::<T>());
         SharedArray::from_raw(base, len)
     }
 
@@ -179,8 +185,7 @@ impl SetupCtx<'_> {
     pub fn alloc_grid<T: Pod>(&mut self, name: &str, rows: usize, cols: usize) -> SharedGrid2<T> {
         let stride = page_friendly_stride::<T>(cols, self.cl.page_size());
         let bytes = rows * stride * core::mem::size_of::<T>();
-        let base = self.cl.seg.alloc(name, bytes);
-        self.cl.grow_tables();
+        let base = self.alloc(name, bytes);
         SharedGrid2::from_raw(base, rows, cols, stride)
     }
 

@@ -12,6 +12,7 @@ use dsm_sim::{Candidate, ChoiceKind, State, StateHasher};
 
 use crate::check::CheckEvent;
 use crate::drive::cluster::Cluster;
+use dsm_vm::Pages;
 
 /// Fold one checker event into a running trace hash.
 pub(crate) fn fold_event(acc: u64, ev: &CheckEvent<'_>) -> u64 {
@@ -54,10 +55,13 @@ pub(crate) fn fold_event(acc: u64, ev: &CheckEvent<'_>) -> u64 {
             h.usize(from);
             h.u64(u64::from(page));
         }
+        // `pushes` and `diff` feed no checker verdict and follow from
+        // state the structural hash covers.
         CheckEvent::UpdateFlush {
             writer,
             page,
             copyset,
+            ..
         } => {
             h.byte(8);
             h.usize(writer);
@@ -125,7 +129,7 @@ pub(crate) fn fold_event(acc: u64, ev: &CheckEvent<'_>) -> u64 {
     h.state()
 }
 
-impl Cluster {
+impl<S: Pages> Cluster<S> {
     /// Ask the scheduler for a consumption order over `items`, one pick at
     /// a time (so the explorer sees the shrinking candidate set). Identity
     /// when not exploring — the canonical order is exactly today's order.
@@ -198,7 +202,9 @@ impl Cluster {
         out.extend(remaining);
         out
     }
+}
 
+impl Cluster {
     /// End-of-barrier exploration checkpoint: hand the combined
     /// structural + trace hash to the scheduler; if it declines to
     /// continue, raise the cluster's `pruned` flag — every caller on the

@@ -94,7 +94,7 @@ impl Cluster {
                 self.write_scalar::<f64>(pid, addr, v);
             }
         }
-        self.barrier_core(None);
+        self.barrier_checked(None);
         if self.pruned {
             return;
         }
@@ -112,7 +112,7 @@ impl Cluster {
         for (j, &v) in acc.iter().enumerate() {
             self.write_scalar::<f64>(0, result.addr_of(j), v);
         }
-        self.barrier_core(None);
+        self.barrier_checked(None);
         if self.pruned {
             return;
         }
@@ -137,9 +137,8 @@ impl Cluster {
         if need_new {
             // Shared allocation mid-run: the segment grows and the tables
             // resize; the fresh pages are pristine-valid everywhere.
-            let base_slots = self.seg.alloc("__reduce_slots", n * k * 8);
-            let base_result = self.seg.alloc("__reduce_result", k * 8);
-            self.grow_tables();
+            let base_slots = self.alloc("__reduce_slots", n * k * 8);
+            let base_result = self.alloc("__reduce_result", k * 8);
             self.reduce_mem = Some(ReduceMem {
                 slots: SharedArray::from_raw(base_slots, n * k),
                 result: SharedArray::from_raw(base_result, k),

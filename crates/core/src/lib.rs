@@ -28,6 +28,13 @@
 //! * [`drive`] — the [`drive::cluster::Cluster`]: per-process state, the
 //!   fault path, the barrier engine, reductions, the application trait and
 //!   runner, and run statistics (Table 1 columns + Figure 3 breakdown).
+//!
+//! `Cluster<S: Pages = PageStore>` is generic over the per-process page
+//! table ([`vm::Pages`]) and nothing else. Everything that needs page
+//! bytes — the typed access path, reduction emulation, checksums,
+//! snapshot/restore/`state_hash`, [`StepRun`] — is `impl Cluster<PageStore>`;
+//! the protocols and the barrier engine are not, so `dsm-plan` runs them
+//! over dataless digests as its static predictor.
 
 #![forbid(unsafe_code)]
 
@@ -51,3 +58,7 @@ pub use mem::{
     page_friendly_stride, Alloc, PageCert, PageClass, ReaderLoads, RegionTable, SharedArray,
     SharedGrid2, SharedScalar, SharedSegment, WriterRegions,
 };
+/// The vocabulary of [`Cluster`]'s type parameter and of its statistics,
+/// for crates that instantiate or read a cluster without depending on the
+/// substrate crates themselves.
+pub use {dsm_net as net, dsm_vm as vm};

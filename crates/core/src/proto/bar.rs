@@ -19,7 +19,7 @@
 
 use dsm_net::{FlushKind, ReliableKind};
 use dsm_sim::{Category, Time};
-use dsm_vm::{Diff, FaultKind, Frame, PageId, Protection};
+use dsm_vm::{Delta, FaultKind, PageId, Pages, Protection};
 
 use crate::check::CheckEvent;
 use crate::drive::cluster::Cluster;
@@ -36,13 +36,13 @@ pub const BUMP_WIRE_BYTES: usize = 12;
 /// every step boundary — which is how the cluster's state declaration
 /// classes it.
 #[derive(Default, PartialEq)]
-pub struct BarDeliveries {
+pub struct BarDeliveries<D> {
     /// Diffs flushed to their home: `(home, page, diff, receiver leg)`.
-    pub home_flushes: Vec<(usize, PageId, Diff, Time)>,
+    pub home_flushes: Vec<(usize, PageId, D, Time)>,
     /// Update pushes to consumers: `(dst, page, diff, receiver leg)`.
-    pub bar_updates: Vec<(usize, PageId, Diff, Time)>,
+    pub bar_updates: Vec<(usize, PageId, D, Time)>,
     /// lmw-u update flushes: `(dst, page, writer, lo, hi, diff, receiver leg)`.
-    pub lmw_updates: Vec<(usize, PageId, u16, u64, u64, Diff, Time)>,
+    pub lmw_updates: Vec<(usize, PageId, u16, u64, u64, D, Time)>,
     /// Pages bumped this barrier: `(page, old_version, new_version)`,
     /// page-sorted at collection time for deterministic iteration.
     pub bumps: Vec<(PageId, u32, u32)>,
@@ -51,7 +51,7 @@ pub struct BarDeliveries {
     pub writer_bumps: Vec<(usize, PageId)>,
 }
 
-impl BarDeliveries {
+impl<D> BarDeliveries<D> {
     /// Record one version bump contribution for `page`, returning nothing;
     /// consecutive bumps of the same page within one barrier extend the
     /// same ledger entry.
@@ -66,7 +66,7 @@ impl BarDeliveries {
     }
 }
 
-impl Cluster {
+impl<S: Pages> Cluster<S> {
     // ------------------------------------------------------------------
     // Fault path
     // ------------------------------------------------------------------
@@ -94,14 +94,11 @@ impl Cluster {
                     // can be captured from twin-free dirty tracking over
                     // the proven spans, so the twin (and its copy cost) is
                     // skipped entirely.
-                    self.procs[pid].store.frame_mut(page).arm_dirty_tracking();
+                    self.procs[pid].store.arm_tracking(page);
                     self.stats.region_twin_skips += 1;
                 } else {
                     let cost = self.cfg.sim.costs.twin_create(self.page_size());
-                    self.procs[pid]
-                        .store
-                        .frame_mut(page)
-                        .make_twin_in(&mut self.pool);
+                    self.procs[pid].store.make_twin(page, &mut self.pool);
                     self.charge(pid, Category::Os, cost);
                     self.stats.twins += 1;
                 }
@@ -131,47 +128,13 @@ impl Cluster {
             self.procs[home].store.protection(page).readable(),
             "home copy must always be current"
         );
-        let ps = self.page_size();
-        let prep = Time::from_ns(self.cfg.sim.costs.page_prep_ns);
         let fixed = Time::from_ns(self.cfg.sim.costs.page_fault_fixed_ns);
-        let now = self.procs[pid].clock.now();
-        let d = self.net.fetch(
-            pid,
-            home,
-            ReliableKind::PageRequest,
-            0,
-            ReliableKind::PageReply,
-            ps,
-            prep,
-            now,
-        );
-        self.charge(pid, Category::Wait, d.wait + fixed);
-        // The faulting process experiences any retransmission delay of
-        // either leg of the round trip.
-        self.procs[pid].clock.note_retrans(d.retrans_wait);
-        if d.req_attempts > 1 {
-            self.emit(CheckEvent::WireRetransmit {
-                src: pid,
-                dst: home,
-                attempts: d.req_attempts,
-            });
-        }
-        if d.rep_attempts > 1 {
-            self.emit(CheckEvent::WireRetransmit {
-                src: home,
-                dst: pid,
-                attempts: d.rep_attempts,
-            });
-        }
-        self.charge(home, Category::Sigio, d.server_cpu);
+        let reply = (ReliableKind::PageReply, self.page_size());
+        self.fetch_from(pid, home, (ReliableKind::PageRequest, 0), reply, fixed);
         let version = self.versions[page.index()];
-        {
-            let (me, hm) = Cluster::pair_mut(&mut self.procs, pid, home);
-            let src = hm.store.frame(page).expect("home frame present");
-            let f = me.store.frame_mut(page);
-            f.fill_from(src.data());
-            f.set_version_seen(version);
-        }
+        let (me, hm) = Self::pair_mut(&mut self.procs, pid, home);
+        me.store.copy_page(page, &hm.store);
+        me.store.set_version_seen(page, version);
         self.set_prot(pid, page, Protection::Read);
         self.stats.remote_misses += 1;
         self.emit(CheckEvent::Fetch {
@@ -200,11 +163,8 @@ impl Cluster {
         let mut contributions = 0usize;
         for page in dirty {
             let home = self.homes[page.index()];
-            let tracked = self.procs[pid]
-                .store
-                .frame(page)
-                .is_some_and(Frame::tracking);
-            if tracked {
+            let meta = self.procs[pid].store.meta(page);
+            if meta.is_some_and(|m| m.tracking) {
                 // bar-r region path: capture the delta from the recorded
                 // dirty ranges, grounded against the static certificate.
                 if self.barr_pre_barrier_page(pid, page) {
@@ -215,141 +175,55 @@ impl Cluster {
                 }
                 continue;
             }
-            let has_twin = self.procs[pid]
-                .store
-                .frame(page)
-                .is_some_and(Frame::has_twin);
+            let has_twin = meta.is_some_and(|m| m.has_twin);
             // The home effect decides at diff time: a home page with no
             // consumers never needs its modifications summarized, even if
             // overdrive armed a (pure-overhead) twin on it.
             let use_diff = has_twin
                 && (pid != home || (is_update && self.copyset(page).others(pid).next().is_some()));
             if has_twin && !use_diff {
-                self.procs[pid]
-                    .store
-                    .frame_mut(page)
-                    .drop_twin_into(&mut self.pool);
+                self.procs[pid].store.drop_twin(page, &mut self.pool);
             }
             if use_diff {
                 let scan = self.cfg.sim.costs.diff_create(ps);
                 self.charge(pid, Category::Os, scan);
                 self.stats.diffs_created += 1;
-                let diff = self.procs[pid]
-                    .store
-                    .frame_mut(page)
-                    .diff_against_twin_in(page, &mut self.pool);
-                self.procs[pid]
-                    .store
-                    .frame_mut(page)
-                    .drop_twin_into(&mut self.pool);
+                let diff = self.procs[pid].store.seal(page, &mut self.pool);
                 if diff.is_empty() {
                     self.stats.empty_diffs += 1;
                     if self.od_mode == OdMode::Overdrive {
                         self.stats.overdrive_zero_diffs += 1;
                     }
                 } else {
-                    let old = self.versions[page.index()];
-                    self.bar_deliveries.bump(page, &mut self.versions);
-                    let new = self.versions[page.index()];
-                    self.emit(CheckEvent::VersionBump {
-                        page: page.0,
-                        old,
-                        new,
-                    });
-                    self.bar_deliveries.writer_bumps.push((pid, page));
+                    self.bar_bump(pid, page);
                     contributions += 1;
                     if pid != home {
-                        let sent_at = self.procs[pid].clock.now();
-                        let tr = self.net.push_reliable(
-                            pid,
-                            home,
-                            ReliableKind::DiffFlushHome,
-                            diff.wire_bytes(),
-                            sent_at,
-                        );
-                        self.charge(pid, Category::Os, tr.sender);
-                        self.stats
-                            .note_flush(page.index(), diff.wire_bytes() as u64);
-                        if tr.attempts > 1 {
-                            self.emit(CheckEvent::WireRetransmit {
-                                src: pid,
-                                dst: home,
-                                attempts: tr.attempts,
-                            });
-                        }
-                        self.bar_deliveries.home_flushes.push((
-                            home,
-                            page,
-                            diff.clone(),
-                            tr.receiver,
-                        ));
+                        self.bar_flush_home(pid, home, page, &diff);
                     }
                     if is_update {
                         let cs = self.copyset(page).clone();
+                        let members: Vec<usize> = cs.others(pid).filter(|&q| q != home).collect();
                         self.emit(CheckEvent::UpdateFlush {
                             writer: pid,
                             page: page.0,
                             copyset: &cs,
+                            pushes: members.len(),
+                            diff: &diff,
                         });
-                        let members: Vec<usize> = cs.others(pid).filter(|&q| q != home).collect();
                         for q in members {
-                            let now = self.procs[pid].clock.now();
-                            let out = self.net.push_update(
-                                pid,
-                                q,
-                                FlushKind::UpdateFlush,
-                                diff.wire_bytes(),
-                                now,
-                            );
-                            self.charge(pid, Category::Os, out.transit.sender);
-                            self.stats
-                                .note_flush(page.index(), diff.wire_bytes() as u64);
-                            if out.delivered {
-                                self.bar_deliveries.bar_updates.push((
-                                    q,
-                                    page,
-                                    diff.clone(),
-                                    out.transit.receiver,
-                                ));
-                                if out.duplicated {
-                                    // The faulty wire delivered the flush
-                                    // twice: queue a second, identical copy.
-                                    // Self-validation sees one update too
-                                    // many and falls back to invalidation —
-                                    // slower, never wrong.
-                                    self.emit(CheckEvent::DupDelivery {
-                                        writer: pid,
-                                        page: page.0,
-                                        dst: q,
-                                    });
-                                    self.bar_deliveries.bar_updates.push((
-                                        q,
-                                        page,
-                                        diff.clone(),
-                                        out.transit.receiver,
-                                    ));
-                                }
-                            }
+                            self.bar_push_update(pid, q, page, &diff);
                         }
                     }
                 }
                 // The clones rode into the delivery queues; the original's
                 // storage goes back to the free-lists.
-                self.pool.put_diff(diff);
+                S::recycle(&mut self.pool, diff);
             } else {
                 // Home wrote, no consumers needing a diff: version bump only
                 // ("modifications made by the home node are merely noted
                 // locally").
                 debug_assert_eq!(pid, home, "non-home dirty pages always have twins");
-                let old = self.versions[page.index()];
-                self.bar_deliveries.bump(page, &mut self.versions);
-                let new = self.versions[page.index()];
-                self.emit(CheckEvent::VersionBump {
-                    page: page.0,
-                    old,
-                    new,
-                });
-                self.bar_deliveries.writer_bumps.push((pid, page));
+                self.bar_bump(pid, page);
                 contributions += 1;
             }
             if reprotect {
@@ -357,6 +231,63 @@ impl Cluster {
             }
         }
         contributions
+    }
+
+    /// Advance `page`'s version on `pid`'s behalf: the barrier's ledger,
+    /// the checker event, and the contribution record.
+    pub(crate) fn bar_bump(&mut self, pid: usize, page: PageId) {
+        let old = self.versions[page.index()];
+        self.bar_deliveries.bump(page, &mut self.versions);
+        self.emit(CheckEvent::VersionBump {
+            page: page.0,
+            old,
+            new: old + 1,
+        });
+        self.bar_deliveries.writer_bumps.push((pid, page));
+    }
+
+    /// Flush `diff` reliably to `page`'s home, queueing it for the home's
+    /// post-release step.
+    pub(crate) fn bar_flush_home(&mut self, pid: usize, home: usize, page: PageId, diff: &S::Diff) {
+        let sent_at = self.procs[pid].clock.now();
+        let bytes = diff.wire_bytes();
+        let tr = self
+            .net
+            .push_reliable(pid, home, ReliableKind::DiffFlushHome, bytes, sent_at);
+        self.charge(pid, Category::Os, tr.sender);
+        self.stats.note_flush(page.index(), bytes as u64);
+        self.note_attempts(pid, home, tr.attempts);
+        self.bar_deliveries
+            .home_flushes
+            .push((home, page, diff.clone(), tr.receiver));
+    }
+
+    /// Push `diff` to consumer `q` as one droppable update, queueing what
+    /// the wire delivers for `q`'s post-release step.
+    pub(crate) fn bar_push_update(&mut self, pid: usize, q: usize, page: PageId, diff: &S::Diff) {
+        let now = self.procs[pid].clock.now();
+        let bytes = diff.wire_bytes();
+        let out = self
+            .net
+            .push_update(pid, q, FlushKind::UpdateFlush, bytes, now);
+        self.charge(pid, Category::Os, out.transit.sender);
+        self.stats.note_flush(page.index(), bytes as u64);
+        if !out.delivered {
+            return;
+        }
+        let update = (q, page, diff.clone(), out.transit.receiver);
+        if out.duplicated {
+            // The faulty wire delivered the flush twice: queue a second,
+            // identical copy. Self-validation sees one update too many and
+            // falls back to invalidation — slower, never wrong.
+            self.emit(CheckEvent::DupDelivery {
+                writer: pid,
+                page: page.0,
+                dst: q,
+            });
+            self.bar_deliveries.bar_updates.push(update.clone());
+        }
+        self.bar_deliveries.bar_updates.push(update);
     }
 
     /// Post-release work: homes apply incoming diff flushes, consumers
@@ -373,8 +304,8 @@ impl Cluster {
             let cost = self.cfg.sim.costs.diff_apply(diff.payload_bytes());
             self.charge(pid, Category::Os, cost);
             self.materialize_home_frame(pid, page);
-            self.procs[pid].store.frame_mut(page).apply_diff(&diff);
-            self.pool.put_diff(diff);
+            self.procs[pid].store.apply_diff(page, &diff);
+            S::recycle(&mut self.pool, diff);
         }
 
         // 2. The home's copy is current for every page bumped this barrier.
@@ -382,7 +313,7 @@ impl Cluster {
         for &(page, _, newv) in &bumps {
             if self.homes[page.index()] == pid {
                 self.materialize_home_frame(pid, page);
-                self.procs[pid].store.frame_mut(page).set_version_seen(newv);
+                self.procs[pid].store.set_version_seen(page, newv);
             }
         }
 
@@ -396,7 +327,7 @@ impl Cluster {
         let (mine, rest): (Vec<_>, Vec<_>) = all.into_iter().partition(|(d, ..)| *d == pid);
         self.bar_deliveries.bar_updates = rest;
         let mine = self.delivery_order(mine, |t| t.1 .0);
-        let mut by_page: Vec<(PageId, Vec<Diff>)> = Vec::new();
+        let mut by_page: Vec<(PageId, Vec<S::Diff>)> = Vec::new();
         for (_, page, diff, recv) in mine {
             self.charge(pid, Category::Sigio, recv);
             match by_page.iter_mut().find(|(p, _)| *p == page) {
@@ -408,7 +339,7 @@ impl Cluster {
             if self.homes[page.index()] == pid {
                 continue;
             }
-            let received: &[Diff] = by_page
+            let received: &[S::Diff] = by_page
                 .iter()
                 .find(|(p, _)| *p == page)
                 .map_or(&[], |(_, v)| v.as_slice());
@@ -425,8 +356,8 @@ impl Cluster {
                 (newv - oldv) as usize - my_contrib
             });
             let current = {
-                let f = self.procs[pid].store.frame(page);
-                f.is_some_and(|f| f.prot().readable() && f.version_seen() == oldv)
+                let m = self.procs[pid].store.meta(page);
+                m.is_some_and(|m| m.prot.readable() && m.version_seen == oldv)
                     && received.len() == expected
             };
             if current {
@@ -434,17 +365,17 @@ impl Cluster {
                     let cost = self.cfg.sim.costs.diff_apply(diff.payload_bytes());
                     self.charge(pid, Category::Os, cost);
                 }
-                let f = self.procs[pid].store.frame_mut(page);
+                let store = &mut self.procs[pid].store;
                 for diff in received {
-                    f.apply_diff(diff);
+                    store.apply_diff(page, diff);
                 }
-                f.set_version_seen(newv);
+                store.set_version_seen(page, newv);
             }
         }
         // The update diffs' lifetime ends here; recycle their storage.
         for (_, diffs) in by_page {
             for d in diffs {
-                self.pool.put_diff(d);
+                S::recycle(&mut self.pool, d);
             }
         }
 
@@ -457,8 +388,8 @@ impl Cluster {
             }
             let stale = self.procs[pid]
                 .store
-                .frame(page)
-                .is_some_and(|f| f.prot().readable() && f.version_seen() < newv);
+                .meta(page)
+                .is_some_and(|m| m.prot.readable() && m.version_seen < newv);
             if stale {
                 self.set_prot(pid, page, Protection::Invalid);
             }
@@ -470,14 +401,9 @@ impl Cluster {
     /// never touched the page and no flush preceded this one, the image is
     /// by definition the current content.
     fn materialize_home_frame(&mut self, pid: usize, page: PageId) {
-        if self.procs[pid].store.frame(page).is_some() {
-            return;
+        if self.procs[pid].store.meta(page).is_none() {
+            self.procs[pid].store.materialize(page, Protection::Read);
         }
-        let image = self.image.page(page.index());
-        let f = self.procs[pid].store.frame_mut(page);
-        f.fill_from(image);
-        f.set_prot(Protection::Read);
-        f.set_version_seen(1);
     }
 
     // ------------------------------------------------------------------
@@ -523,27 +449,17 @@ impl Cluster {
                 self.net
                     .push_reliable(old_home, new_home, ReliableKind::PageMigrate, ps, sent_at);
             self.charge(old_home, Category::Os, tr.sender);
-            if tr.attempts > 1 {
-                self.emit(CheckEvent::WireRetransmit {
-                    src: old_home,
-                    dst: new_home,
-                    attempts: tr.attempts,
-                });
-            }
+            self.note_attempts(old_home, new_home, tr.attempts);
             self.charge(new_home, Category::Sigio, tr.receiver);
             let version = self.versions[pg];
-            {
-                let (old_p, new_p) = Cluster::pair_mut(&mut self.procs, old_home, new_home);
-                let src = old_p.store.frame(page).expect("old home frame");
-                let f = new_p.store.frame_mut(page);
-                f.fill_from(src.data());
-                f.set_version_seen(version);
-                if !f.prot().readable() {
-                    f.set_prot(Protection::Read);
-                }
-                // Drop any stale twin at the new home: its next write will
-                // re-evaluate the home effect.
-                f.drop_twin();
+            let (old_p, new_p) = Self::pair_mut(&mut self.procs, old_home, new_home);
+            // Drop any stale twin at the new home: its next write will
+            // re-evaluate the home effect.
+            new_p.store.drop_twin(page, &mut self.pool);
+            new_p.store.copy_page(page, &old_p.store);
+            new_p.store.set_version_seen(page, version);
+            if !new_p.store.protection(page).readable() {
+                new_p.store.set_protection(page, Protection::Read);
             }
             self.homes[pg] = new_home;
             self.stats.migrations += 1;

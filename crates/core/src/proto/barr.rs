@@ -32,9 +32,8 @@
 //! expected-update count (an elided member must not mistake the missing
 //! push for a lost flush and invalidate a provably clean copy).
 
-use dsm_net::{FlushKind, ReliableKind};
 use dsm_sim::Category;
-use dsm_vm::{Diff, PageId};
+use dsm_vm::{Delta, PageId, Pages};
 
 /// Intersect a sorted, disjoint range iterator with sorted, disjoint
 /// spans. The result covers exactly `ranges ∩ spans`; since every actual
@@ -63,7 +62,7 @@ use crate::check::CheckEvent;
 use crate::drive::cluster::Cluster;
 use crate::mem::RegionTable;
 
-impl Cluster {
+impl<S: Pages> Cluster<S> {
     /// True when `pid`'s write fault on `page` may skip the twin: bar-r
     /// with a region table whose certificate covers the page and names
     /// `pid` as one of its proven writers.
@@ -96,15 +95,11 @@ impl Cluster {
             .writer(pid)
             .expect("tracked page without a writer certificate");
 
-        let d = self.procs[pid].store.frame(page).expect("tracked frame");
-        let ranges = d.dirty_ranges();
+        let ranges = self.procs[pid].store.tracked_ranges(page);
         if ranges.is_clean() {
             // Defensive: an armed page with no recorded write flushes
             // nothing (bar-u's empty-diff case).
-            self.procs[pid]
-                .store
-                .frame_mut(page)
-                .disarm_dirty_tracking();
+            self.procs[pid].store.disarm_tracking(page);
             self.stats.empty_diffs += 1;
             return false;
         }
@@ -134,50 +129,13 @@ impl Cluster {
         let scan = self.cfg.sim.costs.diff_create(captured);
         self.charge(pid, Category::Os, scan);
         self.stats.diffs_created += 1;
-        let diff = Diff::capture_in(
-            page,
-            self.procs[pid].store.frame(page).expect("frame").data(),
-            &spans,
-            &mut self.pool,
-        );
-        self.procs[pid]
-            .store
-            .frame_mut(page)
-            .disarm_dirty_tracking();
+        let diff = self.procs[pid].store.capture(page, &spans, &mut self.pool);
+        self.procs[pid].store.disarm_tracking(page);
         debug_assert!(!diff.is_empty(), "non-clean ranges captured no runs");
 
-        let old = self.versions[page.index()];
-        self.bar_deliveries.bump(page, &mut self.versions);
-        let new = self.versions[page.index()];
-        self.emit(CheckEvent::VersionBump {
-            page: page.0,
-            old,
-            new,
-        });
-        self.bar_deliveries.writer_bumps.push((pid, page));
-
+        self.bar_bump(pid, page);
         if pid != home {
-            let sent_at = self.procs[pid].clock.now();
-            let tr = self.net.push_reliable(
-                pid,
-                home,
-                ReliableKind::DiffFlushHome,
-                diff.wire_bytes(),
-                sent_at,
-            );
-            self.charge(pid, Category::Os, tr.sender);
-            self.stats
-                .note_flush(page.index(), diff.wire_bytes() as u64);
-            if tr.attempts > 1 {
-                self.emit(CheckEvent::WireRetransmit {
-                    src: pid,
-                    dst: home,
-                    attempts: tr.attempts,
-                });
-            }
-            self.bar_deliveries
-                .home_flushes
-                .push((home, page, diff.clone(), tr.receiver));
+            self.bar_flush_home(pid, home, page, &diff);
         }
 
         // Update pushes: full-copyset event (the copyset-omission
@@ -190,14 +148,16 @@ impl Cluster {
         // which is exactly what the certificate licenses; the home's
         // canonical copy got the full delta above.)
         let cs = self.copyset(page).clone();
+        let readers = &wr.readers;
+        let mut elided = crate::proto::CopySet::EMPTY;
+        let members: Vec<usize> = cs.others(pid).filter(|&q| q != home).collect();
         self.emit(CheckEvent::UpdateFlush {
             writer: pid,
             page: page.0,
             copyset: &cs,
+            pushes: members.iter().filter(|&&q| readers.contains(q)).count(),
+            diff: &diff,
         });
-        let readers = &wr.readers;
-        let mut elided = crate::proto::CopySet::EMPTY;
-        let members: Vec<usize> = cs.others(pid).filter(|&q| q != home).collect();
         for q in members {
             if !readers.contains(q) {
                 elided.insert(q);
@@ -210,12 +170,9 @@ impl Cluster {
                     if clipped == spans {
                         diff.clone()
                     } else {
-                        Diff::capture_in(
-                            page,
-                            self.procs[pid].store.frame(page).expect("frame").data(),
-                            &clipped,
-                            &mut self.pool,
-                        )
+                        self.procs[pid]
+                            .store
+                            .capture(page, &clipped, &mut self.pool)
                     }
                 }
                 // No load footprint recorded for a proven reader: the
@@ -224,35 +181,8 @@ impl Cluster {
                 None => diff.clone(),
             };
             self.stats.region_push_bytes_saved += (diff.wire_bytes() - pdiff.wire_bytes()) as u64;
-            let now = self.procs[pid].clock.now();
-            let out = self
-                .net
-                .push_update(pid, q, FlushKind::UpdateFlush, pdiff.wire_bytes(), now);
-            self.charge(pid, Category::Os, out.transit.sender);
-            self.stats
-                .note_flush(page.index(), pdiff.wire_bytes() as u64);
-            if out.delivered {
-                self.bar_deliveries.bar_updates.push((
-                    q,
-                    page,
-                    pdiff.clone(),
-                    out.transit.receiver,
-                ));
-                if out.duplicated {
-                    self.emit(CheckEvent::DupDelivery {
-                        writer: pid,
-                        page: page.0,
-                        dst: q,
-                    });
-                    self.bar_deliveries.bar_updates.push((
-                        q,
-                        page,
-                        pdiff.clone(),
-                        out.transit.receiver,
-                    ));
-                }
-            }
-            self.pool.put_diff(pdiff);
+            self.bar_push_update(pid, q, page, &pdiff);
+            S::recycle(&mut self.pool, pdiff);
         }
         if !elided.is_empty() {
             self.emit(CheckEvent::FalseShareElided {
@@ -261,7 +191,7 @@ impl Cluster {
                 elided: &elided,
             });
         }
-        self.pool.put_diff(diff);
+        S::recycle(&mut self.pool, diff);
         true
     }
 

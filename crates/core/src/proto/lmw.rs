@@ -25,7 +25,7 @@
 
 use dsm_net::{FlushKind, ReliableKind};
 use dsm_sim::{Category, FastMap, Time};
-use dsm_vm::{Diff, FaultKind, Frame, PageBuf, PageId, Protection};
+use dsm_vm::{Delta, Diff, FaultKind, Frame, PageBuf, PageId, Pages, Protection};
 
 use crate::check::CheckEvent;
 use crate::config::{PlantedBug, ProtocolKind};
@@ -39,27 +39,27 @@ use crate::proto::notice::{WriteNotice, NOTICE_WIRE_BYTES};
 /// (race-free programs), which makes `(hi, lo, writer)` a sound application
 /// order.
 #[derive(Clone, Debug, Default)]
-pub struct Segment {
+pub struct Segment<D> {
     pub lo: u64,
     pub hi: u64,
-    pub diff: Diff,
+    pub diff: D,
 }
 
-dsm_sim::impl_state!(Segment { state: lo, hi, diff; });
+dsm_sim::impl_state!(Segment<Diff> { state: lo, hi, diff; });
 
 /// Per-process homeless-protocol state.
 #[derive(Default, Debug)]
-pub struct LmwProc {
+pub struct LmwProc<D> {
     /// Sealed segments this process created, per page, ascending `hi`.
     /// Retained until GC (the paper's "voracious appetite for memory").
-    pub segments: FastMap<u32, Vec<Segment>>,
+    pub segments: FastMap<u32, Vec<Segment<D>>>,
     /// Pages with an accumulating (un-diffed) twin:
     /// page → (first dirty epoch, last dirty epoch).
     pub pending: FastMap<u32, (u64, u64)>,
     /// Write notices received but not yet applied locally, per page.
     pub known_notices: FastMap<u32, Vec<WriteNotice>>,
     /// lmw-u: updates that arrived by flush: page → (writer, lo, hi, diff).
-    pub pending_updates: FastMap<u32, Vec<(u16, u64, u64, Diff)>>,
+    pub pending_updates: FastMap<u32, Vec<(u16, u64, u64, D)>>,
     /// lmw-u: this process's view of who caches each page it writes.
     pub copysets: FastMap<u32, CopySet>,
     /// Per (page, writer): highest segment `hi` applied locally. Together
@@ -72,11 +72,11 @@ pub struct LmwProc {
 
 // Map values that are vectors keep their order verbatim: it is the
 // deterministic push order, observable through fetch/apply sequencing.
-dsm_sim::impl_state!(LmwProc {
+dsm_sim::impl_state!(LmwProc<Diff> {
     state: segments, pending, known_notices, pending_updates, copysets, applied;
 });
 
-impl LmwProc {
+impl<D> LmwProc<D> {
     /// Total retained diffs (GC-pressure metric).
     pub fn retained_diffs(&self) -> usize {
         self.segments.values().map(Vec::len).sum::<usize>()
@@ -84,7 +84,7 @@ impl LmwProc {
     }
 }
 
-impl Cluster {
+impl<S: Pages> Cluster<S> {
     // ------------------------------------------------------------------
     // Fault path
     // ------------------------------------------------------------------
@@ -95,11 +95,8 @@ impl Cluster {
             self.lmw_validate(pid, page);
         }
         if kind.is_write() {
-            if !self.procs[pid].store.frame_mut(page).has_twin() {
-                self.procs[pid]
-                    .store
-                    .frame_mut(page)
-                    .make_twin_in(&mut self.pool);
+            if !self.procs[pid].store.meta(page).is_some_and(|m| m.has_twin) {
+                self.procs[pid].store.make_twin(page, &mut self.pool);
                 let twin_cost = self.cfg.sim.costs.twin_create(self.page_size());
                 self.charge(pid, Category::Os, twin_cost);
                 self.stats.twins += 1;
@@ -126,17 +123,10 @@ impl Cluster {
         let scan = self.cfg.sim.costs.diff_create(self.page_size());
         self.charge(writer, cat, scan);
         self.stats.diffs_created += 1;
-        let diff = self.procs[writer]
-            .store
-            .frame_mut(page)
-            .diff_against_twin_in(page, &mut self.pool);
-        self.procs[writer]
-            .store
-            .frame_mut(page)
-            .drop_twin_into(&mut self.pool);
+        let diff = self.procs[writer].store.seal(page, &mut self.pool);
         if diff.is_empty() {
             self.stats.empty_diffs += 1;
-            self.pool.put_diff(diff);
+            S::recycle(&mut self.pool, diff);
             return true;
         }
         self.procs[writer]
@@ -169,9 +159,9 @@ impl Cluster {
 
         let floor = self.procs[pid]
             .store
-            .frame(page)
-            .map_or(0, Frame::applied_through);
-        let applied_w = |lmw: &LmwProc, w: u16| -> u64 {
+            .meta(page)
+            .map_or(0, |m| m.applied_through);
+        let applied_w = |lmw: &LmwProc<S::Diff>, w: u16| -> u64 {
             lmw.applied
                 .get(&(page.0, w))
                 .copied()
@@ -186,7 +176,7 @@ impl Cluster {
             return;
         }
 
-        let mut to_apply: Vec<(u64, u64, u16, Diff)> = Vec::new();
+        let mut to_apply: Vec<(u64, u64, u16, S::Diff)> = Vec::new();
 
         // lmw-u: consult the pending-update store — this per-fault scan is
         // exactly the data-structure overhead the paper blames for
@@ -255,43 +245,21 @@ impl Cluster {
                 // already fetchable in place.
                 self.lmw_seal(writer, page, Category::Sigio);
             }
-            let now = self.procs[pid].clock.now();
             let since = applied_w(&self.procs[pid].lmw, w);
-            let segs: Vec<Segment> = self.procs[writer]
+            let segs: Vec<Segment<S::Diff>> = self.procs[writer]
                 .lmw
                 .segments
                 .get(&page.0)
                 .map(|v| v.iter().filter(|s| s.hi > since).cloned().collect())
                 .unwrap_or_default();
             let reply_bytes: usize = segs.iter().map(|s| s.diff.wire_bytes()).sum();
-            let prep = Time::from_ns(self.cfg.sim.costs.page_prep_ns);
-            let d = self.net.fetch(
+            self.fetch_from(
                 pid,
                 writer,
-                ReliableKind::DiffRequest,
-                NOTICE_WIRE_BYTES,
-                ReliableKind::DiffReply,
-                reply_bytes,
-                prep,
-                now,
+                (ReliableKind::DiffRequest, NOTICE_WIRE_BYTES),
+                (ReliableKind::DiffReply, reply_bytes),
+                Time::ZERO,
             );
-            self.charge(pid, Category::Wait, d.wait);
-            self.procs[pid].clock.note_retrans(d.retrans_wait);
-            if d.req_attempts > 1 {
-                self.emit(CheckEvent::WireRetransmit {
-                    src: pid,
-                    dst: writer,
-                    attempts: d.req_attempts,
-                });
-            }
-            if d.rep_attempts > 1 {
-                self.emit(CheckEvent::WireRetransmit {
-                    src: writer,
-                    dst: pid,
-                    attempts: d.rep_attempts,
-                });
-            }
-            self.charge(writer, Category::Sigio, d.server_cpu);
             for s in segs {
                 // Skip duplicates of segments already covered by updates.
                 if !to_apply
@@ -320,16 +288,16 @@ impl Cluster {
             let cost = self.cfg.sim.costs.diff_apply(diff.payload_bytes());
             self.charge(pid, Category::Os, cost);
         }
-        let f = self.procs[pid].store.frame_mut(page);
+        let store = &mut self.procs[pid].store;
         for (_, _, _, diff) in &to_apply {
-            f.apply_diff(diff);
+            store.apply_diff(page, diff);
         }
         for (hi, _, w, _) in &to_apply {
             let e = self.procs[pid].lmw.applied.entry((page.0, *w)).or_insert(0);
             *e = (*e).max(*hi);
         }
         for (_, _, _, diff) in to_apply {
-            self.pool.put_diff(diff);
+            S::recycle(&mut self.pool, diff);
         }
 
         self.set_prot(pid, page, Protection::Read);
@@ -359,46 +327,14 @@ impl Cluster {
             from: writer,
             page: page.0,
         });
-        let ps = self.page_size();
-        let prep = Time::from_ns(self.cfg.sim.costs.page_prep_ns);
         let fixed = Time::from_ns(self.cfg.sim.costs.page_fault_fixed_ns);
-        let now = self.procs[pid].clock.now();
-        let d = self.net.fetch(
-            pid,
-            writer,
-            ReliableKind::PageRequest,
-            0,
-            ReliableKind::PageReply,
-            ps,
-            prep,
-            now,
-        );
-        self.charge(pid, Category::Wait, d.wait + fixed);
-        self.procs[pid].clock.note_retrans(d.retrans_wait);
-        if d.req_attempts > 1 {
-            self.emit(CheckEvent::WireRetransmit {
-                src: pid,
-                dst: writer,
-                attempts: d.req_attempts,
-            });
-        }
-        if d.rep_attempts > 1 {
-            self.emit(CheckEvent::WireRetransmit {
-                src: writer,
-                dst: pid,
-                attempts: d.rep_attempts,
-            });
-        }
-        self.charge(writer, Category::Sigio, d.server_cpu);
+        let reply = (ReliableKind::PageReply, self.page_size());
+        self.fetch_from(pid, writer, (ReliableKind::PageRequest, 0), reply, fixed);
         let epoch = self.last_write_epoch[page.index()];
-        {
-            let (me, srv) = Cluster::pair_mut(&mut self.procs, pid, writer);
-            let src = srv.store.frame(page).expect("server frame");
-            let f = me.store.frame_mut(page);
-            f.fill_from(src.data());
-            // A full copy raises the all-writers floor.
-            f.raise_applied_through(epoch);
-        }
+        let (me, srv) = Self::pair_mut(&mut self.procs, pid, writer);
+        me.store.copy_page(page, &srv.store);
+        // A full copy raises the all-writers floor.
+        me.store.raise_applied_through(page, epoch);
         self.set_prot(pid, page, Protection::Read);
         self.stats.remote_misses += 1;
         if self.cfg.protocol == ProtocolKind::LmwU {
@@ -437,7 +373,7 @@ impl Cluster {
             if cs.others(pid).next().is_some() {
                 // Update path: seal now and push the newest segment.
                 self.lmw_seal(pid, page, Category::Os);
-                let seg: Option<Segment> = self.procs[pid]
+                let seg: Option<Segment<S::Diff>> = self.procs[pid]
                     .lmw
                     .segments
                     .get(&page.0)
@@ -450,12 +386,14 @@ impl Cluster {
                     continue;
                 };
                 notices.push(WriteNotice::new(page, pid, self.epoch));
+                let members: Vec<usize> = cs.others(pid).collect();
                 self.emit(CheckEvent::UpdateFlush {
                     writer: pid,
                     page: page.0,
                     copyset: &cs,
+                    pushes: members.len(),
+                    diff: &seg.diff,
                 });
-                let members: Vec<usize> = cs.others(pid).collect();
                 for q in members {
                     let now = self.procs[pid].clock.now();
                     let out = self.net.push_update(
@@ -535,7 +473,7 @@ impl Cluster {
             // process also caches means p holds (a modified copy of) the
             // page — p belongs in our copyset for it.
             if self.cfg.protocol == ProtocolKind::LmwU
-                && self.procs[pid].store.frame(n.page_id()).is_some()
+                && self.procs[pid].store.meta(n.page_id()).is_some()
             {
                 self.procs[pid]
                     .lmw
@@ -629,19 +567,21 @@ impl Cluster {
             let lmw = &mut self.procs[pid].lmw;
             for (_, segs) in lmw.segments.drain() {
                 for s in segs {
-                    self.pool.put_diff(s.diff);
+                    S::recycle(&mut self.pool, s.diff);
                 }
             }
             for (_, ups) in lmw.pending_updates.drain() {
                 for (_, _, _, d) in ups {
-                    self.pool.put_diff(d);
+                    S::recycle(&mut self.pool, d);
                 }
             }
             lmw.known_notices.clear();
             lmw.applied.clear();
         }
     }
+}
 
+impl Cluster {
     // ------------------------------------------------------------------
     // Snapshot (verification only, uncharged)
     // ------------------------------------------------------------------

@@ -14,9 +14,11 @@
 //! * [`overdrive`] — write-set prediction and the `bar-s` / `bar-m`
 //!   steady-state trap elimination.
 //!
-//! The protocol logic is implemented as `impl Cluster` blocks (the
-//! simulation owns every process, so cross-process steps are plain method
-//! calls); this module holds their state types and pure helpers.
+//! The protocol logic is implemented as `impl<S: Pages> Cluster<S>` blocks
+//! (the simulation owns every process, so cross-process steps are plain
+//! method calls), generic over the page table so the same code runs over
+//! real frames and over `dsm-plan`'s dataless digests; this module holds
+//! their state types and pure helpers.
 
 pub mod bar;
 pub mod barr;

@@ -26,7 +26,7 @@
 use std::collections::BTreeSet;
 
 use dsm_sim::Category;
-use dsm_vm::{PageId, Protection};
+use dsm_vm::{Delta, PageId, Pages, Protection};
 
 use crate::config::{DivergencePolicy, ProtocolKind};
 use crate::drive::cluster::Cluster;
@@ -72,7 +72,7 @@ impl OdProc {
     }
 }
 
-impl Cluster {
+impl<S: Pages> Cluster<S> {
     /// Record the write set of the epoch that just ended (learning mode).
     pub(crate) fn od_record(&mut self, site: usize) {
         let phases = self.phases_per_iter;
@@ -156,10 +156,7 @@ impl Cluster {
                 // twinned eagerly; for pages the home effect would not have
                 // diffed, the twin is pure overhead (dropped undiffed at
                 // the next barrier).
-                self.procs[pid]
-                    .store
-                    .frame_mut(page)
-                    .refresh_twin_in(&mut self.pool);
+                self.procs[pid].store.refresh_twin(page, &mut self.pool);
                 self.charge(pid, Category::Os, twin_cost);
                 self.stats.twins += 1;
                 if bar_s {
@@ -178,11 +175,8 @@ impl Cluster {
                 let pages: Vec<u32> = self.procs[pid].od.pre_enabled.iter().copied().collect();
                 for pg in pages {
                     let page = PageId(pg);
-                    if !self.procs[pid].store.frame_mut(page).has_twin() {
-                        self.procs[pid]
-                            .store
-                            .frame_mut(page)
-                            .refresh_twin_in(&mut self.pool);
+                    if !self.procs[pid].store.meta(page).is_some_and(|m| m.has_twin) {
+                        self.procs[pid].store.refresh_twin(page, &mut self.pool);
                     }
                 }
             }
@@ -239,17 +233,18 @@ impl Cluster {
                 .collect();
             for pg in unpredicted {
                 let page = PageId(pg);
-                let Some(f) = self.procs[pid].store.frame(page) else {
+                let Some(m) = self.procs[pid].store.meta(page) else {
                     continue;
                 };
-                if f.has_twin() && !f.diff_against_twin(page).is_empty() {
-                    self.stats.consistency_violations += 1;
+                if m.has_twin {
+                    let diff = self.procs[pid].store.seal(page, &mut self.pool);
+                    if !diff.is_empty() {
+                        self.stats.consistency_violations += 1;
+                    }
+                    S::recycle(&mut self.pool, diff);
                 }
                 // Refresh the shadow twin for the next epoch's check.
-                self.procs[pid]
-                    .store
-                    .frame_mut(page)
-                    .refresh_twin_in(&mut self.pool);
+                self.procs[pid].store.refresh_twin(page, &mut self.pool);
             }
         }
     }

@@ -8,37 +8,35 @@
 //! read that changes behavior between machines. This binary scans the
 //! library sources of the deterministic crates and fails on:
 //!
-//! * `instant` — `std::time::Instant` / `Instant::now` (wall-clock time;
-//!   the simulator has its own virtual clock);
-//! * `system-time` — `std::time::SystemTime` (same, worse);
+//! * `instant` — `Instant` (wall-clock time; the simulator has its own
+//!   virtual clock);
+//! * `system-time` — `SystemTime` (same, worse);
 //! * `default-hasher` — `HashMap` / `HashSet` mentions outside
 //!   `dsm_sim::fasthash` (RandomState seeds per-process: iteration order
 //!   is not reproducible; use `FastMap` / `FastSet`);
-//! * `thread-rng` — `thread_rng` / `rand::` (ambient RNG; use
+//! * `thread-rng` — `thread_rng` / a `rand::` path (ambient RNG; use
 //!   `dsm_sim::DetRng`);
-//! * `env-read` — `std::env` reads in library code (behavior must not
-//!   depend on the invoking environment).
+//! * `env-read` — an `env` path segment, as in `std::env` or `env::var`
+//!   (behavior must not depend on the invoking environment).
 //!
-//! A second, structural pass enforces the transport discipline
-//! (`send-raw`, `flush-outcome`), the sparse-scaling contract
-//! (`dense-by-nodes`) and the state-declaration contract (`state-rest`:
-//! no `..` rest pattern inside a hand-written `impl State for …`, so the
-//! compiler's exhaustiveness check stays the proof that every field is
-//! classified). Those rules live in [`rules`] on the [`lexer`]'s token
-//! layer — they bind to call-site and statement syntax, not substrings —
-//! and this binary applies them over a wider net than the determinism
-//! needles: `examples/` and `crates/bench/src` can also reach the
-//! transport, so they are scanned for raw sends and discarded
-//! `FlushOutcome`s too (the determinism rules stay library-only — host
-//! timing is bench's job, and examples may read the environment).
+//! The structural rules enforce the transport discipline (`send-raw`,
+//! `flush-outcome`), the sparse-scaling contract (`dense-by-nodes`) and
+//! the state-declaration contract (`state-rest`: no `..` rest pattern
+//! inside a hand-written `impl State for …`, so the compiler's
+//! exhaustiveness check stays the proof that every field is classified).
+//! Every rule lives in [`rules`] on the [`lexer`]'s token layer — they
+//! bind to identifiers, paths, call sites and statement syntax, not
+//! substrings, and comments and string contents never reach them. The
+//! structural rules cast a wider net than the determinism ones:
+//! `examples/` and `crates/bench/src` can also reach the transport, so
+//! they are scanned for raw sends and discarded `FlushOutcome`s too (the
+//! determinism rules stay library-only — host timing is bench's job, and
+//! examples may read the environment).
 //!
 //! Deliberate exceptions live in `lint-allow.toml` at the workspace root,
 //! parsed by [`allow`] (the workspace is dependency-free by design). Every
 //! entry names a file, a rule, and a reason; stale entries that no longer
 //! match anything are themselves errors, so the allowlist cannot rot.
-//!
-//! Comments and string literals are stripped before matching: the rules
-//! bind to code, not to prose about code.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -51,7 +49,7 @@ mod rules;
 
 use allow::parse_allowlist;
 use lexer::lex;
-use rules::{check_dense, check_sends, check_state_rest};
+use rules::{check_dense, check_determinism, check_sends, check_state_rest};
 
 /// Library source trees under the determinism contract. `bench` (host
 /// timing is its job) and this crate are deliberately outside it; test
@@ -64,75 +62,6 @@ const CRATES: [&str; 8] = [
 /// bench harness drive real clusters, so a raw `send_flush` there skips
 /// costs and fault injection exactly as it would in a library crate.
 const TRANSPORT_EXTRA: [&str; 2] = ["examples", "crates/bench/src"];
-
-/// One banned-pattern rule: an id for the allowlist, the needles that
-/// trigger it, and the contract it protects.
-struct Rule {
-    id: &'static str,
-    needles: &'static [&'static str],
-    why: &'static str,
-}
-
-const RULES: [Rule; 5] = [
-    Rule {
-        id: "instant",
-        needles: &["std::time::Instant", "Instant::now"],
-        why: "wall-clock time; use the simulator's virtual clock",
-    },
-    Rule {
-        id: "system-time",
-        needles: &["SystemTime"],
-        why: "wall-clock time; use the simulator's virtual clock",
-    },
-    Rule {
-        id: "default-hasher",
-        needles: &["HashMap", "HashSet"],
-        why: "RandomState iteration order is not reproducible; use dsm_sim::{FastMap, FastSet}",
-    },
-    Rule {
-        id: "thread-rng",
-        needles: &["thread_rng", "rand::"],
-        why: "ambient RNG; use dsm_sim::DetRng",
-    },
-    Rule {
-        id: "env-read",
-        needles: &["std::env", "env::var"],
-        why: "library behavior must not depend on the invoking environment",
-    },
-];
-
-/// Strip `//` comments and the contents of ordinary string literals, so
-/// rules match code only. Char literals and raw strings don't occur with
-/// banned needles in this codebase; the stripper stays simple on purpose.
-fn strip_noise(line: &str) -> String {
-    let mut out = String::with_capacity(line.len());
-    let mut chars = line.chars().peekable();
-    let mut in_str = false;
-    while let Some(c) = chars.next() {
-        if in_str {
-            match c {
-                '\\' => {
-                    chars.next();
-                }
-                '"' => {
-                    in_str = false;
-                    out.push('"');
-                }
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '/' if chars.peek() == Some(&'/') => break,
-            '"' => {
-                in_str = true;
-                out.push('"');
-            }
-            _ => out.push(c),
-        }
-    }
-    out
-}
 
 fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in fs::read_dir(dir)? {
@@ -151,8 +80,8 @@ fn run(root: &Path) -> Result<Vec<String>, String> {
         .map_err(|e| format!("reading lint-allow.toml: {e}"))?;
     let mut allows = parse_allowlist(&allow_text)?;
 
-    // (path, under the determinism needle rules?). The transport and
-    // dense token rules apply to every scanned file; their own path
+    // (path, under the determinism rules?). The transport and dense
+    // rules apply to every scanned file; their own path
     // scoping decides what can fire where.
     let mut files: Vec<(PathBuf, bool)> = Vec::new();
     let walk = |dir: PathBuf, needles: bool, files: &mut Vec<(PathBuf, bool)>| {
@@ -178,36 +107,18 @@ fn run(root: &Path) -> Result<Vec<String>, String> {
             .replace('\\', "/");
         let text =
             fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-        if *needles {
-            for (ln, raw) in text.lines().enumerate() {
-                let code = strip_noise(raw);
-                for rule in &RULES {
-                    if !rule.needles.iter().any(|n| code.contains(n)) {
-                        continue;
-                    }
-                    if let Some(a) = allows
-                        .iter_mut()
-                        .find(|a| a.rule == rule.id && a.file == rel)
-                    {
-                        a.used = true;
-                        continue;
-                    }
-                    findings.push(format!(
-                        "{rel}:{}: [{}] {} ({})",
-                        ln + 1,
-                        rule.id,
-                        raw.trim(),
-                        rule.why
-                    ));
-                }
-            }
-        }
         let toks = lex(&text);
-        let structural = check_sends(&rel, &toks)
+        let determinism = if *needles {
+            check_determinism(&toks)
+        } else {
+            Vec::new()
+        };
+        let found = determinism
             .into_iter()
+            .chain(check_sends(&rel, &toks))
             .chain(check_dense(&rel, &toks))
             .chain(check_state_rest(&toks));
-        for f in structural {
+        for f in found {
             if let Some(a) = allows
                 .iter_mut()
                 .find(|a| a.rule == f.rule && a.file == rel)
@@ -258,18 +169,5 @@ fn main() -> ExitCode {
             eprintln!("dsm-lint: {e}");
             ExitCode::FAILURE
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn noise_stripping() {
-        assert_eq!(strip_noise("let x = 1; // HashMap here"), "let x = 1; ");
-        assert_eq!(strip_noise("panic!(\"no HashMap\")"), "panic!(\"\")");
-        assert_eq!(strip_noise("a(\"q\\\"x\", b)"), "a(\"\", b)");
-        assert!(strip_noise("use std::env;").contains("std::env"));
     }
 }

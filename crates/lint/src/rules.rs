@@ -1,10 +1,11 @@
-//! The structural lint rules, on the token layer.
+//! The lint rules, on the token layer.
 //!
-//! These bind to syntax, not substrings: call sites are
-//! identifier-followed-by-`(` tokens (never `fn` definitions), statement
-//! boundaries are `;`/`{`/`}` tokens, and the pid-width and rest-pattern
-//! rules match token sequences, so prose, strings, and creative
-//! formatting can neither trigger nor dodge them.
+//! These bind to syntax, not substrings: banned names are identifier and
+//! path-segment tokens, call sites are identifier-followed-by-`(` tokens
+//! (never `fn` definitions), statement boundaries are `;`/`{`/`}` tokens,
+//! and the pid-width and rest-pattern rules match token sequences, so
+//! prose, strings, and creative formatting can neither trigger nor dodge
+//! them.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -29,6 +30,77 @@ pub const DENSE_SCOPE: [&str; 2] = ["crates/core/src/proto/", "crates/check/src/
 /// The node-count-indexed allocation check only applies to per-page
 /// protocol state; one-entry-per-process vectors elsewhere are fine.
 pub const DENSE_ALLOC_SCOPE: [&str; 1] = ["crates/core/src/proto/"];
+
+/// One determinism rule: names library code must not mention, and the
+/// contract they would break. `idents` match anywhere; `segments` only as
+/// a path segment (next to a `::`), so a local called `env` is fine.
+struct Banned {
+    rule: &'static str,
+    idents: &'static [&'static str],
+    segments: &'static [&'static str],
+    why: &'static str,
+}
+
+const BANNED: [Banned; 5] = [
+    Banned {
+        rule: "instant",
+        idents: &["Instant"],
+        segments: &[],
+        why: "wall-clock time; use the simulator's virtual clock",
+    },
+    Banned {
+        rule: "system-time",
+        idents: &["SystemTime"],
+        segments: &[],
+        why: "wall-clock time; use the simulator's virtual clock",
+    },
+    Banned {
+        rule: "default-hasher",
+        idents: &["HashMap", "HashSet"],
+        segments: &[],
+        why: "RandomState iteration order is not reproducible; use dsm_sim::{FastMap, FastSet}",
+    },
+    Banned {
+        rule: "thread-rng",
+        idents: &["thread_rng"],
+        segments: &["rand"],
+        why: "ambient RNG; use dsm_sim::DetRng",
+    },
+    Banned {
+        rule: "env-read",
+        idents: &[],
+        segments: &["env"],
+        why: "library behavior must not depend on the invoking environment",
+    },
+];
+
+/// The determinism contract: one finding per rule per source line that
+/// names a banned identifier or path segment.
+pub fn check_determinism(toks: &[Tok]) -> Vec<Finding> {
+    let mut findings: Vec<Finding> = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if t.kind != TokKind::Ident {
+            continue;
+        }
+        let in_path =
+            (i > 0 && toks[i - 1].text == "::") || toks.get(i + 1).is_some_and(|n| n.text == "::");
+        let name = t.text.as_str();
+        for b in &BANNED {
+            let hit = b.idents.contains(&name) || (in_path && b.segments.contains(&name));
+            let seen = findings
+                .last()
+                .is_some_and(|f| f.line == t.line && f.rule == b.rule);
+            if hit && !seen {
+                findings.push(Finding {
+                    line: t.line,
+                    rule: b.rule,
+                    msg: format!("`{name}`: {}", b.why),
+                });
+            }
+        }
+    }
+    findings
+}
 
 /// Transport discipline: raw send call sites outside the protocol
 /// engine, wire internals outside the transport, and discarded
@@ -244,6 +316,39 @@ mod tests {
 
     fn toks(src: &str) -> Vec<Tok> {
         lex(src)
+    }
+
+    #[test]
+    fn banned_names_are_tokens_not_substrings() {
+        let rules = |src: &str| -> Vec<(&'static str, usize)> {
+            check_determinism(&toks(src))
+                .iter()
+                .map(|f| (f.rule, f.line))
+                .collect()
+        };
+        assert_eq!(rules("let t = Instant::now();"), [("instant", 1)]);
+        assert_eq!(
+            rules("use std::time::{Duration,\n SystemTime};"),
+            [("system-time", 2)]
+        );
+        // One finding per rule per line, however many mentions.
+        assert_eq!(
+            rules("let m: HashMap<u8, HashSet<u8>> = HashMap::new();"),
+            [("default-hasher", 1)]
+        );
+        assert_eq!(rules("rand::thread_rng()"), [("thread-rng", 1)]);
+        assert_eq!(
+            rules("use std::env;\nlet v = env::var(k);"),
+            [("env-read", 1), ("env-read", 2)]
+        );
+        // Not code, not the name, or not a path segment.
+        for ok in [
+            "// a HashMap here\nlet s = \"std::env\"; /* Instant::now() */",
+            "let instant = now; struct FastHashMap; fn operand() {}",
+            "let env = Env::new(); let rand = env.rand;",
+        ] {
+            assert!(rules(ok).is_empty(), "{ok}");
+        }
     }
 
     #[test]

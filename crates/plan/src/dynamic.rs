@@ -9,8 +9,10 @@
 //!   under-declares (or the epoch accounting drifted), either of which
 //!   invalidates every static proof downstream;
 //! * **flush observation** — `UpdateFlush` events are bucketed per
-//!   barrier as `(writer, page, copyset)` triples, for comparison against
-//!   the simulator's [`crate::protosim::Prediction`] after the run.
+//!   barrier as `(writer, page, copyset)` triples and their traffic
+//!   totalled, along with the write-notice records. A run over page
+//!   digests is watched the same way: what the sink saw of it *is* the
+//!   traffic half of its [`crate::protosim::Prediction`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -18,6 +20,7 @@ use std::rc::Rc;
 use dsm_core::{CheckEvent, CheckSink};
 
 use crate::layout::Layout;
+use crate::lower::ESIZE;
 use crate::protosim::FlushTriple;
 use crate::schedule::{lower_epoch, EpochAccess, EpochSpec};
 use crate::spec::AppPlan;
@@ -32,6 +35,14 @@ pub struct PlanOutcome {
     pub observed_flushes: Vec<Vec<FlushTriple>>,
     /// Barriers seen (must equal the schedule's barrier count at the end).
     pub barriers_seen: usize,
+    /// Update messages pushed, and the payload words and diff runs they
+    /// carried in total.
+    pub flush_msgs: u64,
+    pub flush_words: u64,
+    pub flush_runs: u64,
+    /// Write-notice control records: version bumps (bar family) or
+    /// notices filed at consumers (lmw family).
+    pub notices: u64,
 }
 
 /// The cross-validation sink. Lowers each process's spans for the current
@@ -124,7 +135,20 @@ impl CheckSink for PlanSink {
                 writer,
                 page,
                 copyset,
-            } => self.bucket.push((writer as u16, page, copyset.clone())),
+                pushes,
+                diff,
+            } => {
+                self.bucket.push((writer as u16, page, copyset.clone()));
+                let payload = diff.payload_bytes();
+                let mut out = self.outcome.borrow_mut();
+                out.flush_msgs += pushes as u64;
+                out.flush_words += (pushes * payload) as u64 / ESIZE;
+                // `Diff::wire_bytes`: a page header, then a header per run.
+                out.flush_runs += (pushes * (diff.wire_bytes() - 8 - payload)) as u64 / 8;
+            }
+            CheckEvent::VersionBump { .. } | CheckEvent::NoticeRecord { .. } => {
+                self.outcome.borrow_mut().notices += 1;
+            }
             CheckEvent::BarrierRelease { .. } => {
                 let mut bucket = core::mem::take(&mut self.bucket);
                 bucket.sort_unstable();

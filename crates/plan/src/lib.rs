@@ -12,8 +12,9 @@
 //!   false-shared and emits commuting-writer region certificates
 //!   ([`falseshare`]), grounded against real runs by [`regions`];
 //! * predicts the steady-state per-page copysets and the exact per-barrier
-//!   update-flush traffic by running abstract transcriptions of the
-//!   protocols over the page-granularity footprints ([`protosim`]);
+//!   update-flush traffic by running `dsm_core`'s own protocol code over
+//!   dataless page digests fed from the page-granularity footprints
+//!   ([`protosim`], [`digest`]);
 //! * computes static page-conflict groups that the exploration scheduler's
 //!   dynamic conflict components must refine ([`groups`]);
 //! * lifts the traffic predictions to a symbolic node count, deriving
@@ -23,8 +24,10 @@
 //!
 //! The predictions are falsifiable: [`dynamic::PlanSink`] replays a real
 //! run's check-event stream against the plan, asserting dynamic accesses ⊆
-//! declared spans and observed flushes == predicted flushes.
+//! declared spans, and [`Prediction::read`] over the real cluster must
+//! equal the digest run's.
 
+pub mod digest;
 pub mod dynamic;
 pub mod falseshare;
 pub mod groups;
@@ -38,6 +41,7 @@ pub mod scaling;
 pub mod schedule;
 pub mod spec;
 
+pub use digest::{DigestDiff, DigestPages};
 pub use dynamic::{PlanOutcome, PlanSink};
 pub use falseshare::{prove_regions, run_footprints, RunFootprints};
 pub use groups::static_page_groups;

@@ -143,41 +143,20 @@ impl SpanSet {
         out
     }
 
-    /// Per-page covered word count (sorted by page). Words are
-    /// [`ESIZE`]-byte; all plan spans are word-aligned by construction.
-    pub fn page_words(&self, page_size: u64) -> Vec<(u32, u32)> {
-        let mut out: Vec<(u32, u32)> = Vec::new();
-        let mut add = |page: u32, words: u32| match out.last_mut() {
-            Some(last) if last.0 == page => last.1 += words,
-            _ => out.push((page, words)),
-        };
+    /// The set cut at page boundaries: `(page, lo, hi)` with in-page byte
+    /// offsets, sorted. Spans are merged maximal by construction, so each
+    /// piece is one run of a diff of these bytes — one `(offset, length)`
+    /// header on the wire.
+    pub fn page_spans(&self, page_size: u64) -> Vec<(u32, u32, u32)> {
+        let mut out = Vec::new();
         for &(lo, hi) in &self.spans {
             let mut cur = lo;
             while cur < hi {
                 let page = cur / page_size;
-                let page_end = ((page + 1) * page_size).min(hi);
-                add(page as u32, ((page_end - cur) / ESIZE) as u32);
-                cur = page_end;
-            }
-        }
-        out
-    }
-
-    /// Per-page count of maximal covered runs (sorted by page). Spans are
-    /// merged maximal by construction, so each span × page intersection is
-    /// one run — the shape a diff of these covered bytes takes on the
-    /// wire, one `(offset, length)` header per run.
-    pub fn page_runs(&self, page_size: u64) -> Vec<(u32, u32)> {
-        let mut out: Vec<(u32, u32)> = Vec::new();
-        let mut add = |page: u32| match out.last_mut() {
-            Some(last) if last.0 == page => last.1 += 1,
-            _ => out.push((page, 1)),
-        };
-        for &(lo, hi) in &self.spans {
-            let first = lo / page_size;
-            let last = (hi - 1) / page_size;
-            for p in first..=last {
-                add(p as u32);
+                let end = ((page + 1) * page_size).min(hi);
+                let base = page * page_size;
+                out.push((page as u32, (cur - base) as u32, (end - base) as u32));
+                cur = end;
             }
         }
         out
@@ -353,23 +332,21 @@ mod tests {
     fn spanset_page_accounting() {
         let s = SpanSet::from_raw(vec![(8, 16), (4090, 4104)]);
         assert_eq!(s.pages(4096), vec![0, 1]);
-        // (8,16) → 1 word on page 0; (4090,4104) straddles: 6 bytes → 0
-        // full words counted on page 0 side only when word-aligned — plan
-        // spans are always word-aligned, this checks the split arithmetic
-        // with aligned input instead:
+        // A span straddling a page boundary is cut there, offsets in-page.
         let s = SpanSet::from_raw(vec![(4088, 4112)]);
-        assert_eq!(s.page_words(4096), vec![(0, 1), (1, 2)]);
+        assert_eq!(s.page_spans(4096), vec![(0, 4088, 4096), (1, 0, 16)]);
     }
 
     #[test]
     fn spanset_page_runs() {
         // Two disjoint runs on page 0; the merged span (0,16) is one run.
         let s = SpanSet::from_raw(vec![(0, 8), (8, 16), (32, 40)]);
-        assert_eq!(s.page_runs(4096), vec![(0, 2)]);
+        assert_eq!(s.page_spans(4096), vec![(0, 0, 16), (0, 32, 40)]);
         // A span straddling a page boundary contributes one run to each
         // side — the diff encoding restarts its run header per page.
         let s = SpanSet::from_raw(vec![(4088, 4112), (4120, 4128)]);
-        assert_eq!(s.page_runs(4096), vec![(0, 1), (1, 2)]);
+        let pages: Vec<u32> = s.page_spans(4096).iter().map(|p| p.0).collect();
+        assert_eq!(pages, vec![0, 1, 1]);
     }
 
     #[test]

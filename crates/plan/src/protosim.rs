@@ -1,31 +1,43 @@
-//! Abstract protocol simulators: page-granularity transcriptions of the
-//! update protocols, driven by the lowered plan instead of real memory.
+//! The static predictor: the runtime's own protocol code, run over
+//! dataless pages.
+//!
+//! `dsm_core::Cluster` is generic over the per-process page table.
+//! [`predict`] instantiates it over [`DigestPages`] — frames that hold
+//! protection, version and twin state but no bytes, and remember only
+//! which spans a plan says were modified — and drives it the way an
+//! application would: every page each process touches in each epoch of the
+//! schedule goes through the cluster's access path (faults, fetches,
+//! twins), every modified span is recorded in the touched frame, and every
+//! barrier is the cluster's barrier, over the real `Network` and clocks.
+//! The [`Prediction`] is then *read* from that run: the flush stream from
+//! the check events a [`PlanSink`] saw, everything else from the
+//! cluster's own statistics, homes and copysets. There is no second copy
+//! of any protocol decision to keep in step.
 //!
 //! Why this is exact (for exact plans): within an epoch the virtual
 //! cluster runs processes sequentially in pid order, protocol state is
 //! independent across pages, and the order of one process's accesses to a
-//! page never changes the resulting metadata — so a simulator that replays
-//! per-(process, page, epoch) digests `{read, written, mod_words}` in pid
-//! order reproduces the exact fault, twin, copyset, version, and home
-//! evolution of the real run, and therefore its exact per-barrier
-//! `UpdateFlush` sequence. The two simulators below are line-for-line
-//! transcriptions of `dsm_core::proto::{bar, lmw}` under that abstraction;
-//! deviations are bugs, which is precisely what the tier-1
-//! cross-validation test would catch.
+//! page never changes the resulting metadata — so replaying per-(process,
+//! page, epoch) digests in pid order reproduces the fault, twin, copyset,
+//! version and home evolution of the real run. Reduction emulation on the
+//! homeless protocols reads and writes real slots, so its extra epochs
+//! come from [`crate::schedule`] instead of `drive::reduce`.
 //!
-//! Supported: `bar-i`/`bar-u` (and `bar-s`, whose flush behaviour is
-//! identical to `bar-u` on exact plans — overdrive's eager twins change
-//! *when* twins are made, not what is diffed), and `lmw-u`. `lmw-i` and
-//! `seq` trivially predict zero update flushes. `bar-m` is not modeled:
-//! without per-barrier reprotection its diffs span whole overdrive phases.
+//! Every protocol is predictable except `bar-r`: its twin-free deltas are
+//! captured from the dirty ranges the application's own store calls
+//! record, which a digest does not have; the regions cross-check
+//! validates it against real runs instead.
 
-use dsm_sim::{FastMap, FastSet};
-
+use dsm_core::net::{MsgKind, NetStats};
 use dsm_core::proto::CopySet;
-use dsm_core::ProtocolKind;
+use dsm_core::vm::{PageId, Pages};
+use dsm_core::{Cluster, ProtocolKind, RunConfig};
+use dsm_sim::transport::TransportKind;
 
+use crate::digest::DigestPages;
+use crate::dynamic::{PlanOutcome, PlanSink};
 use crate::layout::Layout;
-use crate::schedule::{epoch_touches, lower_epoch, EpochSpec, EpochTouch};
+use crate::schedule::{epoch_touches, lower_epoch, EpochKind, EpochSpec};
 use crate::spec::AppPlan;
 
 /// One predicted update flush, matching the `UpdateFlush` check event:
@@ -46,8 +58,9 @@ pub enum SteadyCopysets {
     PerWriter(Vec<(u32, u16, CopySet)>),
 }
 
-/// The full static prediction for one `(app, protocol, nprocs, scale)`.
-#[derive(Clone, Debug)]
+/// The full static prediction for one `(app, protocol, nprocs, scale)` —
+/// or, read off a real cluster, the same facts as observed.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Prediction {
     pub protocol: ProtocolKind,
     /// Sorted flush triples per barrier, in barrier order. Length equals
@@ -72,29 +85,61 @@ pub struct Prediction {
     pub homes: Vec<u16>,
     /// Pages whose home migrated away from process 0.
     pub migrations: usize,
-    /// Predicted data fetches: page fetches from the home (bar family) or
-    /// diff/full-page fetches from writers (`lmw-u`). Each costs a
+    /// Data fetches: page fetches from the home (bar family) or
+    /// diff/full-page fetches from writers (lmw family). Each costs a
     /// request/reply message pair on the two-sided wire but a single
     /// one-sided read on the RDMA backend — the quantity the per-backend
-    /// traffic model pivots on. `None` where fetches are not modeled
-    /// (`lmw-i`: the trivial prediction covers notices only).
-    pub fetches: Option<u64>,
+    /// traffic model pivots on.
+    pub fetches: u64,
+    /// The run's message and byte counts per kind.
+    pub net: NetStats,
 }
 
 impl Prediction {
-    /// Predicted data-plane message count under `backend`: every fetch is
-    /// two messages (request + reply) on the two-sided wire but one
-    /// one-sided read on the RDMA backend; update flushes are one message
-    /// either way (send vs one-sided write). Sync traffic (barrier
-    /// arrive/release) is pinned two-sided and identical across backends,
-    /// so it cancels out of any ranking comparison and is excluded here.
-    /// `None` when fetches are not modeled for this protocol.
-    pub fn transport_ops(&self, backend: dsm_sim::transport::TransportKind) -> Option<u64> {
-        let fetches = self.fetches?;
-        Some(match backend {
-            dsm_sim::transport::TransportKind::TwoSided => 2 * fetches + self.flush_msgs,
-            dsm_sim::transport::TransportKind::OneSided => fetches + self.flush_msgs,
-        })
+    /// Data-plane messages on the backend the run used: everything but
+    /// barrier arrivals and releases, which are pinned two-sided and
+    /// identical across backends, so they cancel out of any ranking
+    /// comparison. A fetch is a request and a reply two-sided but one
+    /// remote read one-sided; flushes are one message either way.
+    pub fn transport_ops(&self) -> u64 {
+        let sync = [MsgKind::BarrierArrive, MsgKind::BarrierRelease];
+        self.net.total_msgs() - sync.iter().map(|&k| self.net.msgs_of(k)).sum::<u64>()
+    }
+
+    /// Read the prediction's facts off a finished run: the traffic a
+    /// [`PlanSink`] observed, and the cluster's own counters and tables.
+    /// Over page digests that is the prediction; over a real cluster it is
+    /// what the prediction is cross-validated against.
+    pub fn read<S: Pages>(cl: &Cluster<S>, seen: PlanOutcome) -> Prediction {
+        let protocol = cl.config().protocol;
+        let mut per_page = Vec::new();
+        let mut per_writer = Vec::new();
+        for (page, writer, members) in cl.copysets().filter(|(_, _, cs)| !cs.is_empty()) {
+            match writer {
+                None => per_page.push((page, members.clone())),
+                Some(w) => per_writer.push((page, w, members.clone())),
+            }
+        }
+        per_page.sort_unstable();
+        per_writer.sort_unstable();
+        let net = cl.stats().net;
+        Prediction {
+            protocol,
+            flushes: seen.observed_flushes,
+            flush_msgs: seen.flush_msgs,
+            flush_words: seen.flush_words,
+            flush_runs: seen.flush_runs,
+            copysets: match (protocol.is_update(), protocol.is_bar()) {
+                (false, _) => SteadyCopysets::None,
+                (true, true) => SteadyCopysets::PerPage(per_page),
+                (true, false) => SteadyCopysets::PerWriter(per_writer),
+            },
+            notices: seen.notices,
+            homes: cl.homes().iter().map(|&h| h as u16).collect(),
+            migrations: cl.homes().iter().filter(|&&h| h != 0).count(),
+            fetches: net.msgs_in(dsm_core::net::MsgCategory::DataRequest),
+            net,
+        }
     }
 }
 
@@ -108,16 +153,18 @@ pub fn total_pages(lay: &Layout) -> usize {
         .unwrap_or(0)
 }
 
-/// Run the abstract simulator for `protocol` over the full schedule and
-/// return the prediction.
+/// Run `protocol` over the full schedule on page digests, with data
+/// traffic on `transport`, and return the prediction.
 ///
-/// Panics on `bar-m` (not modeled) and on inexact plans (their declared
-/// mods over-approximate, so flush prediction would be unsound to trust).
+/// Panics on `bar-r` (see the module docs) and on inexact plans (their
+/// declared mods over-approximate, so flush prediction would be unsound
+/// to trust).
 pub fn predict(
     plan: &AppPlan,
     lay: &Layout,
     schedule: &[EpochSpec],
     protocol: ProtocolKind,
+    transport: TransportKind,
 ) -> Prediction {
     assert!(
         plan.exact,
@@ -125,721 +172,84 @@ pub fn predict(
         plan.app
     );
     assert!(
-        protocol != ProtocolKind::BarM,
-        "bar-m diffs span overdrive phases and are not modeled"
-    );
-    assert!(
         protocol != ProtocolKind::BarR,
         "bar-r region flushes are validated by the regions cross-check, \
-         not the page-granularity simulator"
+         not the page-granularity predictor"
     );
-    let nbarriers = schedule.iter().filter(|e| e.barrier).count();
-    match protocol {
-        ProtocolKind::Seq | ProtocolKind::LmwI => Prediction {
-            protocol,
-            flushes: vec![Vec::new(); nbarriers],
-            flush_msgs: 0,
-            flush_words: 0,
-            flush_runs: 0,
-            copysets: SteadyCopysets::None,
-            notices: if protocol == ProtocolKind::LmwI {
-                lmw_invalidate_notices(plan, lay, schedule)
-            } else {
-                0
-            },
-            homes: vec![0; total_pages(lay)],
-            migrations: 0,
-            fetches: if protocol == ProtocolKind::Seq {
-                Some(0)
-            } else {
-                None
-            },
-        },
-        ProtocolKind::LmwU => LmwSim::new(lay).run(plan, lay, schedule),
-        ProtocolKind::BarI | ProtocolKind::BarU | ProtocolKind::BarS => {
-            let update = protocol.is_update();
-            let mut p = BarSim::new(lay, update).run(plan, lay, schedule);
-            p.protocol = protocol;
-            p
-        }
-        ProtocolKind::BarM | ProtocolKind::BarR => unreachable!(),
-    }
-}
+    let mut cfg = RunConfig::with_nprocs(protocol, lay.nprocs);
+    cfg.sim.transport = transport;
+    let page_size = cfg.sim.page_size as u64;
+    assert_eq!(
+        page_size, lay.page_size,
+        "layout probed at another page size"
+    );
+    let mut cl: Cluster<DigestPages> = Cluster::new(cfg);
+    let (sink, seen) = PlanSink::new(plan.clone(), lay.clone(), schedule.to_vec());
+    cl.install_check_sink(Box::new(sink));
+    cl.alloc("plan", total_pages(lay) * lay.page_size as usize);
+    cl.set_phases_per_iter(plan.phases.len());
+    cl.distribute();
 
-/// Write-notice records filed under `lmw-i`, a pure function of the plan:
-/// per barrier window, each `(writer, page)` write-faulted in the window
-/// files one notice at every other process. (No empty-diff suppression —
-/// the invalidate path never seals a diff at the barrier.)
-fn lmw_invalidate_notices(plan: &AppPlan, lay: &Layout, schedule: &[EpochSpec]) -> u64 {
-    let n = lay.nprocs as u64;
-    let mut total = 0u64;
-    let mut window: FastSet<(u16, u32)> = FastSet::default();
     for spec in schedule {
         for pid in 0..lay.nprocs {
-            for t in epoch_touches(&lower_epoch(plan, lay, spec, pid), lay.page_size) {
-                if t.written {
-                    window.insert((pid as u16, t.page));
+            let acc = lower_epoch(plan, lay, spec, pid);
+            let mods = acc.mods.page_spans(page_size);
+            let mut mods = mods.iter().peekable();
+            for t in epoch_touches(&acc, page_size) {
+                let page = PageId(t.page);
+                // A write fault validates first, as a read would.
+                let store = cl.access(pid, page, t.written);
+                while let Some(&&(_, lo, hi)) = mods.peek().filter(|m| m.0 == t.page) {
+                    store.record(page, lo, hi);
+                    mods.next();
                 }
             }
+            debug_assert!(mods.next().is_none(), "mods outside the stores");
         }
-        if spec.barrier {
-            total += window.len() as u64 * (n - 1);
-            window.clear();
+        if !spec.barrier {
+            continue;
+        }
+        // An emulated reduction is one application-level barrier around
+        // two protocol barriers: slot publications, the combine epoch,
+        // then the post-barrier work (`drive::reduce`).
+        if spec.kind == EpochKind::Body {
+            cl.barrier_enter();
+        }
+        cl.barrier_core(None);
+        if spec.slot_writes.is_none() {
+            cl.barrier_leave();
         }
     }
-    total
-}
-
-// ---------------------------------------------------------------------
-// Home-based family (bar-i / bar-u / bar-s)
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Copy)]
-struct BarFrame {
-    readable: bool,
-    version_seen: u32,
-}
-
-struct BarSim {
-    update: bool,
-    n: usize,
-    np: usize,
-    homes: Vec<u16>,
-    versions: Vec<u32>,
-    copysets: Vec<CopySet>,
-    /// `pid * np + page`.
-    frames: Vec<Option<BarFrame>>,
-    /// First-iteration write tracking for the migration decision.
-    iter_writers: Vec<CopySet>,
-    /// `page * n + pid`: epochs in which pid write-faulted the page.
-    iter_counts: Vec<u32>,
-    migrated: bool,
-    /// Version bumps performed (the bar family's notice analogue).
-    notices: u64,
-    /// Whole-page fetches from the home (`bar_fetch_page`).
-    fetches: u64,
-    /// Per pid: `(page, has_twin, mod_words, mod_runs)` in fault order.
-    dirty: Vec<Vec<(u32, bool, u32, u32)>>,
-}
-
-impl BarSim {
-    fn new(lay: &Layout, update: bool) -> BarSim {
-        let n = lay.nprocs;
-        let np = total_pages(lay);
-        BarSim {
-            update,
-            n,
-            np,
-            homes: vec![0; np],
-            versions: vec![1; np],
-            copysets: vec![CopySet::EMPTY; np],
-            frames: vec![None; n * np],
-            iter_writers: vec![CopySet::EMPTY; np],
-            iter_counts: vec![0; np * n],
-            migrated: false,
-            notices: 0,
-            fetches: 0,
-            dirty: vec![Vec::new(); n],
-        }
-    }
-
-    /// `materialize_pristine`: first touch fills from the image; validity
-    /// is "still at the initial version"; update protocols learn the
-    /// copyset member here.
-    fn materialize(&mut self, pid: usize, pg: usize) {
-        let fi = pid * self.np + pg;
-        if self.frames[fi].is_none() {
-            self.frames[fi] = Some(BarFrame {
-                readable: self.versions[pg] == 1,
-                version_seen: 1,
-            });
-            if self.update {
-                self.copysets[pg].insert(pid);
-            }
-        }
-    }
-
-    fn epoch(&mut self, touches: &[Vec<EpochTouch>]) {
-        for (pid, tl) in touches.iter().enumerate() {
-            for t in tl {
-                let pg = t.page as usize;
-                self.materialize(pid, pg);
-                let fi = pid * self.np + pg;
-                if !self.frames[fi].expect("just materialized").readable {
-                    // bar_fetch_page: whole-page fetch from the home.
-                    self.fetches += 1;
-                    let home = self.homes[pg] as usize;
-                    debug_assert_ne!(home, pid, "home copy must always be current");
-                    self.materialize(home, pg);
-                    debug_assert!(self.frames[home * self.np + pg].expect("present").readable);
-                    let f = self.frames[fi].as_mut().expect("present");
-                    f.readable = true;
-                    f.version_seen = self.versions[pg];
-                    if self.update {
-                        self.copysets[pg].insert(pid);
-                    }
-                }
-                if t.written {
-                    // bar_fault write path: twin decision at fault time.
-                    let home = self.homes[pg] as usize;
-                    let has_others = self.copysets[pg].others(pid).next().is_some();
-                    let has_twin = pid != home || (self.update && has_others);
-                    self.dirty[pid].push((t.page, has_twin, t.mod_words, t.mod_runs));
-                    if !self.migrated {
-                        self.iter_writers[pg].insert(pid);
-                        self.iter_counts[pg * self.n + pid] += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// `bar_pre_barrier` + `bar_post_release` for every process, canonical
-    /// arrival order. Returns the barrier's flush triples plus traffic.
-    fn barrier(
-        &mut self,
-        flush_msgs: &mut u64,
-        flush_words: &mut u64,
-        flush_runs: &mut u64,
-    ) -> Vec<FlushTriple> {
-        let mut flushes: Vec<FlushTriple> = Vec::new();
-        // The version ledger extends same-page entries: (old, new) per page.
-        let mut bumps: Vec<(u32, u32, u32)> = Vec::new();
-        let mut bump_idx: FastMap<u32, usize> = FastMap::default();
-        let mut my_contrib: FastMap<(u16, u32), u32> = FastMap::default();
-        let mut delivered: FastMap<(u16, u32), u32> = FastMap::default();
-        for pid in 0..self.n {
-            let dirty = core::mem::take(&mut self.dirty[pid]);
-            for (page, has_twin, mod_words, mod_runs) in dirty {
-                let pg = page as usize;
-                let home = self.homes[pg] as usize;
-                let cs = self.copysets[pg].clone();
-                let has_others = cs.others(pid).next().is_some();
-                let use_diff = has_twin && (pid != home || (self.update && has_others));
-                let mut bump = |s: &mut BarSim| {
-                    s.versions[pg] += 1;
-                    s.notices += 1;
-                    if let Some(&i) = bump_idx.get(&page) {
-                        bumps[i].2 = s.versions[pg];
-                    } else {
-                        bump_idx.insert(page, bumps.len());
-                        bumps.push((page, s.versions[pg] - 1, s.versions[pg]));
-                    }
-                    *my_contrib.entry((pid as u16, page)).or_insert(0) += 1;
-                };
-                if use_diff {
-                    if mod_words == 0 {
-                        // Empty diff: twin dropped, nothing else happens.
-                        continue;
-                    }
-                    bump(self);
-                    if self.update {
-                        for q in cs.others(pid) {
-                            if q != home {
-                                *delivered.entry((q as u16, page)).or_insert(0) += 1;
-                                *flush_msgs += 1;
-                                *flush_words += u64::from(mod_words);
-                                *flush_runs += u64::from(mod_runs);
-                            }
-                        }
-                        flushes.push((pid as u16, page, cs));
-                    }
-                } else {
-                    // Home wrote with no consumers needing a diff: version
-                    // bump only — even when every store was silent.
-                    debug_assert_eq!(pid, home, "non-home dirty pages always have twins");
-                    bump(self);
-                }
-            }
-        }
-        // Post-release, per process.
-        for pid in 0..self.n {
-            for &(page, old, new) in &bumps {
-                let pg = page as usize;
-                if self.homes[pg] as usize == pid {
-                    // Home self-validation (home flushes were applied).
-                    let fi = pid * self.np + pg;
-                    if self.frames[fi].is_none() {
-                        // materialize_home_frame: always valid.
-                        self.frames[fi] = Some(BarFrame {
-                            readable: true,
-                            version_seen: 1,
-                        });
-                    }
-                    let f = self.frames[fi].as_mut().expect("present");
-                    f.readable = true;
-                    f.version_seen = new;
-                } else {
-                    let fi = pid * self.np + pg;
-                    let rcv = delivered.get(&(pid as u16, page)).copied().unwrap_or(0);
-                    let mine = my_contrib.get(&(pid as u16, page)).copied().unwrap_or(0);
-                    let expected = (new - old) - mine;
-                    if let Some(f) = self.frames[fi].as_mut() {
-                        if f.readable && f.version_seen == old && rcv == expected {
-                            f.version_seen = new;
-                        } else if f.readable && f.version_seen < new {
-                            f.readable = false;
-                        }
-                    }
-                }
-            }
-        }
-        flushes.sort_unstable();
-        flushes
-    }
-
-    /// `bar_migrate`: first-iteration decision, heaviest writer wins, ties
-    /// to the lowest pid, pages already written by their home stay put.
-    fn migrate(&mut self) {
-        self.migrated = true;
-        for pg in 0..self.np {
-            let old_home = self.homes[pg] as usize;
-            let writers = &self.iter_writers[pg];
-            if writers.is_empty() || writers.contains(old_home) {
-                continue;
-            }
-            let mut best = 0usize;
-            let mut best_c = 0u32;
-            for pid in 0..self.n {
-                let c = self.iter_counts[pg * self.n + pid];
-                if c > best_c {
-                    best_c = c;
-                    best = pid;
-                }
-            }
-            // Old home keeps a (now possibly stale) copy.
-            let ofi = old_home * self.np + pg;
-            if self.frames[ofi].is_none() {
-                self.frames[ofi] = Some(BarFrame {
-                    readable: true,
-                    version_seen: 1,
-                });
-            }
-            // New home receives the current content.
-            let nfi = best * self.np + pg;
-            let v = self.versions[pg];
-            match self.frames[nfi].as_mut() {
-                Some(f) => {
-                    f.readable = true;
-                    f.version_seen = v;
-                }
-                None => {
-                    self.frames[nfi] = Some(BarFrame {
-                        readable: true,
-                        version_seen: v,
-                    });
-                }
-            }
-            self.homes[pg] = best as u16;
-        }
-    }
-
-    fn run(mut self, plan: &AppPlan, lay: &Layout, schedule: &[EpochSpec]) -> Prediction {
-        let mut flushes = Vec::new();
-        let (mut flush_msgs, mut flush_words, mut flush_runs) = (0u64, 0u64, 0u64);
-        for spec in schedule {
-            let touches: Vec<Vec<EpochTouch>> = (0..self.n)
-                .map(|pid| epoch_touches(&lower_epoch(plan, lay, spec, pid), lay.page_size))
-                .collect();
-            self.epoch(&touches);
-            if spec.barrier {
-                flushes.push(self.barrier(&mut flush_msgs, &mut flush_words, &mut flush_runs));
-            }
-            if spec.migrate_after {
-                self.migrate();
-            }
-        }
-        let copysets = if self.update {
-            SteadyCopysets::PerPage(
-                self.copysets
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, cs)| !cs.is_empty())
-                    .map(|(pg, cs)| (pg as u32, cs.clone()))
-                    .collect(),
-            )
-        } else {
-            SteadyCopysets::None
-        };
-        let migrations = self.homes.iter().filter(|&&h| h != 0).count();
-        Prediction {
-            protocol: if self.update {
-                ProtocolKind::BarU
-            } else {
-                ProtocolKind::BarI
-            },
-            flushes,
-            flush_msgs,
-            flush_words,
-            flush_runs,
-            copysets,
-            notices: self.notices,
-            homes: self.homes,
-            migrations,
-            fetches: Some(self.fetches),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Homeless hybrid (lmw-u)
-// ---------------------------------------------------------------------
-
-/// An update segment `(writer, lo_epoch, hi_epoch)` filed at a consumer.
-type ArrivedSeg = (u16, u64, u64);
-/// A retained sealed segment `(lo_epoch, hi_epoch, diff_words, diff_runs)`.
-type SealedSeg = (u64, u64, u64, u64);
-
-#[derive(Clone, Copy)]
-struct LmwFrame {
-    readable: bool,
-    /// `applied_through`: the all-writers floor raised by full fetches.
-    floor: u64,
-}
-
-struct LmwSim {
-    n: usize,
-    np: usize,
-    epoch: u64,
-    last_write_epoch: Vec<u64>,
-    last_writer: Vec<u16>,
-    /// `pid * np + page`.
-    frames: Vec<Option<LmwFrame>>,
-    /// Per consumer: highest segment `hi` applied, keyed `(pid, page, writer)`.
-    applied: FastMap<(u16, u32, u16), u64>,
-    /// Per consumer: recorded, unconsumed notices `(writer, epoch)`.
-    known: Vec<FastMap<u32, Vec<(u16, u64)>>>,
-    /// Per consumer: arrived update segments `(writer, lo, hi)`.
-    pending_updates: Vec<FastMap<u32, Vec<ArrivedSeg>>>,
-    /// Per writer: open accumulation `(lo, hi, acc_mod_words)` — exists
-    /// iff the twin exists.
-    pending: Vec<FastMap<u32, (u64, u64, u64, u64)>>,
-    /// Per writer: retained sealed segments `(lo, hi, words, runs)`.
-    segments: Vec<FastMap<u32, Vec<SealedSeg>>>,
-    /// Per writer: its copyset per page.
-    copysets: Vec<FastMap<u32, CopySet>>,
-    /// Notice records filed at consumers.
-    notice_records: u64,
-    /// Data fetches issued by `validate`: cold full-page copies plus
-    /// per-writer diff fetches.
-    fetches: u64,
-    /// Per pid: pages write-faulted this epoch.
-    dirty: Vec<Vec<u32>>,
-}
-
-impl LmwSim {
-    fn new(lay: &Layout) -> LmwSim {
-        let n = lay.nprocs;
-        let np = total_pages(lay);
-        LmwSim {
-            n,
-            np,
-            epoch: 1,
-            last_write_epoch: vec![0; np],
-            last_writer: vec![0; np],
-            frames: vec![None; n * np],
-            applied: FastMap::default(),
-            known: vec![FastMap::default(); n],
-            pending_updates: vec![FastMap::default(); n],
-            pending: vec![FastMap::default(); n],
-            segments: vec![FastMap::default(); n],
-            copysets: vec![FastMap::default(); n],
-            notice_records: 0,
-            fetches: 0,
-            dirty: vec![Vec::new(); n],
-        }
-    }
-
-    /// `lmw_seal`: close `writer`'s open accumulation for `page`. Empty
-    /// diffs leave no segment but still consume the twin.
-    fn seal(&mut self, writer: usize, page: u32) {
-        if let Some((lo, hi, words, runs)) = self.pending[writer].remove(&page) {
-            if words > 0 {
-                self.segments[writer]
-                    .entry(page)
-                    .or_default()
-                    .push((lo, hi, words, runs));
-            }
-        }
-    }
-
-    /// `lmw_validate`: consume notices, apply stored updates, fetch what
-    /// remains uncovered (with serve-time sealing), leave the frame
-    /// readable.
-    fn validate(&mut self, pid: usize, page: u32) {
-        let pg = page as usize;
-        let fi = pid * self.np + pg;
-        let floor = self.frames[fi].map_or(0, |f| f.floor);
-        let notices = self.known[pid].remove(&page).unwrap_or_default();
-        let applied_w = |s: &LmwSim, w: u16| -> u64 {
-            s.applied
-                .get(&(pid as u16, page, w))
-                .copied()
-                .unwrap_or(0)
-                .max(floor)
-        };
-        if notices.is_empty() {
-            // Cold fault: full copy from the last writer.
-            let writer = self.last_writer[pg] as usize;
-            if writer == pid || self.last_write_epoch[pg] == 0 {
-                self.frames[fi].as_mut().expect("frame present").readable = true;
-                return;
-            }
-            if !self.frames[writer * self.np + pg].is_some_and(|f| f.readable) {
-                self.validate(writer, page);
-            }
-            // lmw_fetch_full: one whole-page request/reply pair.
-            self.fetches += 1;
-            let lwe = self.last_write_epoch[pg];
-            let f = self.frames[fi].as_mut().expect("frame present");
-            f.readable = true;
-            f.floor = f.floor.max(lwe);
-            self.copysets[writer].entry(page).or_default().insert(pid);
-            return;
-        }
-        // Stored updates first.
-        let stored = self.pending_updates[pid].remove(&page).unwrap_or_default();
-        let mut covered: FastMap<u16, Vec<(u64, u64)>> = FastMap::default();
-        let mut to_apply: Vec<(u16, u64, u64)> = Vec::new();
-        for (w, lo, hi) in stored {
-            if hi > applied_w(self, w) {
-                covered.entry(w).or_default().push((lo, hi));
-                to_apply.push((w, lo, hi));
-            }
-        }
-        // Writers whose notices the stored updates don't cover.
-        let mut fetch_writers: Vec<u16> = notices
-            .iter()
-            .filter(|&&(w, e)| {
-                e > applied_w(self, w)
-                    && !covered
-                        .get(&w)
-                        .is_some_and(|v| v.iter().any(|&(lo, hi)| lo <= e && e <= hi))
-            })
-            .map(|&(w, _)| w)
-            .collect();
-        fetch_writers.sort_unstable();
-        fetch_writers.dedup();
-        for w in fetch_writers {
-            let wu = w as usize;
-            // One diff request/reply pair per uncovered writer.
-            self.fetches += 1;
-            // Serve-time seal: the fetch closes the writer's open
-            // accumulation so the reply carries everything so far.
-            self.seal(wu, page);
-            let since = applied_w(self, w);
-            if let Some(segs) = self.segments[wu].get(&page) {
-                for &(lo, hi, _, _) in segs {
-                    if hi > since && !to_apply.contains(&(w, lo, hi)) {
-                        to_apply.push((w, lo, hi));
-                    }
-                }
-            }
-            self.copysets[wu].entry(page).or_default().insert(pid);
-        }
-        for (w, _, hi) in to_apply {
-            let k = (pid as u16, page, w);
-            let cur = self.applied.get(&k).copied().unwrap_or(0);
-            if hi > cur {
-                self.applied.insert(k, hi);
-            }
-        }
-        self.frames[fi].as_mut().expect("frame present").readable = true;
-    }
-
-    fn epoch_step(&mut self, touches: &[Vec<EpochTouch>]) {
-        for (pid, tl) in touches.iter().enumerate() {
-            for t in tl {
-                let pg = t.page as usize;
-                let fi = pid * self.np + pg;
-                if self.frames[fi].is_none() {
-                    self.frames[fi] = Some(LmwFrame {
-                        readable: self.last_write_epoch[pg] == 0,
-                        floor: 0,
-                    });
-                }
-                if !self.frames[fi].expect("present").readable {
-                    self.validate(pid, t.page);
-                }
-                if t.written {
-                    let e = self.epoch;
-                    let entry = self.pending[pid].entry(t.page).or_insert((e, e, 0, 0));
-                    entry.1 = e;
-                    entry.2 += u64::from(t.mod_words);
-                    entry.3 += u64::from(t.mod_runs);
-                    self.dirty[pid].push(t.page);
-                }
-            }
-        }
-    }
-
-    fn barrier(
-        &mut self,
-        flush_msgs: &mut u64,
-        flush_words: &mut u64,
-        flush_runs: &mut u64,
-    ) -> Vec<FlushTriple> {
-        let mut flushes: Vec<FlushTriple> = Vec::new();
-        // (epoch, page, writer) — all notices carry the current epoch, so
-        // merged order is (page, writer).
-        let mut notices: Vec<(u32, u16)> = Vec::new();
-        // Updates staged for delivery: (consumer, page, writer, lo, hi).
-        let mut staged: Vec<(u16, u32, u16, u64, u64)> = Vec::new();
-        for pid in 0..self.n {
-            let dirty = core::mem::take(&mut self.dirty[pid]);
-            for page in dirty {
-                let cs = self.copysets[pid]
-                    .get(&page)
-                    .cloned()
-                    .unwrap_or(CopySet::EMPTY);
-                if cs.others(pid).next().is_some() {
-                    self.seal(pid, page);
-                    let seg = self.segments[pid]
-                        .get(&page)
-                        .and_then(|v| v.last())
-                        .copied()
-                        .filter(|&(_, hi, _, _)| hi == self.epoch);
-                    let Some((lo, hi, words, runs)) = seg else {
-                        // The seal produced an empty diff: no notice, no
-                        // flush.
-                        continue;
-                    };
-                    notices.push((page, pid as u16));
-                    for q in cs.others(pid) {
-                        staged.push((q as u16, page, pid as u16, lo, hi));
-                        *flush_msgs += 1;
-                        *flush_words += words;
-                        *flush_runs += runs;
-                    }
-                    flushes.push((pid as u16, page, cs));
-                } else {
-                    // Invalidate path: notice only, twin keeps
-                    // accumulating.
-                    notices.push((page, pid as u16));
-                }
-            }
-        }
-        notices.sort_unstable();
-        self.notice_records += notices.len() as u64 * (self.n as u64 - 1);
-        // Interval bookkeeping: the merged notices advance the page's
-        // last-writer record (ties within the epoch go to the highest
-        // writer, matching the merged sort order).
-        for &(page, writer) in &notices {
-            let pg = page as usize;
-            if self.epoch >= self.last_write_epoch[pg] {
-                self.last_write_epoch[pg] = self.epoch;
-                self.last_writer[pg] = writer;
-            }
-        }
-        // Post-release, per process.
-        for pid in 0..self.n {
-            for &(page, writer) in &notices {
-                if writer as usize == pid {
-                    continue;
-                }
-                let pg = page as usize;
-                // A foreign write seals our own accumulation for the page.
-                if self.pending[pid].contains_key(&page) {
-                    self.seal(pid, page);
-                }
-                if self.frames[pid * self.np + pg].is_some() {
-                    self.copysets[pid]
-                        .entry(page)
-                        .or_default()
-                        .insert(usize::from(writer));
-                }
-                self.known[pid]
-                    .entry(page)
-                    .or_default()
-                    .push((writer, self.epoch));
-                if let Some(f) = self.frames[pid * self.np + pg].as_mut() {
-                    if f.readable {
-                        f.readable = false;
-                    }
-                }
-            }
-            // File the delivered updates.
-        }
-        for (q, page, w, lo, hi) in staged {
-            self.pending_updates[q as usize]
-                .entry(page)
-                .or_default()
-                .push((w, lo, hi));
-        }
-        self.epoch += 1;
-        flushes.sort_unstable();
-        flushes
-    }
-
-    fn run(mut self, plan: &AppPlan, lay: &Layout, schedule: &[EpochSpec]) -> Prediction {
-        let mut flushes = Vec::new();
-        let (mut flush_msgs, mut flush_words, mut flush_runs) = (0u64, 0u64, 0u64);
-        for spec in schedule {
-            let touches: Vec<Vec<EpochTouch>> = (0..self.n)
-                .map(|pid| epoch_touches(&lower_epoch(plan, lay, spec, pid), lay.page_size))
-                .collect();
-            self.epoch_step(&touches);
-            if spec.barrier {
-                flushes.push(self.barrier(&mut flush_msgs, &mut flush_words, &mut flush_runs));
-            }
-        }
-        let mut per_writer: Vec<(u32, u16, CopySet)> = Vec::new();
-        for (w, cs) in self.copysets.iter().enumerate() {
-            for (&page, members) in cs {
-                if !members.is_empty() {
-                    per_writer.push((page, w as u16, members.clone()));
-                }
-            }
-        }
-        per_writer.sort_unstable();
-        Prediction {
-            protocol: ProtocolKind::LmwU,
-            flushes,
-            flush_msgs,
-            flush_words,
-            flush_runs,
-            copysets: SteadyCopysets::PerWriter(per_writer),
-            notices: self.notice_records,
-            homes: vec![0; self.np],
-            migrations: 0,
-            fetches: Some(self.fetches),
-        }
-    }
+    Prediction::read(&cl, seen.take())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsm_sim::transport::TransportKind;
-
-    fn pred(fetches: Option<u64>, flush_msgs: u64) -> Prediction {
-        Prediction {
-            protocol: ProtocolKind::BarU,
-            flushes: Vec::new(),
-            flush_msgs,
-            flush_words: 0,
-            flush_runs: 0,
-            copysets: SteadyCopysets::None,
-            notices: 0,
-            homes: Vec::new(),
-            migrations: 0,
-            fetches,
-        }
-    }
 
     #[test]
     fn transport_ops_halves_the_fetch_traffic_one_sided() {
         // 10 fetches: 20 request/reply messages two-sided, 10 one-sided
-        // reads; 7 flushes cost one message either way.
-        let p = pred(Some(10), 7);
-        assert_eq!(p.transport_ops(TransportKind::TwoSided), Some(27));
-        assert_eq!(p.transport_ops(TransportKind::OneSided), Some(17));
-    }
-
-    #[test]
-    fn transport_ops_is_none_when_fetches_unmodeled() {
-        let p = pred(None, 3);
-        assert_eq!(p.transport_ops(TransportKind::TwoSided), None);
-        assert_eq!(p.transport_ops(TransportKind::OneSided), None);
+        // reads; 7 flushes cost one message either way; barrier traffic is
+        // not data-plane.
+        let run = |kinds: &[(MsgKind, u64)]| {
+            let mut cl: Cluster<DigestPages> =
+                Cluster::new(RunConfig::with_nprocs(ProtocolKind::BarU, 2));
+            cl.distribute();
+            let mut p = Prediction::read(&cl, PlanOutcome::default());
+            for &(kind, n) in kinds {
+                (0..n).for_each(|_| p.net.record(kind, 0));
+            }
+            p.transport_ops()
+        };
+        let sync = [(MsgKind::BarrierArrive, 3), (MsgKind::BarrierRelease, 3)];
+        let two = [
+            (MsgKind::PageRequest, 10),
+            (MsgKind::PageReply, 10),
+            (MsgKind::UpdateFlush, 7),
+        ];
+        let one = [(MsgKind::OneSidedRead, 10), (MsgKind::OneSidedWrite, 7)];
+        assert_eq!(run(&[&two[..], &sync[..]].concat()), 27);
+        assert_eq!(run(&[&one[..], &sync[..]].concat()), 17);
     }
 }

@@ -2,14 +2,15 @@
 //!
 //! One line per claim, `key=value` fields, fully deterministic: the CI
 //! static-analysis job regenerates the report and diffs it against the
-//! committed copy, so any change to a plan, the lowering, or the protocol
-//! simulators shows up as a reviewable text diff. Bulky artifacts
+//! committed copy, so any change to a plan, the lowering, or the
+//! protocols shows up as a reviewable text diff. Bulky artifacts
 //! (per-barrier flush lists, copyset tables, home maps) are folded into
 //! FNV-1a digests; the human-readable fields carry the headline numbers.
 
 use std::fmt::Write as _;
 
 use dsm_core::ProtocolKind;
+use dsm_sim::transport::TransportKind;
 
 use crate::groups::static_page_groups;
 use crate::layout::{probe_layout, Layout};
@@ -181,7 +182,7 @@ pub fn render_app_report(out: &mut String, an: &AppAnalysis, protocols: &[Protoc
             continue;
         }
         let sched = build_schedule(plan, proto, an.iters);
-        let p = predict(plan, lay, &sched, proto);
+        let p = predict(plan, lay, &sched, proto, TransportKind::TwoSided);
         let mut line = format!(
             "app={app} proto={} barriers={} flush_msgs={} flush_words={} \
              flush_digest={:#018x}",

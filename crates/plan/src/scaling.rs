@@ -1,7 +1,7 @@
 //! dsm-scale: symbolic scaling analysis over the node count.
 //!
-//! The protocol simulators ([`crate::protosim`]) predict exact traffic for
-//! one concrete `nprocs`. This module lifts those predictions to a
+//! The predictor ([`crate::protosim`]) yields exact traffic for one
+//! concrete `nprocs`. This module lifts those predictions to a
 //! *symbolic* node count `N`: it probes the lowering at every `N` in a
 //! contiguous fit domain, segments each metric's value series into maximal
 //! windows that an integer polynomial of bounded degree reproduces
@@ -30,6 +30,7 @@ use core::fmt::Write as _;
 use core::ops::RangeInclusive;
 
 use dsm_core::ProtocolKind;
+use dsm_sim::transport::TransportKind;
 
 use crate::layout::probe_layout;
 use crate::protosim::{predict, SteadyCopysets};
@@ -84,7 +85,7 @@ pub struct ScaleSample {
 
 /// Probe one `(app, protocol)` cell at a concrete `nprocs`.
 ///
-/// Panics where [`predict`] does: inexact plans, `bar-m`, `bar-r`.
+/// Panics where [`predict`] does: inexact plans, `bar-r`.
 pub fn measure<A: PlannedApp + ?Sized>(
     app: &mut A,
     proto: ProtocolKind,
@@ -93,7 +94,7 @@ pub fn measure<A: PlannedApp + ?Sized>(
     let plan = app.plan();
     let lay = probe_layout(app, &plan, nprocs);
     let sched = build_schedule(&plan, proto, app.iters());
-    let p = predict(&plan, &lay, &sched, proto);
+    let p = predict(&plan, &lay, &sched, proto, TransportKind::TwoSided);
     // Pages belonging to the reduction scratch arrays, for the data-page
     // sharing bound.
     let mut reduce_pages: Vec<(u32, u32)> = Vec::new();

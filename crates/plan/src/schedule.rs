@@ -9,8 +9,8 @@
 //! serial combine by process 0 — with the result reads landing at the
 //! start of the following epoch (or in a trailing, barrier-less epoch when
 //! the reduction ends the run). The schedule spells this out so the
-//! protocol simulators and the dynamic cross-validation sink agree with
-//! the runtime on epoch numbering: epoch `k` is the interval between
+//! predictor and the dynamic cross-validation sink agree with the runtime
+//! on epoch numbering: epoch `k` is the interval between
 //! barriers `k-1` and `k`, starting at 1.
 
 use dsm_core::ProtocolKind;
@@ -190,55 +190,24 @@ pub fn lower_epoch(plan: &AppPlan, lay: &Layout, spec: &EpochSpec, pid: usize) -
     }
 }
 
-/// Per-page digest of one process-epoch, for the protocol simulators.
-#[derive(Clone, Copy, Debug)]
+/// One page a process touches in one epoch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EpochTouch {
     pub page: u32,
-    pub read: bool,
+    /// Stored to (possibly after loading); otherwise only loaded.
     pub written: bool,
-    /// Modified words on this page this epoch (diff size contribution).
-    pub mod_words: u32,
-    /// Maximal modified runs on this page this epoch (one wire run header
-    /// each when the diff is flushed).
-    pub mod_runs: u32,
 }
 
 /// Collapse lowered spans to sorted per-page touch records.
 pub fn epoch_touches(acc: &EpochAccess, page_size: u64) -> Vec<EpochTouch> {
-    let mut out: Vec<EpochTouch> = Vec::new();
-    let touch = |page: u32, out: &mut Vec<EpochTouch>| -> usize {
-        match out.binary_search_by_key(&page, |t| t.page) {
-            Ok(i) => i,
-            Err(i) => {
-                out.insert(
-                    i,
-                    EpochTouch {
-                        page,
-                        read: false,
-                        written: false,
-                        mod_words: 0,
-                        mod_runs: 0,
-                    },
-                );
-                i
-            }
+    let touch = |written| move |page| EpochTouch { page, written };
+    let loads = acc.loads.pages(page_size).into_iter().map(touch(false));
+    let mut out: Vec<EpochTouch> = loads.collect();
+    for t in acc.stores.pages(page_size).into_iter().map(touch(true)) {
+        match out.binary_search_by_key(&t.page, |o| o.page) {
+            Ok(i) => out[i] = t,
+            Err(i) => out.insert(i, t),
         }
-    };
-    for p in acc.loads.pages(page_size) {
-        let i = touch(p, &mut out);
-        out[i].read = true;
-    }
-    for p in acc.stores.pages(page_size) {
-        let i = touch(p, &mut out);
-        out[i].written = true;
-    }
-    for (p, words) in acc.mods.page_words(page_size) {
-        let i = touch(p, &mut out);
-        out[i].mod_words = words;
-    }
-    for (p, runs) in acc.mods.page_runs(page_size) {
-        let i = touch(p, &mut out);
-        out[i].mod_runs = runs;
     }
     out
 }

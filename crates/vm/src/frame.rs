@@ -150,12 +150,7 @@ impl Frame {
     /// access proceeds without a fault.
     #[inline]
     pub fn check(&self, write: bool) -> Option<FaultKind> {
-        match (self.prot, write) {
-            (Protection::Invalid, false) => Some(FaultKind::ReadInvalid),
-            (Protection::Invalid, true) => Some(FaultKind::WriteInvalid),
-            (Protection::Read, true) => Some(FaultKind::WriteReadOnly),
-            _ => None,
-        }
+        self.prot.check(write)
     }
 
     // ------------------------------------------------------------------
@@ -280,17 +275,8 @@ impl Frame {
         }
     }
 
-    /// Discard the twin, if any. Returns whether one existed.
-    pub fn drop_twin(&mut self) -> bool {
-        let had = self.twin.take().is_some();
-        if had {
-            self.dirty.clear();
-            self.touch();
-        }
-        had
-    }
-
-    /// [`Frame::drop_twin`], recycling the buffer into `pool`.
+    /// Discard the twin, if any, recycling its buffer into `pool`. Returns
+    /// whether one existed.
     pub fn drop_twin_into(&mut self, pool: &mut BufPool) -> bool {
         match self.twin.take() {
             Some(t) => {
@@ -304,18 +290,8 @@ impl Frame {
     }
 
     /// Refresh the twin to match current contents (overdrive protocols
-    /// re-twin predicted pages each epoch without re-trapping).
-    pub fn refresh_twin(&mut self) {
-        match &mut self.twin {
-            Some(t) => t.copy_from(&self.data),
-            None => self.twin = Some(self.data.clone()),
-        }
-        self.dirty.clear();
-        self.touch();
-    }
-
-    /// [`Frame::refresh_twin`] drawing a fresh twin (when none exists)
-    /// from `pool`.
+    /// re-twin predicted pages each epoch without re-trapping), drawing a
+    /// fresh twin (when none exists) from `pool`.
     pub fn refresh_twin_in(&mut self, pool: &mut BufPool) {
         if let Some(t) = &mut self.twin {
             t.copy_from(&self.data);
@@ -552,7 +528,7 @@ mod tests {
         let mut f = Frame::new(64);
         f.make_twin();
         f.write_at(0, &[9]);
-        f.refresh_twin();
+        f.refresh_twin_in(&mut BufPool::new());
         assert!(f.diff_against_twin(PageId(0)).is_empty());
         assert!(f.dirty_ranges().is_clean());
     }
@@ -560,9 +536,10 @@ mod tests {
     #[test]
     fn drop_twin_reports_presence() {
         let mut f = Frame::new(64);
-        assert!(!f.drop_twin());
+        let mut pool = BufPool::new();
+        assert!(!f.drop_twin_into(&mut pool));
         f.make_twin();
-        assert!(f.drop_twin());
+        assert!(f.drop_twin_into(&mut pool));
         assert!(!f.has_twin());
     }
 

@@ -21,6 +21,8 @@
 //! * [`frame`] — one process's copy of one page: data + protection + twin.
 //! * [`image`] — the pristine segment image setup wrote, shared by every
 //!   store as the base its frames delta-encode against.
+//! * [`pages`] — the questions the protocols ask of a page table, as a
+//!   trait: [`store::PageStore`] is the runtime's answer.
 //! * [`pool`] — free-lists recycling twin buffers and diff run storage.
 //! * [`store`] — a process's page table over the shared segment.
 
@@ -32,6 +34,7 @@ pub mod dirty;
 pub mod frame;
 pub mod image;
 pub mod page;
+pub mod pages;
 pub mod pool;
 pub mod store;
 
@@ -41,5 +44,6 @@ pub use dirty::DirtyRanges;
 pub use frame::Frame;
 pub use image::Image;
 pub use page::{FaultKind, PageId, Protection};
+pub use pages::{Delta, Meta, Pages};
 pub use pool::BufPool;
 pub use store::PageStore;

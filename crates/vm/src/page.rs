@@ -75,6 +75,18 @@ impl Protection {
     pub fn writable(self) -> bool {
         matches!(self, Protection::ReadWrite)
     }
+
+    /// Classify an access under this protection, or `None` if it proceeds
+    /// without a fault.
+    #[inline]
+    pub fn check(self, write: bool) -> Option<FaultKind> {
+        match (self, write) {
+            (Protection::Invalid, false) => Some(FaultKind::ReadInvalid),
+            (Protection::Invalid, true) => Some(FaultKind::WriteInvalid),
+            (Protection::Read, true) => Some(FaultKind::WriteReadOnly),
+            _ => None,
+        }
+    }
 }
 
 /// Why an access faulted.

@@ -64,14 +64,7 @@ impl PageStore {
     /// are `Invalid`.
     #[inline]
     pub fn check(&self, page: PageId, write: bool) -> Option<FaultKind> {
-        match self.frames.get(page.index()).and_then(|f| f.as_deref()) {
-            Some(frame) => frame.check(write),
-            None => Some(if write {
-                FaultKind::WriteInvalid
-            } else {
-                FaultKind::ReadInvalid
-            }),
-        }
+        self.protection(page).check(write)
     }
 
     /// Current protection of `page` (`Invalid` if untouched).
@@ -98,6 +91,18 @@ impl PageStore {
         );
         let page_size = self.page_size;
         self.frames[page.index()].get_or_insert_with(|| Box::new(Frame::new(page_size)))
+    }
+
+    /// First touch: materialize `page` holding its pristine image contents.
+    pub fn materialize(&mut self, page: PageId) -> &mut Frame {
+        let PageStore {
+            page_size,
+            frames,
+            image,
+        } = self;
+        let f = frames[page.index()].get_or_insert_with(|| Box::new(Frame::new(*page_size)));
+        f.fill_from(image.page(page.index()));
+        f
     }
 
     /// Change protection, materializing the frame; returns the old value.
