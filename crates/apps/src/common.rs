@@ -9,6 +9,16 @@ pub enum Scale {
     Paper,
 }
 
+impl Scale {
+    /// The name reports and command lines use for the preset.
+    pub fn label(self) -> &'static str {
+        match self {
+            Scale::Small => "small",
+            Scale::Paper => "paper",
+        }
+    }
+}
+
 /// Contiguous band `[lo, hi)` of `count` items for process `pid` of
 /// `nprocs` (owner-computes row decomposition).
 ///

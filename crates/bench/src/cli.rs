@@ -1,12 +1,12 @@
-//! Command-line parsing shared by the matrix bins.
+//! Command-line parsing shared by every `dsm` subcommand.
 //!
 //! A command line comes from outside the process, so a bad one is a typed
-//! error — one line saying why, printed above the bin's usage, exit
-//! status 2 — never a panic. The same goes for a trace file a flag names.
+//! error — one line saying why, printed above the subcommand's usage, exit
+//! status 2 — never a panic. The same goes for a file a flag names.
 
 use std::str::FromStr;
 
-use dsm_apps::{all_apps, app_by_name, Scale};
+use dsm_apps::{all_apps, app_by_name, AppSpec, Scale};
 use dsm_core::{DsmApp, ProtocolKind};
 use dsm_explore::{CappedApp, ChoiceTrace, RegressApp};
 
@@ -20,24 +20,16 @@ impl CliError {
     }
 }
 
-/// Unwrap a parse result, or print the reason and `usage` and exit 2.
-pub fn or_usage<T>(bin: &str, usage: &str, parsed: Result<T, CliError>) -> T {
-    parsed.unwrap_or_else(|CliError(why)| {
-        eprintln!("{bin}: {why}\n{usage}");
-        std::process::exit(2);
-    })
-}
-
 /// The argument stream: flags, and the values that follow them.
-pub struct Flags<I> {
-    it: I,
+pub struct Flags {
+    it: std::vec::IntoIter<String>,
     flag: String,
 }
 
-impl<I: Iterator<Item = String>> Flags<I> {
-    pub fn new(it: I) -> Flags<I> {
+impl Flags {
+    pub fn new(args: impl IntoIterator<Item = String>) -> Flags {
         Flags {
-            it,
+            it: args.into_iter().collect::<Vec<_>>().into_iter(),
             flag: String::new(),
         }
     }
@@ -63,6 +55,34 @@ impl<I: Iterator<Item = String>> Flags<I> {
         val.parse()
             .map_err(|_| CliError(format!("{flag} needs a number, not {val:?}")))
     }
+
+    /// The command line of a subcommand that takes no arguments.
+    pub fn none(mut self) -> Result<(), CliError> {
+        match self.next_flag() {
+            Some(flag) => Err(CliError::unknown_flag(&flag)),
+            None => Ok(()),
+        }
+    }
+
+    /// The command line of a report that takes `--scale` and nothing else,
+    /// and has no default for it.
+    pub fn scale_only(mut self) -> Result<Scale, CliError> {
+        let mut scale = None;
+        while let Some(flag) = self.next_flag() {
+            match flag.as_str() {
+                "--scale" => scale = Some(parse_scale(&self.value()?)?),
+                other => return Err(CliError::unknown_flag(other)),
+            }
+        }
+        scale.ok_or_else(|| CliError("--scale is required".to_string()))
+    }
+}
+
+fn parse_scale(val: &str) -> Result<Scale, CliError> {
+    [Scale::Small, Scale::Paper]
+        .into_iter()
+        .find(|s| s.label() == val)
+        .ok_or_else(|| CliError(format!("unknown scale {val:?}")))
 }
 
 /// What `--apps`, `--protocols`, `--nprocs` and `--scale` select.
@@ -85,8 +105,7 @@ impl Matrix {
     }
 
     /// Parse a command line that takes the four flags and no others.
-    pub fn parse(mut self, it: impl Iterator<Item = String>) -> Result<Matrix, CliError> {
-        let mut flags = Flags::new(it);
+    pub fn parse(mut self, mut flags: Flags) -> Result<Matrix, CliError> {
         while let Some(flag) = flags.next_flag() {
             if !self.take(&mut flags)? {
                 return Err(CliError::unknown_flag(&flag));
@@ -95,12 +114,29 @@ impl Matrix {
         Ok(self)
     }
 
+    /// The app × protocol cells, app-major.
+    pub fn cells(&self) -> Vec<(AppSpec, ProtocolKind)> {
+        self.apps
+            .iter()
+            .flat_map(|app| {
+                let spec = app_by_name(app).expect("app names are checked where they enter");
+                self.protocols.iter().map(move |&p| (spec, p))
+            })
+            .collect()
+    }
+
+    /// Reject a one-process matrix: the fault and backend sweeps compare
+    /// what crosses the wire, and one process sends nothing.
+    pub fn multiprocess(self) -> Result<Matrix, CliError> {
+        if self.nprocs < 2 {
+            return Err(CliError("--nprocs needs at least 2 here".to_string()));
+        }
+        Ok(self)
+    }
+
     /// Consume the current flag if it is one of the four; `Ok(false)`
     /// leaves it to the caller.
-    pub fn take<I: Iterator<Item = String>>(
-        &mut self,
-        flags: &mut Flags<I>,
-    ) -> Result<bool, CliError> {
+    pub fn take(&mut self, flags: &mut Flags) -> Result<bool, CliError> {
         match flags.flag.as_str() {
             "--apps" => {
                 self.apps = flags
@@ -135,13 +171,7 @@ impl Matrix {
                     }
                 };
             }
-            "--scale" => {
-                self.scale = match flags.value()?.as_str() {
-                    "small" => Scale::Small,
-                    "paper" => Scale::Paper,
-                    other => return Err(CliError(format!("unknown scale {other:?}"))),
-                }
-            }
+            "--scale" => self.scale = parse_scale(&flags.value()?)?,
             _ => return Ok(false),
         }
         Ok(true)

@@ -6,14 +6,18 @@
 //! period between barrier synchronizations") per application. We measure
 //! both from instrumented bar-u runs at paper scale.
 
-#![forbid(unsafe_code)]
+use std::process::ExitCode;
 
+use crate::cli::{CliError, Flags};
+use crate::harness::{self, run_matrix};
+use crate::table::TextTable;
 use dsm_apps::{all_apps, Scale};
-use dsm_bench::table::TextTable;
-use dsm_bench::{harness, run_matrix};
 use dsm_core::ProtocolKind;
 
-fn main() {
+pub const USAGE: &str = "usage: dsm apptable";
+
+pub fn run(flags: Flags) -> Result<ExitCode, CliError> {
+    flags.none()?;
     let apps: Vec<&'static str> = all_apps().iter().map(|a| a.name).collect();
     eprintln!(
         "running bar-u across {} apps (8 procs, paper scale)...",
@@ -55,4 +59,5 @@ fn main() {
         "Fine granularity (swm) and large segments (fft, shallow, swm) are \
          exactly where Figures 3 and 4 locate the OS overhead and bar-m's wins."
     );
+    Ok(ExitCode::SUCCESS)
 }

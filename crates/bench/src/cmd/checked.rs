@@ -3,26 +3,24 @@
 //! oracle, protocol invariants), summarized as one table row per run.
 //!
 //! ```text
-//! checked [--apps a,b,..] [--protocols lmw-i,bar-u,..] [--nprocs N] [--scale small|paper]
+//! dsm checked [--apps a,b,..] [--protocols lmw-i,bar-u,..] [--nprocs N] [--scale small|paper]
 //! ```
 //!
 //! Defaults: all eight paper apps, the five unconditionally-sound protocols
 //! (lmw-i, lmw-u, bar-i, bar-u, bar-s), 4 processes, small scale. Exits
 //! nonzero if any run flags a violation, so CI can use it as a smoke gate.
 
-#![forbid(unsafe_code)]
+use std::process::ExitCode;
 
-use std::sync::Arc;
-
-use dsm_apps::{app_by_name, Scale};
-use dsm_bench::cli::{or_usage, CliError, Matrix};
-use dsm_bench::harness::region_table;
-use dsm_bench::table::TextTable;
+use dsm_apps::Scale;
 use dsm_check::checked_run;
-use dsm_core::{ProtocolKind, RunConfig};
+use dsm_core::ProtocolKind;
 
-const USAGE: &str = "usage: checked [--apps a,b,..] [--protocols lmw-i,bar-u,..] \
-                     [--nprocs N] [--scale small|paper]";
+use crate::cli::{CliError, Flags, Matrix};
+use crate::harness::{cell_config, run_cells};
+
+pub const USAGE: &str = "usage: dsm checked [--apps a,b,..] [--protocols lmw-i,bar-u,..] \
+                         [--nprocs N] [--scale small|paper]";
 
 const SOUND: [ProtocolKind; 5] = [
     ProtocolKind::LmwI,
@@ -33,13 +31,13 @@ const SOUND: [ProtocolKind; 5] = [
 ];
 
 /// Parse the command line; the error is the one-line reason it is bad.
-fn parse_args(it: impl Iterator<Item = String>) -> Result<Matrix, CliError> {
-    Matrix::new(&SOUND, 4, Scale::Small).parse(it)
+fn parse_args(flags: Flags) -> Result<Matrix, CliError> {
+    Matrix::new(&SOUND, 4, Scale::Small).parse(flags)
 }
 
-fn main() {
-    let args = or_usage("checked", USAGE, parse_args(std::env::args().skip(1)));
-    let mut t = TextTable::new(vec![
+pub fn run(flags: Flags) -> Result<ExitCode, CliError> {
+    let args = parse_args(flags)?;
+    let headers = vec![
         "app",
         "protocol",
         "events",
@@ -51,29 +49,27 @@ fn main() {
         "stale",
         "invariant",
         "verdict",
-    ]);
-    let mut dirty = 0usize;
-    for app in &args.apps {
-        let spec = app_by_name(app).unwrap();
-        for &protocol in &args.protocols {
-            let mut cfg = RunConfig::with_nprocs(protocol, args.nprocs);
-            // bar-r runs with the app's proven region table installed, as
-            // in `campaign` and `transport`; without one it is bar-u.
-            if protocol.is_region() {
-                cfg.regions = Some(Arc::new(region_table(&spec, args.nprocs, args.scale)));
-            }
+    ];
+    let (_, code) = run_cells(
+        "checked",
+        headers,
+        &args.cells(),
+        |&(spec, protocol), out| {
+            let cfg = cell_config(&spec, protocol, args.nprocs, args.scale);
             let (_, check) = checked_run(spec.build(args.scale).as_mut(), cfg);
             let clean = check.is_clean();
             if !clean {
-                dirty += 1;
-                eprintln!(
-                    "--- {} under {}:\n{}",
-                    spec.name,
-                    protocol.label(),
-                    check.summary()
-                );
+                out.flagged.push((
+                    format!("{}-{}", spec.name, protocol.label()),
+                    format!(
+                        "{} under {}:\n{}",
+                        spec.name,
+                        protocol.label(),
+                        check.summary()
+                    ),
+                ));
             }
-            t.row(vec![
+            out.rows.push(vec![
                 spec.name.to_string(),
                 protocol.label().to_string(),
                 check.events.to_string(),
@@ -86,13 +82,9 @@ fn main() {
                 check.invariant_violations().to_string(),
                 if clean { "clean" } else { "FLAGGED" }.to_string(),
             ]);
-        }
-    }
-    print!("{}", t.render());
-    if dirty > 0 {
-        eprintln!("{dirty} run(s) flagged violations");
-        std::process::exit(1);
-    }
+        },
+    );
+    Ok(code)
 }
 
 #[cfg(test)]
@@ -100,7 +92,7 @@ mod tests {
     use super::*;
 
     fn parse(line: &str) -> Result<Matrix, CliError> {
-        parse_args(line.split_whitespace().map(String::from))
+        parse_args(Flags::new(line.split_whitespace().map(String::from)))
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Systematic schedule & fault-space exploration runner (dsm-explore).
 //!
 //! ```text
-//! explore [--apps a,b,..] [--protocols lmw-u,bar-u,..] [--nprocs N]
-//!         [--iters-cap N] [--budget N] [--drop-points N] [--dup-points N]
-//!         [--defers N] [--no-por] [--no-prune] [--por-factor] [--hunt]
-//!         [--jobs N] [--save-trace PATH] [--replay FILE]
+//! dsm explore [--apps a,b,..] [--protocols lmw-u,bar-u,..] [--nprocs N]
+//!             [--iters-cap N] [--budget N] [--drop-points N] [--dup-points N]
+//!             [--defers N] [--no-por] [--no-prune] [--por-factor] [--hunt]
+//!             [--save-trace PATH] [--replay FILE]
 //! ```
 //!
 //! Default mode explores every requested app × protocol cell up to a
@@ -15,24 +15,24 @@
 //! committed `results/explore-baseline.txt`). `--replay FILE` re-executes
 //! a saved violating schedule instead and prints its findings.
 //!
-//! `--jobs N` fans the independent app × protocol cells out over N worker
-//! threads (capped at the host's available parallelism; default 1). Cells
-//! share nothing — each exploration owns its visited set — and results are
-//! merged in the fixed cell order, so the output is byte-identical at any
-//! job count.
+//! The independent app × protocol cells fan out over the `dsm --jobs N`
+//! worker threads. Cells share nothing — each exploration owns its visited
+//! set — and results are merged in the fixed cell order, so the output is
+//! byte-identical at any job count.
 //!
 //! All output is deterministic (schedule counts, not wall-clock), so the
 //! committed baselines can be `diff`ed byte-for-byte in CI.
 
-#![forbid(unsafe_code)]
+use std::process::ExitCode;
 
-use dsm_apps::Scale;
-use dsm_bench::cli::{or_usage, read_trace, trace_app, CliError, Flags, Matrix};
-use dsm_bench::table::TextTable;
+use dsm_apps::{AppSpec, Scale};
 use dsm_core::{PlantedBug, ProtocolKind, RunConfig};
 use dsm_explore::{
     config_for_trace, explore, replay, Bounds, ChoiceTrace, ExploreOpts, RegressApp,
 };
+
+use crate::cli::{read_trace, trace_app, CliError, Flags, Matrix};
+use crate::harness::{run_cells, CellOut};
 
 /// The six real protocols (seq has no inter-process choices to explore).
 const PROTOCOLS: [ProtocolKind; 6] = [
@@ -58,10 +58,10 @@ fn default_budget(p: ProtocolKind) -> usize {
     }
 }
 
-const USAGE: &str = "usage: explore [--apps a,b,..] [--protocols lmw-u,bar-u,..] [--nprocs N] \
-                     [--iters-cap N] [--budget N] [--drop-points N] [--dup-points N] \
-                     [--defers N] [--no-por] [--no-prune] [--por-factor] [--hunt] \
-                     [--jobs N] [--save-trace PATH] [--replay FILE]";
+pub const USAGE: &str = "usage: dsm explore [--apps a,b,..] [--protocols lmw-u,bar-u,..] \
+                         [--nprocs N] [--iters-cap N] [--budget N] [--drop-points N] \
+                         [--dup-points N] [--defers N] [--no-por] [--no-prune] [--por-factor] \
+                         [--hunt] [--save-trace PATH] [--replay FILE]";
 
 struct Args {
     matrix: Matrix,
@@ -70,12 +70,11 @@ struct Args {
     bounds: Bounds,
     por_factor: bool,
     hunt: bool,
-    jobs: usize,
     save_trace: Option<String>,
     replay: Option<ChoiceTrace>,
 }
 
-fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, CliError> {
+fn parse_args(mut flags: Flags) -> Result<Args, CliError> {
     let mut args = Args {
         matrix: Matrix::new(&PROTOCOLS, 2, Scale::Small),
         iters_cap: 2,
@@ -83,11 +82,9 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, CliError> {
         bounds: Bounds::default(),
         por_factor: false,
         hunt: false,
-        jobs: 1,
         save_trace: None,
         replay: None,
     };
-    let mut flags = Flags::new(it);
     while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
             "--no-por" => args.bounds.por = false,
@@ -99,11 +96,6 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, CliError> {
             "--drop-points" => args.bounds.max_drop_points = flags.parsed()?,
             "--dup-points" => args.bounds.max_dup_points = flags.parsed()?,
             "--defers" => args.bounds.max_defers = flags.parsed()?,
-            "--jobs" => {
-                let avail =
-                    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-                args.jobs = flags.parsed::<usize>()?.clamp(1, avail);
-            }
             "--save-trace" => args.save_trace = Some(flags.value()?),
             "--replay" => args.replay = Some(read_trace(&flags.value()?)?),
             _ if args.matrix.take(&mut flags)? => {}
@@ -113,16 +105,10 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, CliError> {
     Ok(args)
 }
 
-/// One explored app x protocol cell, rendered: the table row plus any
-/// violation text destined for stderr.
-struct CellOut {
-    row: Vec<String>,
-    stderr: String,
-}
-
 /// Explore one cell; pure function of the arguments, so cells can run on
 /// any worker thread in any order.
-fn run_cell(app: &'static str, protocol: ProtocolKind, args: &Args) -> CellOut {
+fn run_cell(spec: &AppSpec, protocol: ProtocolKind, args: &Args, out: &mut CellOut) {
+    let app = spec.name;
     let budget = args.budget.unwrap_or_else(|| default_budget(protocol));
     let cfg = RunConfig::with_nprocs(protocol, args.matrix.nprocs);
     let opts = ExploreOpts {
@@ -132,73 +118,41 @@ fn run_cell(app: &'static str, protocol: ProtocolKind, args: &Args) -> CellOut {
         static_groups: None,
     };
     let rep = explore(|| trace_app(app, args.iters_cap), &cfg, &opts);
-    let stderr = rep.violation.as_ref().map_or_else(String::new, |v| {
-        format!(
-            "--- {app} under {} (schedule {}):\n{}\n",
-            protocol.label(),
-            v.schedule_index,
-            v.report.summary()
-        )
-    });
-    CellOut {
-        row: vec![
-            app.to_string(),
-            protocol.label().to_string(),
-            budget.to_string(),
-            rep.schedules.to_string(),
-            rep.completed.to_string(),
-            rep.pruned.to_string(),
-            rep.max_points.to_string(),
-            if rep.frontier_exhausted {
-                "done"
-            } else {
-                "budget"
-            }
-            .to_string(),
-            if rep.violation.is_some() {
-                "FLAGGED"
-            } else {
-                "clean"
-            }
-            .to_string(),
-        ],
-        stderr,
+    if let Some(v) = &rep.violation {
+        out.flagged.push((
+            format!("{app}-{}", protocol.label()),
+            format!(
+                "{app} under {} (schedule {}):\n{}",
+                protocol.label(),
+                v.schedule_index,
+                v.report.summary()
+            ),
+        ));
     }
-}
-
-/// Run every cell on `args.jobs` worker threads pulling from a shared
-/// queue, then hand the results back in the fixed cell order — output is
-/// byte-identical at any job count.
-fn run_cells(cells: &[(&'static str, ProtocolKind)], args: &Args) -> Vec<CellOut> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let workers = args.jobs.min(cells.len()).max(1);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CellOut>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(app, protocol)) = cells.get(i) else {
-                    break;
-                };
-                let out = run_cell(app, protocol, args);
-                *slots[i].lock().expect("result slot poisoned") = Some(out);
-            });
+    out.rows.push(vec![
+        app.to_string(),
+        protocol.label().to_string(),
+        budget.to_string(),
+        rep.schedules.to_string(),
+        rep.completed.to_string(),
+        rep.pruned.to_string(),
+        rep.max_points.to_string(),
+        if rep.frontier_exhausted {
+            "done"
+        } else {
+            "budget"
         }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("result slot poisoned")
-                .expect("every cell ran")
-        })
-        .collect()
+        .to_string(),
+        if rep.violation.is_some() {
+            "FLAGGED"
+        } else {
+            "clean"
+        }
+        .to_string(),
+    ]);
 }
 
-fn replay_mode(trace: &ChoiceTrace) -> ! {
+fn replay_mode(trace: &ChoiceTrace) {
     let cfg = config_for_trace(trace);
     println!(
         "replaying {} choice points: {} under {} ({} procs, planted={})",
@@ -219,7 +173,6 @@ fn replay_mode(trace: &ChoiceTrace) -> ! {
     if report.is_clean() {
         println!("replayed schedule is clean");
     }
-    std::process::exit(0);
 }
 
 /// The POR measurement: same bounded tree of the regression app, POR on
@@ -274,7 +227,7 @@ fn por_factor_section(nprocs: usize) {
 
 /// The planted-bug regression: systematic exploration must find the
 /// lmw-u coverage-gap bug in well under 1000 schedules.
-fn hunt_section(save_trace: Option<&str>) -> bool {
+fn hunt_section(save_trace: Option<&str>) -> Result<bool, CliError> {
     println!("\n== planted-bug hunt (regress, lmw-u, 2 procs, lmw-u-coverage-gap) ==\n");
     let mut cfg = RunConfig::with_nprocs(ProtocolKind::LmwU, 2);
     cfg.planted = PlantedBug::LmwUCoverageGap;
@@ -287,7 +240,7 @@ fn hunt_section(save_trace: Option<&str>) -> bool {
     let rep = explore(|| Box::new(RegressApp::new()), &cfg, &opts);
     let Some(v) = rep.violation else {
         println!("NOT FOUND within {} schedules", rep.schedules);
-        return false;
+        return Ok(false);
     };
     println!(
         "violation found at schedule {} ({} choice points, {} stale reads)",
@@ -306,16 +259,17 @@ fn hunt_section(save_trace: Option<&str>) -> bool {
             choices: v.choices,
         };
         std::fs::write(path, trace.to_text())
-            .unwrap_or_else(|e| panic!("cannot write {path:?}: {e}"));
+            .map_err(|e| CliError(format!("cannot write trace {path:?}: {e}")))?;
         println!("replayable trace saved to {path}");
     }
-    true
+    Ok(true)
 }
 
-fn main() {
-    let args = or_usage("explore", USAGE, parse_args(std::env::args().skip(1)));
+pub fn run(flags: Flags) -> Result<ExitCode, CliError> {
+    let args = parse_args(flags)?;
     if let Some(trace) = &args.replay {
         replay_mode(trace);
+        return Ok(ExitCode::SUCCESS);
     }
 
     println!("== bounded schedule/fault-space exploration ==");
@@ -337,15 +291,7 @@ fn main() {
     );
     println!();
 
-    let matrix = &args.matrix;
-    let cells: Vec<(&'static str, ProtocolKind)> = matrix
-        .apps
-        .iter()
-        .flat_map(|&app| matrix.protocols.iter().map(move |&p| (app, p)))
-        .collect();
-    let outs = run_cells(&cells, &args);
-
-    let mut t = TextTable::new(vec![
+    let headers = vec![
         "app",
         "protocol",
         "budget",
@@ -355,31 +301,20 @@ fn main() {
         "max pts",
         "frontier",
         "verdict",
-    ]);
-    let mut dirty = 0usize;
-    for out in outs {
-        if !out.stderr.is_empty() {
-            dirty += 1;
-            eprint!("{}", out.stderr);
-        }
-        t.row(out.row);
-    }
-    print!("{}", t.render());
+    ];
+    let (_, code) = run_cells(
+        "explore",
+        headers,
+        &args.matrix.cells(),
+        |(spec, protocol), out| run_cell(spec, *protocol, &args, out),
+    );
 
     if args.por_factor {
-        por_factor_section(matrix.nprocs);
+        por_factor_section(args.matrix.nprocs);
     }
-    let mut hunt_ok = true;
-    if args.hunt {
-        hunt_ok = hunt_section(args.save_trace.as_deref());
-    }
-
-    if dirty > 0 {
-        eprintln!("{dirty} cell(s) flagged violations");
-        std::process::exit(1);
-    }
-    if !hunt_ok {
+    if args.hunt && !hunt_section(args.save_trace.as_deref())? {
         eprintln!("planted-bug hunt failed to find the violation");
-        std::process::exit(1);
+        return Ok(ExitCode::FAILURE);
     }
+    Ok(code)
 }

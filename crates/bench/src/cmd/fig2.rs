@@ -2,15 +2,19 @@
 //! lmw-i / lmw-u / bar-i / bar-u over the nulled-synchronization
 //! uniprocessor baseline, for all eight applications.
 
-#![forbid(unsafe_code)]
+use std::process::ExitCode;
 
+use crate::cli::{CliError, Flags};
+use crate::harness::{self, run_matrix};
+use crate::paper::FIG2_APPROX;
+use crate::table::{bar, TextTable};
 use dsm_apps::Scale;
-use dsm_bench::paper::FIG2_APPROX;
-use dsm_bench::table::{bar, TextTable};
-use dsm_bench::{harness, run_matrix};
 use dsm_core::ProtocolKind;
 
-fn main() {
+pub const USAGE: &str = "usage: dsm fig2";
+
+pub fn run(flags: Flags) -> Result<ExitCode, CliError> {
+    flags.none()?;
     let apps: Vec<&'static str> = FIG2_APPROX.iter().map(|(a, _)| *a).collect();
     let protocols = ProtocolKind::BASE_FOUR;
     eprintln!(
@@ -60,4 +64,5 @@ fn main() {
          mean gain {:+.0}% (paper: ~+19%)",
         avg_gain * 100.0
     );
+    Ok(ExitCode::SUCCESS)
 }

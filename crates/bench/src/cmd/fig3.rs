@@ -2,11 +2,12 @@
 //! per-application split of execution time into sigio handling, wait time,
 //! OS overhead (dominated by `mprotect`), and application compute.
 
-#![forbid(unsafe_code)]
+use std::process::ExitCode;
 
+use crate::cli::{CliError, Flags};
+use crate::harness::{self, run_matrix};
+use crate::table::TextTable;
 use dsm_apps::Scale;
-use dsm_bench::table::TextTable;
-use dsm_bench::{harness, run_matrix};
 use dsm_core::ProtocolKind;
 use dsm_sim::Category;
 
@@ -14,7 +15,10 @@ const APPS: [&str; 8] = [
     "barnes", "expl", "fft", "jacobi", "shallow", "sor", "swm", "tomcat",
 ];
 
-fn main() {
+pub const USAGE: &str = "usage: dsm fig3";
+
+pub fn run(flags: Flags) -> Result<ExitCode, CliError> {
+    flags.none()?;
     eprintln!(
         "running bar-u across {} apps (8 procs, paper scale)...",
         APPS.len()
@@ -74,4 +78,5 @@ fn main() {
             }
         );
     }
+    Ok(ExitCode::SUCCESS)
 }

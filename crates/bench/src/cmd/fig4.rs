@@ -3,16 +3,20 @@
 //! sharing patterns (barnes is excluded: "its sharing pattern, although
 //! iterative, is highly dynamic").
 
-#![forbid(unsafe_code)]
+use std::process::ExitCode;
 
+use crate::cli::{CliError, Flags};
+use crate::harness::{self, run_matrix};
+use crate::table::TextTable;
 use dsm_apps::Scale;
-use dsm_bench::table::TextTable;
-use dsm_bench::{harness, run_matrix};
 use dsm_core::ProtocolKind;
 
 const APPS: [&str; 7] = ["expl", "fft", "jacobi", "shallow", "sor", "swm", "tomcat"];
 
-fn main() {
+pub const USAGE: &str = "usage: dsm fig4";
+
+pub fn run(flags: Flags) -> Result<ExitCode, CliError> {
+    flags.none()?;
     let protocols = [
         ProtocolKind::LmwI,
         ProtocolKind::LmwU,
@@ -94,4 +98,5 @@ fn main() {
         100.0 * avg(&m_gains)
     );
     println!("\ntraffic invariant verified: bar-u, bar-s, bar-m sent identical messages and bytes");
+    Ok(ExitCode::SUCCESS)
 }

@@ -12,11 +12,11 @@
 //! Exits nonzero if any app fails the race-freedom proof — the report is
 //! also the gate.
 
-#![forbid(unsafe_code)]
-
 use std::process::ExitCode;
 
-use dsm_apps::{all_apps, Scale};
+use crate::cli::{CliError, Flags};
+
+use dsm_apps::all_apps;
 use dsm_core::ProtocolKind;
 use dsm_plan::{render_report, PlannedApp};
 
@@ -24,20 +24,11 @@ const NPROCS: usize = 8;
 
 const PROTOCOLS: [ProtocolKind; 3] = [ProtocolKind::LmwU, ProtocolKind::BarU, ProtocolKind::BarS];
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
-        ["--scale", "small"] => Scale::Small,
-        ["--scale", "paper"] => Scale::Paper,
-        _ => {
-            eprintln!("usage: plan --scale <small|paper>");
-            return ExitCode::FAILURE;
-        }
-    };
-    let scale_label = match scale {
-        Scale::Small => "small",
-        Scale::Paper => "paper",
-    };
+pub const USAGE: &str = "usage: dsm plan --scale <small|paper>";
+
+pub fn run(flags: Flags) -> Result<ExitCode, CliError> {
+    let scale = flags.scale_only()?;
+    let scale_label = scale.label();
     let mut apps: Vec<Box<dyn PlannedApp>> = all_apps()
         .iter()
         .map(|spec| spec.build_planned(scale))
@@ -49,10 +40,10 @@ fn main() -> ExitCode {
     );
     let (report, ok) = render_report(&header, NPROCS, &mut apps, &PROTOCOLS);
     print!("{report}");
-    if ok {
+    Ok(if ok {
         ExitCode::SUCCESS
     } else {
         eprintln!("plan: race-freedom proof FAILED (see race= lines above)");
         ExitCode::FAILURE
-    }
+    })
 }

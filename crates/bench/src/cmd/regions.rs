@@ -21,32 +21,23 @@
 //! any certificate violation or checksum divergence — the report is also
 //! the gate.
 
-#![forbid(unsafe_code)]
-
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use dsm_apps::{all_apps, Scale};
+use crate::cli::{CliError, Flags};
+
+use dsm_apps::all_apps;
 use dsm_core::{run_app, run_app_checked, PageClass, ProtocolKind, RunConfig};
 use dsm_plan::{analyze, build_schedule, prove_regions, render_region_report, RegionSink};
 
 const NPROCS: usize = 8;
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
-        ["--scale", "small"] => Scale::Small,
-        ["--scale", "paper"] => Scale::Paper,
-        _ => {
-            eprintln!("usage: regions --scale <small|paper>");
-            return ExitCode::FAILURE;
-        }
-    };
-    let scale_label = match scale {
-        Scale::Small => "small",
-        Scale::Paper => "paper",
-    };
+pub const USAGE: &str = "usage: dsm regions --scale <small|paper>";
+
+pub fn run(flags: Flags) -> Result<ExitCode, CliError> {
+    let scale = flags.scale_only()?;
+    let scale_label = scale.label();
 
     let mut out = String::new();
     let _ = writeln!(
@@ -137,10 +128,10 @@ fn main() -> ExitCode {
     }
 
     print!("{out}");
-    if ok {
+    Ok(if ok {
         ExitCode::SUCCESS
     } else {
         eprintln!("regions: certificate or checksum gate FAILED (see lines above)");
         ExitCode::FAILURE
-    }
+    })
 }

@@ -7,12 +7,13 @@
 //! * overall, "our update home-based protocols average 51% better than the
 //!   original lmw invalidate protocols".
 
-#![forbid(unsafe_code)]
+use std::process::ExitCode;
 
+use crate::cli::{CliError, Flags};
+use crate::harness::{self, run_matrix};
+use crate::paper::{mean_rel_change, PAPER_HEADLINES};
+use crate::table::TextTable;
 use dsm_apps::Scale;
-use dsm_bench::paper::{mean_rel_change, PAPER_HEADLINES};
-use dsm_bench::table::TextTable;
-use dsm_bench::{harness, run_matrix};
 use dsm_core::ProtocolKind;
 
 const ALL: [&str; 8] = [
@@ -20,7 +21,10 @@ const ALL: [&str; 8] = [
 ];
 const STATIC7: [&str; 7] = ["expl", "fft", "jacobi", "shallow", "sor", "swm", "tomcat"];
 
-fn main() {
+pub const USAGE: &str = "usage: dsm summary";
+
+pub fn run(flags: Flags) -> Result<ExitCode, CliError> {
+    flags.none()?;
     let protocols = [
         ProtocolKind::LmwI,
         ProtocolKind::LmwU,
@@ -127,4 +131,5 @@ fn main() {
     println!("\nHeadline ratios — paper vs measured (8 procs, paper scale)\n");
     print!("{}", t.render());
     println!("\n(relative-change rows use geometric means over the 8 apps; speedup rows are arithmetic means)");
+    Ok(ExitCode::SUCCESS)
 }

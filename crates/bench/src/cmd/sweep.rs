@@ -7,14 +7,16 @@
 //! * home migration on/off (how much the runtime assignment buys),
 //! * unreliable-flush loss (correctness holds; performance degrades).
 
-#![forbid(unsafe_code)]
 // Each sweep defines its config-tweak fn right next to the matrix call
 // that uses it; hoisting them to the top would separate cause from effect.
 #![allow(clippy::items_after_statements)]
 
+use std::process::ExitCode;
+
+use crate::cli::{CliError, Flags};
+use crate::harness::{run_baseline, run_one, RunPlan};
+use crate::table::TextTable;
 use dsm_apps::{app_by_name, Scale};
-use dsm_bench::harness::{run_baseline, run_one, RunPlan};
-use dsm_bench::table::TextTable;
 use dsm_core::{ProtocolKind, RunConfig};
 
 fn plan_with(
@@ -28,7 +30,10 @@ fn plan_with(
     p
 }
 
-fn main() {
+pub const USAGE: &str = "usage: dsm sweep";
+
+pub fn run(flags: Flags) -> Result<ExitCode, CliError> {
+    flags.none()?;
     // --- 1. processor-count sweep -------------------------------------
     println!("\n[1] processor-count sweep (sor + fft, bar-u vs lmw-i)\n");
     let mut t = TextTable::new(vec![
@@ -48,15 +53,7 @@ fn main() {
                 cells.push(format!("{:.2}", o.speedup()));
             }
         }
-        // reorder: we pushed sor-li, sor-bu, fft-li, fft-bu in app-major order
-        let reordered = vec![
-            cells[0].clone(),
-            cells[1].clone(),
-            cells[2].clone(),
-            cells[3].clone(),
-            cells[4].clone(),
-        ];
-        t.row(reordered);
+        t.row(cells);
     }
     print!("{}", t.render());
 
@@ -206,4 +203,5 @@ fn main() {
          performance even if operating system support is tuned\" — the gain \
          shrinks but stays positive)"
     );
+    Ok(ExitCode::SUCCESS)
 }

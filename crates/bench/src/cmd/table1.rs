@@ -7,15 +7,19 @@
 //! update protocols eliminate misses, the home effect cuts diffs, bar-i
 //! moves whole pages (more data), bar-u needs the fewest messages.
 
-#![forbid(unsafe_code)]
+use std::process::ExitCode;
 
+use crate::cli::{CliError, Flags};
+use crate::harness::{self, run_matrix};
+use crate::paper::TABLE1;
+use crate::table::{fmt_count, TextTable};
 use dsm_apps::Scale;
-use dsm_bench::paper::TABLE1;
-use dsm_bench::table::{fmt_count, TextTable};
-use dsm_bench::{harness, run_matrix};
 use dsm_core::ProtocolKind;
 
-fn main() {
+pub const USAGE: &str = "usage: dsm table1";
+
+pub fn run(flags: Flags) -> Result<ExitCode, CliError> {
+    flags.none()?;
     let apps: Vec<&'static str> = TABLE1.iter().map(|r| r.app).collect();
     let protocols = ProtocolKind::BASE_FOUR;
     eprintln!(
@@ -102,6 +106,7 @@ fn main() {
         );
     } else {
         println!("\n{shape_violations} shape check(s) FAILED");
-        std::process::exit(1);
+        return Ok(ExitCode::FAILURE);
     }
+    Ok(ExitCode::SUCCESS)
 }

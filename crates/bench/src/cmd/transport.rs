@@ -3,8 +3,8 @@
 //! RDMA-style backend), each run under the full dsm-check stack.
 //!
 //! ```text
-//! transport [--apps a,b,..] [--protocols lmw-i,bar-u,..] [--nprocs N]
-//!           [--scale small|paper]
+//! dsm transport [--apps a,b,..] [--protocols lmw-i,bar-u,..] [--nprocs N]
+//!               [--scale small|paper]
 //! ```
 //!
 //! For every cell the two-sided run is the reference: the table reports
@@ -22,47 +22,29 @@
 //! violation writes the offending check report under `results/repro/` and
 //! exits nonzero.
 
-#![forbid(unsafe_code)]
+use std::process::ExitCode;
 
-use std::sync::Arc;
-
-use dsm_apps::{app_by_name, Scale};
-use dsm_bench::cli::{or_usage, Matrix};
-use dsm_bench::harness::region_table;
-use dsm_bench::table::TextTable;
+use dsm_apps::Scale;
 use dsm_check::checked_run;
-use dsm_core::{ProtocolKind, RunConfig};
+use dsm_core::ProtocolKind;
 use dsm_sim::transport::TransportKind;
 
-/// All seven real protocols (bar-r runs with its proven region table).
-const PROTOCOLS: [ProtocolKind; 7] = [
-    ProtocolKind::LmwI,
-    ProtocolKind::LmwU,
-    ProtocolKind::BarI,
-    ProtocolKind::BarU,
-    ProtocolKind::BarS,
-    ProtocolKind::BarM,
-    ProtocolKind::BarR,
-];
+use crate::cli::{CliError, Flags, Matrix};
+use crate::harness::{cell_config, run_cells};
+use crate::table::{percent, TextTable};
 
 const BACKENDS: [TransportKind; 2] = [TransportKind::TwoSided, TransportKind::OneSided];
 
-const USAGE: &str = "usage: transport [--apps a,b,..] [--protocols lmw-i,bar-u,..] \
-                     [--nprocs N] [--scale small|paper]";
-
-#[allow(clippy::cast_precision_loss)]
-fn percent(now: u64, base: u64) -> String {
-    let delta = now as f64 - base as f64;
-    format!("{:+.1}%", delta / base.max(1) as f64 * 100.0)
-}
+pub const USAGE: &str = "usage: dsm transport [--apps a,b,..] [--protocols lmw-i,bar-u,..] \
+                         [--nprocs N] [--scale small|paper]";
 
 /// Measured cells, in run order: `(app, protocol, backend, elapsed ns)`.
-type Cells = Vec<(String, ProtocolKind, TransportKind, u64)>;
+type Cells = Vec<(&'static str, ProtocolKind, TransportKind, u64)>;
 
 fn elapsed_of(cells: &Cells, app: &str, p: ProtocolKind, b: TransportKind) -> Option<u64> {
     cells
         .iter()
-        .find(|(a, cp, cb, _)| a == app && *cp == p && *cb == b)
+        .find(|(a, cp, cb, _)| *a == app && *cp == p && *cb == b)
         .map(|&(_, _, _, t)| t)
 }
 
@@ -79,22 +61,20 @@ fn winner(
     Some(if tu <= ti { upd } else { inv })
 }
 
-fn main() {
-    let parsed = Matrix::new(&PROTOCOLS, 8, Scale::Paper).parse(std::env::args().skip(1));
-    let args = or_usage("transport", USAGE, parsed);
-    assert!(args.nprocs >= 2, "the matrix needs at least two processes");
+pub fn run(flags: Flags) -> Result<ExitCode, CliError> {
+    // All seven real protocols (bar-r runs with its proven region table).
+    let args = Matrix::new(&ProtocolKind::REAL_SEVEN, 8, Scale::Paper)
+        .parse(flags)?
+        .multiprocess()?;
     println!("== dual-backend transport matrix ==");
     println!(
         "config: nprocs={} scale={} backends=two-sided,one-sided",
         args.nprocs,
-        match args.scale {
-            Scale::Small => "small",
-            Scale::Paper => "paper",
-        },
+        args.scale.label(),
     );
     println!();
 
-    let mut t = TextTable::new(vec![
+    let headers = vec![
         "app",
         "protocol",
         "backend",
@@ -104,73 +84,68 @@ fn main() {
         "data kB",
         "result",
         "verdict",
-    ]);
-    let mut dirty: Vec<String> = Vec::new();
-    let mut cells: Cells = Vec::new();
-    for app in &args.apps {
-        let spec = app_by_name(app).unwrap();
-        for &protocol in &args.protocols {
-            let regions = protocol
-                .is_region()
-                .then(|| Arc::new(region_table(&spec, args.nprocs, args.scale)));
+    ];
+    // One cell per app x protocol: the two-sided run is the one-sided
+    // run's reference, so the pair stays together.
+    let (measured, code) = run_cells(
+        "transport",
+        headers,
+        &args.cells(),
+        |&(spec, protocol), out| {
+            let app = spec.name;
+            let base = cell_config(&spec, protocol, args.nprocs, args.scale);
             let mut base_elapsed = 0u64;
             let mut base_checksum = 0.0f64;
-            for backend in BACKENDS {
-                let mut cfg = RunConfig::with_nprocs(protocol, args.nprocs);
-                cfg.regions.clone_from(&regions);
+            BACKENDS.map(|backend| {
+                let mut cfg = base.clone();
                 cfg.sim.transport = backend;
                 let (run, check) = checked_run(spec.build(args.scale).as_mut(), cfg);
                 let elapsed = run.elapsed.as_ns();
                 let clean = check.is_clean();
-                cells.push(((*app).to_string(), protocol, backend, elapsed));
                 let (delta, result) = if backend == TransportKind::TwoSided {
                     base_elapsed = elapsed;
                     base_checksum = run.checksum;
-                    ("base".to_string(), "ok".to_string())
+                    ("base".to_string(), "ok")
                 } else {
                     (
                         percent(elapsed, base_elapsed),
                         if run.checksum == base_checksum {
-                            "ok".to_string()
+                            "ok"
                         } else {
-                            "DIFF".to_string()
+                            "DIFF"
                         },
                     )
                 };
                 if !clean || result == "DIFF" {
-                    let name = format!("{app}-{}-{}", protocol.label(), backend.label());
-                    let _ = std::fs::create_dir_all("results/repro");
-                    let path = format!("results/repro/transport-{name}.txt");
-                    let body = format!(
-                        "transport violation: {app} under {} on the {} backend\n\
-                         checksum: run {} vs two-sided {}\n{}",
-                        protocol.label(),
-                        backend.label(),
-                        run.checksum,
-                        base_checksum,
-                        check.summary()
-                    );
-                    if std::fs::write(&path, &body).is_ok() {
-                        eprintln!("--- {name}: violation report written to {path}");
-                    }
-                    eprintln!("{body}");
-                    dirty.push(name);
+                    out.flagged.push((
+                        format!("{app}-{}-{}", protocol.label(), backend.label()),
+                        format!(
+                            "transport violation: {app} under {} on the {} backend\n\
+                             checksum: run {} vs two-sided {}\n{}",
+                            protocol.label(),
+                            backend.label(),
+                            run.checksum,
+                            base_checksum,
+                            check.summary()
+                        ),
+                    ));
                 }
-                t.row(vec![
-                    spec.name.to_string(),
+                out.rows.push(vec![
+                    app.to_string(),
                     protocol.label().to_string(),
                     backend.label().to_string(),
                     (elapsed / 1000).to_string(),
                     delta,
                     run.stats.net.paper_messages().to_string(),
                     format!("{:.0}", run.stats.net.data_kbytes()),
-                    result,
+                    result.to_string(),
                     if clean { "clean" } else { "FLAGGED" }.to_string(),
                 ]);
-            }
-        }
-    }
-    print!("{}", t.render());
+                (app, protocol, backend, elapsed)
+            })
+        },
+    );
+    let cells: Cells = measured.into_iter().flatten().collect();
 
     // The paper's central ranking, re-asked per backend: within each
     // family, does update or invalidate win? A FLIP row is an app where
@@ -214,12 +189,5 @@ fn main() {
         println!("{flips} of {compared} family rankings flip on the one-sided backend");
     }
 
-    if !dirty.is_empty() {
-        eprintln!(
-            "{} transport cell(s) flagged: {}",
-            dirty.len(),
-            dirty.join(", ")
-        );
-        std::process::exit(1);
-    }
+    Ok(code)
 }

@@ -1,7 +1,7 @@
 //! travel — time-travel over a committed violating schedule.
 //!
 //! ```text
-//! travel [--trace PATH]     (default results/repro/lmw-u-coverage-gap.trace)
+//! dsm travel [--trace PATH]     (default results/repro/lmw-u-coverage-gap.trace)
 //! ```
 //!
 //! Replays the saved choice trace step by step under the full `dsm-check`
@@ -12,23 +12,21 @@
 //! hash matches its forward twin, and the run exits nonzero unless the
 //! replayed schedule still produces the committed violation.
 
-#![forbid(unsafe_code)]
-
 use std::cell::RefCell;
+use std::process::ExitCode;
 use std::rc::Rc;
 
-use dsm_bench::cli::{or_usage, read_trace, trace_app, CliError, Flags};
+use crate::cli::{read_trace, trace_app, CliError, Flags};
 use dsm_check::Checker;
 use dsm_core::StepRun;
 use dsm_explore::{config_for_trace, Bounds, ChoiceTrace, ExploreScheduler};
 use dsm_sim::SharedScheduler;
 
-const USAGE: &str = "usage: travel [--trace PATH]";
+pub const USAGE: &str = "usage: dsm travel [--trace PATH]";
 
 /// The trace the command line names, read and parsed, and its path.
-fn parse_args(it: impl Iterator<Item = String>) -> Result<(String, ChoiceTrace), CliError> {
+fn parse_args(mut flags: Flags) -> Result<(String, ChoiceTrace), CliError> {
     let mut path = "results/repro/lmw-u-coverage-gap.trace".to_string();
-    let mut flags = Flags::new(it);
     while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
             "--trace" => path = flags.value()?,
@@ -39,8 +37,8 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<(String, ChoiceTrace),
     Ok((path, trace))
 }
 
-fn main() {
-    let (path, trace) = or_usage("travel", USAGE, parse_args(std::env::args().skip(1)));
+pub fn run(flags: Flags) -> Result<ExitCode, CliError> {
+    let (path, trace) = parse_args(flags)?;
     let cfg = config_for_trace(&trace);
     println!(
         "time-travelling {}: {} under {} ({} procs, planted={}, {} choice points)",
@@ -122,7 +120,8 @@ fn main() {
 
     if report.is_clean() {
         eprintln!("replayed schedule no longer violates — the artifact is stale");
-        std::process::exit(1);
+        return Ok(ExitCode::FAILURE);
     }
     println!("violation reproduced");
+    Ok(ExitCode::SUCCESS)
 }

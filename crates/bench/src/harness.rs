@@ -1,32 +1,53 @@
-//! The run matrix: execute (application × protocol) combinations, with
-//! sequential baselines for speedups, in parallel across host threads.
+//! The run matrix and the cell driver: execute independent runs — the
+//! (application × protocol) matrix with its sequential baselines, or a
+//! report's list of oracle-checked cells — in parallel across host threads.
 //!
-//! Parallelism is capped at the host's `available_parallelism`: a full
+//! Parallelism is capped at the host's available parallelism: a full
 //! matrix is dozens of runs, and one thread per run just thrashes the
 //! scheduler (and the memory bus — every run owns page-sized buffers).
-//! A shared atomic cursor over the plan list keeps the workers busy
-//! without any per-run thread spawn beyond the cap.
+//! A shared atomic cursor over the item list keeps the workers busy
+//! without any per-run thread spawn beyond the cap. Items share nothing
+//! and results come back in item order, so a report rendered from them is
+//! byte-identical at any thread count.
 
 use std::collections::HashMap;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use dsm_apps::{all_apps, AppSpec, Scale};
 use dsm_core::{run_app, ProtocolKind, RegionTable, RunConfig, RunReport};
 use dsm_plan::{analyze, build_schedule, prove_regions};
 use dsm_sim::Time;
 
-/// Run `worker` over `items` on at most `available_parallelism` threads,
-/// preserving item order in the results. The work queue is an atomic
-/// cursor: each worker claims the next unclaimed index until none remain.
-fn run_capped<T: Sync, R: Send>(items: &[T], worker: impl Fn(&T) -> R + Sync) -> Vec<R> {
+use crate::table::TextTable;
+
+/// `dsm --jobs N`: the worker-thread count, 0 for the host's parallelism.
+static JOBS: AtomicUsize = AtomicUsize::new(0);
+
+pub fn set_jobs(n: usize) {
+    JOBS.store(n.max(1), Ordering::Relaxed);
+}
+
+/// The `--jobs` value in force, if one was given.
+pub fn jobs() -> Option<usize> {
+    match JOBS.load(Ordering::Relaxed) {
+        0 => None,
+        n => Some(n),
+    }
+}
+
+/// Run `worker` over `items` on `--jobs` threads (at most, and by default,
+/// the host's parallelism), preserving item order in the results. The
+/// work queue is an atomic cursor: each worker claims the next unclaimed
+/// index until none remain.
+pub fn run_capped<T: Sync, R: Send>(items: &[T], worker: impl Fn(&T) -> R + Sync) -> Vec<R> {
     let n = items.len();
     if n == 0 {
         return Vec::new();
     }
-    let threads = std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(n);
+    let avail = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let threads = jobs().map_or(avail, |j| j.min(avail)).min(n);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
@@ -177,12 +198,83 @@ pub fn find<'a>(outcomes: &'a [Outcome], app: &str, protocol: ProtocolKind) -> &
 }
 
 /// Prove the `bar-r` region table for one (app, nprocs, scale) cell,
-/// exactly as the `regions` report bin does.
-pub fn region_table(spec: &AppSpec, nprocs: usize, scale: Scale) -> RegionTable {
+/// exactly as the `regions` report does.
+fn region_table(spec: &AppSpec, nprocs: usize, scale: Scale) -> RegionTable {
     let mut probe = spec.build_planned(scale);
     let an = analyze(probe.as_mut(), nprocs);
     let sched = build_schedule(&an.plan, ProtocolKind::BarR, an.iters);
     prove_regions(&an.plan, &an.layout, &sched)
+}
+
+/// The run configuration of one oracle cell: `bar-r` runs with the app's
+/// proven region table installed (without one it is bar-u), so the checked
+/// reports exercise the twin-free capture, clipped pushes and elision.
+pub fn cell_config(
+    spec: &AppSpec,
+    protocol: ProtocolKind,
+    nprocs: usize,
+    scale: Scale,
+) -> RunConfig {
+    let mut cfg = RunConfig::with_nprocs(protocol, nprocs);
+    if protocol.is_region() {
+        cfg.regions = Some(Arc::new(region_table(spec, nprocs, scale)));
+    }
+    cfg
+}
+
+/// What one cell of a checked report hands back to the merge.
+#[derive(Default)]
+pub struct CellOut {
+    /// The cell's rendered table rows.
+    pub rows: Vec<Vec<String>>,
+    /// `(cell name, report)` for every violation the cell found.
+    pub flagged: Vec<(String, String)>,
+}
+
+/// The one cell driver: fan `cells` out over the worker threads, each
+/// rendering its own rows, then merge in cell order — print the table,
+/// and send every violation to stderr and to
+/// `results/repro/<cmd>-<cell>.txt`. Returns what the workers returned, and
+/// the exit status: failure if any cell flagged.
+pub fn run_cells<C: Sync, X: Send>(
+    cmd: &str,
+    headers: Vec<&str>,
+    cells: &[C],
+    worker: impl Fn(&C, &mut CellOut) -> X + Sync,
+) -> (Vec<X>, ExitCode) {
+    let outs = run_capped(cells, |cell| {
+        let mut out = CellOut::default();
+        let extra = worker(cell, &mut out);
+        (out, extra)
+    });
+    let mut table = TextTable::new(headers);
+    let mut dirty: Vec<String> = Vec::new();
+    let mut extras = Vec::with_capacity(outs.len());
+    for (out, extra) in outs {
+        for (name, report) in out.flagged {
+            let path = format!("results/repro/{cmd}-{name}.txt");
+            let _ = std::fs::create_dir_all("results/repro");
+            if std::fs::write(&path, &report).is_ok() {
+                eprintln!("--- {name}: violation report written to {path}");
+            }
+            eprintln!("{report}");
+            dirty.push(name);
+        }
+        for row in out.rows {
+            table.row(row);
+        }
+        extras.push(extra);
+    }
+    print!("{}", table.render());
+    if dirty.is_empty() {
+        return (extras, ExitCode::SUCCESS);
+    }
+    eprintln!(
+        "{} {cmd} cell(s) flagged: {}",
+        dirty.len(),
+        dirty.join(", ")
+    );
+    (extras, ExitCode::FAILURE)
 }
 
 #[cfg(test)]

@@ -19,8 +19,6 @@ use std::time::{Duration, Instant};
 pub enum Throughput {
     /// Bytes processed per iteration.
     Bytes(u64),
-    /// Logical elements processed per iteration.
-    Elements(u64),
 }
 
 /// Batch sizing hint for `iter_batched`; accepted for API compatibility,
@@ -28,7 +26,6 @@ pub enum Throughput {
 #[derive(Clone, Copy, Debug)]
 pub enum BatchSize {
     SmallInput,
-    LargeInput,
 }
 
 /// Top-level handle passed to every bench function.
@@ -60,12 +57,6 @@ impl BenchGroup {
     /// Declare per-iteration throughput for rate reporting.
     pub fn throughput(&mut self, t: Throughput) -> &mut Self {
         self.throughput = Some(t);
-        self
-    }
-
-    /// Sample-count hint; accepted for API compatibility and ignored
-    /// (the adaptive loop fixes its own measurement window).
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
         self
     }
 
@@ -177,10 +168,6 @@ fn run_one(
         Some(Throughput::Bytes(n)) => {
             let mbps = n as f64 / 1e6 / (ns / 1e9);
             format!("  {mbps:10.1} MB/s")
-        }
-        Some(Throughput::Elements(n)) => {
-            let eps = n as f64 / (ns / 1e9);
-            format!("  {eps:10.0} elem/s")
         }
         None => String::new(),
     };

@@ -75,6 +75,12 @@ pub fn fmt_count(v: u64) -> String {
     out
 }
 
+/// `now` against `base` as a signed percentage.
+pub fn percent(now: u64, base: u64) -> String {
+    let delta = now as f64 - base as f64;
+    format!("{:+.1}%", delta / base.max(1) as f64 * 100.0)
+}
+
 /// A simple horizontal ASCII bar.
 pub fn bar(value: f64, max: f64, width: usize) -> String {
     if !(value.is_finite() && max > 0.0) {

@@ -24,16 +24,6 @@ use dsm_sim::transport::TransportKind;
 
 const NPROCS: usize = 4;
 
-const PROTOCOLS: [ProtocolKind; 7] = [
-    ProtocolKind::LmwI,
-    ProtocolKind::LmwU,
-    ProtocolKind::BarI,
-    ProtocolKind::BarU,
-    ProtocolKind::BarS,
-    ProtocolKind::BarM,
-    ProtocolKind::BarR,
-];
-
 /// Prove the region table for one (app, nprocs) cell, exactly as the
 /// `regions` report bin does.
 fn region_table(spec: &AppSpec) -> RegionTable {
@@ -56,7 +46,7 @@ fn one_sided_matches_two_sided_across_protocols_and_faults() {
             let spec = app_by_name(app).unwrap();
             let profiles = &profiles;
             scope.spawn(move || {
-                for protocol in PROTOCOLS {
+                for protocol in ProtocolKind::REAL_SEVEN {
                     let regions = protocol.is_region().then(|| Arc::new(region_table(&spec)));
                     for (label, profile) in profiles {
                         let mut checksums = Vec::new();

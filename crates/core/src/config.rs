@@ -70,6 +70,18 @@ impl ProtocolKind {
         ProtocolKind::BarU,
     ];
 
+    /// All seven real protocols (everything but [`ProtocolKind::Seq`]),
+    /// in the house order of the campaign, transport and scale reports.
+    pub const REAL_SEVEN: [ProtocolKind; 7] = [
+        ProtocolKind::LmwI,
+        ProtocolKind::LmwU,
+        ProtocolKind::BarI,
+        ProtocolKind::BarU,
+        ProtocolKind::BarS,
+        ProtocolKind::BarM,
+        ProtocolKind::BarR,
+    ];
+
     /// True for the homeless LRC family.
     pub fn is_lmw(self) -> bool {
         matches!(self, ProtocolKind::LmwI | ProtocolKind::LmwU)
