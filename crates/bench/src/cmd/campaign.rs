@@ -38,6 +38,7 @@ fn profiles(nprocs: usize) -> Vec<(&'static str, FaultProfile)> {
         ("burst-loss", FaultProfile::burst_loss()),
         ("dup-reorder", FaultProfile::dup_reorder()),
         ("slow-node", FaultProfile::slow_node(nprocs - 1)),
+        ("loss-dup", FaultProfile::loss_dup()),
     ]
 }
 

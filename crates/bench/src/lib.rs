@@ -29,7 +29,6 @@ pub mod cmd;
 pub mod harness;
 pub mod manifest;
 pub mod paper;
-pub mod quick;
 pub mod table;
 
 pub use harness::{run_matrix, run_one, Outcome, RunPlan};

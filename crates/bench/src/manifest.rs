@@ -58,7 +58,7 @@ use Tier::{Full, Smoke};
 
 // One row per entry: a table reads better unwrapped.
 #[rustfmt::skip]
-pub static MANIFEST: [Entry; 23] = [
+pub static MANIFEST: [Entry; 25] = [
     entry("table1", Smoke, "table1", &["results/table1.txt"]),
     entry("fig2", Smoke, "fig2", &["results/fig2.txt"]),
     entry("fig3", Smoke, "fig3", &["results/fig3.txt"]),
@@ -80,6 +80,8 @@ pub static MANIFEST: [Entry; 23] = [
     entry("transport-paper", Full, "transport --scale paper", &["results/transport-paper.txt"]),
     entry("scale-paper", Full, "scale", &["results/scale-paper.txt"]),
     entry("campaign", Full, "campaign", &["results/campaign.txt"]),
+    entry("campaign-od-paper", Full, "campaign --protocols bar-s,bar-m --nprocs 8 --scale paper", &["results/campaign-od-paper.txt"]),
+    entry("campaign-od-n64", Full, "campaign --protocols bar-u,bar-s,bar-m,bar-r --nprocs 64 --scale small", &["results/campaign-od-n64.txt"]),
     entry("explore-baseline", Full, "explore --por-factor --hunt --save-trace results/repro/lmw-u-coverage-gap.trace", &["results/explore-baseline.txt", "results/repro/lmw-u-coverage-gap.trace"]),
     entry("travel", Full, "travel", &[]),
 ];
@@ -93,7 +95,7 @@ pub fn render_list() -> String {
     for e in &MANIFEST {
         let _ = write!(
             out,
-            "{:<16}  {:<5}  dsm {}",
+            "{:<17}  {:<5}  dsm {}",
             e.name,
             e.tier.label(),
             e.command

@@ -1,6 +1,7 @@
 //! The manifest is the one record of what regenerates what: it must cover
 //! exactly the committed results files, name only real subcommands, and be
-//! the table DESIGN.md §5 prints. And because every report renders its
+//! the table DESIGN.md §5 prints; the docs cite paths and subcommands, so
+//! every one they mention must exist. And because every report renders its
 //! rows inside the shared cell driver's workers, a report's bytes must not
 //! depend on `--jobs`.
 
@@ -62,6 +63,43 @@ fn manifest_names_real_subcommands_and_design_prints_it() {
         design.contains(&render_list()),
         "DESIGN.md §5 must carry the current `dsm list` output verbatim"
     );
+}
+
+#[test]
+fn docs_mention_only_paths_and_subcommands_that_exist() {
+    let root = workspace_root();
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("a root doc");
+        // `crates/…` up to the first character no path here contains (so a
+        // glob or placeholder is checked up to its fixed prefix).
+        for (at, _) in text.match_indices("crates/") {
+            let path = text[at..]
+                .split(|c: char| !(c.is_ascii_alphanumeric() || "_./-".contains(c)))
+                .next()
+                .expect("split yields a first piece")
+                .trim_end_matches('.');
+            assert!(root.join(path).exists(), "{doc} mentions missing {path}");
+        }
+        // `dsm <word>` where `dsm` stands alone: flags and `<placeholders>`
+        // are not words.
+        for (at, _) in text.match_indices("dsm ") {
+            let glued = |c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_';
+            if text[..at].chars().next_back().is_some_and(glued) {
+                continue;
+            }
+            let word = text[at + 4..]
+                .split(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'))
+                .next()
+                .expect("split yields a first piece");
+            if word.is_empty() || word.starts_with('-') {
+                continue;
+            }
+            assert!(
+                COMMANDS.iter().any(|c| c.name == word),
+                "{doc} mentions `dsm {word}`, which is no subcommand"
+            );
+        }
+    }
 }
 
 fn stdout_at(jobs: &str, line: &str) -> Vec<u8> {

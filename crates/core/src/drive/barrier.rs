@@ -250,9 +250,7 @@ impl<S: Pages> Cluster<S> {
             self.procs[pid].protect_ops_epoch = 0;
         }
 
-        debug_assert!(self.bar_deliveries.home_flushes.is_empty());
-        debug_assert!(self.bar_deliveries.bar_updates.is_empty());
-        debug_assert!(self.bar_deliveries.lmw_updates.is_empty());
+        debug_assert!(self.procs.iter().all(|p| p.inbox.is_empty()));
         self.bar_deliveries.bumps.clear();
         self.bar_deliveries.writer_bumps.clear();
         let epoch = self.epoch;

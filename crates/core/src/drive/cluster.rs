@@ -23,7 +23,7 @@ use crate::check::{CheckEvent, CheckSink};
 use crate::config::{ProtocolKind, RunConfig};
 use crate::drive::stats::{RunReport, RunStats};
 use crate::mem::SharedSegment;
-use crate::proto::bar::BarDeliveries;
+use crate::proto::bar::{BarDeliveries, Delivery};
 use crate::proto::copyset::CopySet;
 use crate::proto::lmw::LmwProc;
 use crate::proto::overdrive::{OdMode, OdProc};
@@ -40,6 +40,9 @@ pub struct Proc<S: Pages = PageStore> {
     pub(crate) lmw: LmwProc<S::Diff>,
     /// Overdrive per-process state.
     pub(crate) od: OdProc,
+    /// One-way messages addressed to this process, queued by `publish`
+    /// during the pre-barrier step and drained at release.
+    pub(crate) inbox: Vec<Delivery<S::Diff>>,
 }
 
 // Virtual time is excluded from the hash by design: the clock and the
@@ -50,6 +53,8 @@ dsm_sim::impl_state!(Proc<PageStore> {
     state: store, dirty;
     timing: protect_ops_epoch;
     state: lmw, od;
+    // Empty between steps: filled and drained inside one barrier.
+    scratch: inbox;
 });
 
 impl<S: Pages> Proc<S> {
@@ -61,6 +66,7 @@ impl<S: Pages> Proc<S> {
             protect_ops_epoch: 0,
             lmw: LmwProc::default(),
             od: OdProc::default(),
+            inbox: Vec::new(),
         }
     }
 }
@@ -110,8 +116,8 @@ pub struct Cluster<S: Pages = PageStore> {
     /// Overdrive cluster mode.
     pub(crate) od_mode: OdMode,
     pub(crate) od_revert_pending: bool,
-    /// Deliveries queued during the pre-barrier step, consumed at release.
-    pub(crate) bar_deliveries: BarDeliveries<S::Diff>,
+    /// The version bumps the barrier in progress carries.
+    pub(crate) bar_deliveries: BarDeliveries,
     pub(crate) measuring: bool,
     /// Result of the most recent reduction, visible to all processes.
     pub(crate) last_reduction: Vec<f64>,
@@ -170,8 +176,8 @@ dsm_sim::impl_state!(Cluster<PageStore> {
     state: homes, versions, copysets, last_write_epoch, last_writer, iter_writers,
         iter_write_counts, migrated, od_mode, od_revert_pending, migration_pending,
         last_reduction, procs;
-    // Empty between steps: deliveries drain inside the barrier, and a
-    // restored execution is live again however the last excursion ended.
+    // Empty between steps: the ledger is cleared inside the barrier, and
+    // a restored execution is live again however the last excursion ended.
     scratch: bar_deliveries, pruned;
 });
 

@@ -12,6 +12,7 @@ use dsm_sim::{Candidate, ChoiceKind, State, StateHasher};
 
 use crate::check::CheckEvent;
 use crate::drive::cluster::Cluster;
+use crate::proto::bar::{Delivery, DeliveryKind};
 use dsm_vm::Pages;
 
 /// Fold one checker event into a running trace hash.
@@ -130,28 +131,30 @@ pub(crate) fn fold_event(acc: u64, ev: &CheckEvent<'_>) -> u64 {
 }
 
 impl<S: Pages> Cluster<S> {
-    /// Ask the scheduler for a consumption order over `items`, one pick at
-    /// a time (so the explorer sees the shrinking candidate set). Identity
-    /// when not exploring — the canonical order is exactly today's order.
-    pub(crate) fn delivery_order<T>(
-        &mut self,
-        items: Vec<T>,
-        page_of: impl Fn(&T) -> u32,
-    ) -> Vec<T> {
-        if !self.exploring || items.len() <= 1 {
-            return items;
-        }
-        let mut remaining: Vec<(Candidate, T)> = items
-            .into_iter()
-            .map(|t| {
-                let c = Candidate {
-                    actor: 0,
-                    footprint: vec![page_of(&t)],
-                };
-                (c, t)
-            })
-            .collect();
+    /// Ask the scheduler for an order over `items`, one pick at a time (so
+    /// the explorer sees the shrinking candidate set).
+    fn pick_order<T>(&mut self, kind: ChoiceKind, mut remaining: Vec<(Candidate, T)>) -> Vec<T> {
         let mut out = Vec::with_capacity(remaining.len());
+        while remaining.len() > 1 {
+            let cands: Vec<Candidate> = remaining.iter().map(|(c, _)| c.clone()).collect();
+            let idx = self.sched.borrow_mut().choose(kind, &cands);
+            assert!(idx < remaining.len(), "scheduler chose out of range");
+            out.push(remaining.remove(idx).1);
+        }
+        out.extend(remaining.into_iter().map(|(_, t)| t));
+        out
+    }
+
+    /// Drain the one-way messages queued for `pid`, in consumption order:
+    /// the reliable home flushes, then the droppable updates. Each class
+    /// keeps its queueing order — the canonical order — unless an
+    /// exploring scheduler permutes it.
+    pub(crate) fn take_inbox(&mut self, pid: usize) -> Vec<Delivery<S::Diff>> {
+        let mut inbox = core::mem::take(&mut self.procs[pid].inbox);
+        inbox.sort_by_key(|d| d.kind != DeliveryKind::Home);
+        if !self.exploring {
+            return inbox;
+        }
         // One-sided pushes have no receiver-side delivery event: the
         // reorder point is which posted write *completes* (retires from
         // its QP) first, so the explorer labels these picks as completion
@@ -162,13 +165,18 @@ impl<S: Pages> Cluster<S> {
         } else {
             ChoiceKind::Delivery
         };
-        while remaining.len() > 1 {
-            let cands: Vec<Candidate> = remaining.iter().map(|(c, _)| c.clone()).collect();
-            let idx = self.sched.borrow_mut().choose(kind, &cands);
-            assert!(idx < remaining.len(), "scheduler chose out of range");
-            out.push(remaining.remove(idx).1);
+        let updates = inbox.split_off(inbox.partition_point(|d| d.kind == DeliveryKind::Home));
+        let mut out = Vec::with_capacity(inbox.len() + updates.len());
+        for class in [inbox, updates] {
+            let cands = class.into_iter().map(|d| {
+                let c = Candidate {
+                    actor: 0,
+                    footprint: vec![d.page.0],
+                };
+                (c, d)
+            });
+            out.extend(self.pick_order(kind, cands.collect()));
         }
-        out.push(remaining.pop().expect("one candidate left").1);
         out
     }
 
@@ -180,27 +188,18 @@ impl<S: Pages> Cluster<S> {
         if !self.exploring || n <= 1 {
             return (0..n).collect();
         }
-        let mut remaining: Vec<usize> = (0..n).collect();
-        let mut out = Vec::with_capacity(n);
-        while remaining.len() > 1 {
-            let cands: Vec<Candidate> = remaining
-                .iter()
-                .map(|&pid| {
-                    let mut fp: Vec<u32> = self.procs[pid].dirty.iter().map(|p| p.0).collect();
-                    fp.sort_unstable();
-                    fp.dedup();
-                    Candidate {
-                        actor: pid as u16,
-                        footprint: fp,
-                    }
-                })
-                .collect();
-            let idx = self.sched.borrow_mut().choose(ChoiceKind::Arrival, &cands);
-            assert!(idx < remaining.len(), "scheduler chose out of range");
-            out.push(remaining.remove(idx));
-        }
-        out.extend(remaining);
-        out
+        let cands = (0..n).map(|pid| {
+            let mut fp: Vec<u32> = self.procs[pid].dirty.iter().map(|p| p.0).collect();
+            fp.sort_unstable();
+            fp.dedup();
+            let c = Candidate {
+                actor: pid as u16,
+                footprint: fp,
+            };
+            (c, pid)
+        });
+        let cands = cands.collect();
+        self.pick_order(ChoiceKind::Arrival, cands)
     }
 }
 

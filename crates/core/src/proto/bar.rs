@@ -23,47 +23,51 @@ use dsm_vm::{Delta, FaultKind, PageId, Pages, Protection};
 
 use crate::check::CheckEvent;
 use crate::drive::cluster::Cluster;
+use crate::proto::copyset::CopySet;
 use crate::proto::overdrive::OdMode;
 
 /// Wire bytes per (page, version) entry on barrier messages.
 pub const BUMP_WIRE_BYTES: usize = 12;
 
-/// In-flight one-way messages queued during the pre-barrier step and
-/// consumed at release time, plus the barrier's version-bump ledger.
+/// How the receiver of a queued one-way message consumes it.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum DeliveryKind {
+    /// A diff flushed reliably to the page's home.
+    Home,
+    /// A bar-u family update push to a copyset member.
+    Update,
+    /// An lmw-u update flush of the segment covering epochs `[lo, hi]`.
+    Segment { lo: u64, hi: u64 },
+}
+
+/// One in-flight one-way message: queued in its destination's inbox by
+/// [`Cluster::publish`] during the pre-barrier step, consumed at release.
+/// It carries its writer's name, so the consumer validates by *who* it
+/// heard from, never by how many messages arrived.
+#[derive(Clone, PartialEq, Debug)]
+pub struct Delivery<D> {
+    pub kind: DeliveryKind,
+    pub page: PageId,
+    pub writer: usize,
+    pub diff: D,
+    /// The receiver's leg of the transit, charged when it is consumed.
+    pub recv: Time,
+}
+
+/// What the barrier itself delivers: the version-bump ledger its arrival
+/// and release messages carry.
 ///
-/// Intra-barrier scratch: the deliveries drain at release and
-/// `barrier_core` clears the ledger, so the whole struct is `Default` at
-/// every step boundary — which is how the cluster's state declaration
-/// classes it.
+/// Intra-barrier scratch: `barrier_core` clears the ledger, so the struct
+/// is `Default` at every step boundary — which is how the cluster's state
+/// declaration classes it.
 #[derive(Default, PartialEq)]
-pub struct BarDeliveries<D> {
-    /// Diffs flushed to their home: `(home, page, diff, receiver leg)`.
-    pub home_flushes: Vec<(usize, PageId, D, Time)>,
-    /// Update pushes to consumers: `(dst, page, diff, receiver leg)`.
-    pub bar_updates: Vec<(usize, PageId, D, Time)>,
-    /// lmw-u update flushes: `(dst, page, writer, lo, hi, diff, receiver leg)`.
-    pub lmw_updates: Vec<(usize, PageId, u16, u64, u64, D, Time)>,
+pub struct BarDeliveries {
     /// Pages bumped this barrier: `(page, old_version, new_version)`,
     /// page-sorted at collection time for deterministic iteration.
     pub bumps: Vec<(PageId, u32, u32)>,
-    /// Who contributed each bump: `(writer, page)`. Lets a writer account
-    /// for its own modifications when deciding whether its copy is current.
+    /// Who contributed each bump: `(writer, page)` — the names a copy must
+    /// have heard from (or be) to still be current after the barrier.
     pub writer_bumps: Vec<(usize, PageId)>,
-}
-
-impl<D> BarDeliveries<D> {
-    /// Record one version bump contribution for `page`, returning nothing;
-    /// consecutive bumps of the same page within one barrier extend the
-    /// same ledger entry.
-    pub(crate) fn bump(&mut self, page: PageId, versions: &mut [u32]) {
-        let old = versions[page.index()];
-        versions[page.index()] = old + 1;
-        if let Some(e) = self.bumps.iter_mut().find(|e| e.0 == page) {
-            e.2 = old + 1;
-        } else {
-            self.bumps.push((page, old, old + 1));
-        }
-    }
 }
 
 impl<S: Pages> Cluster<S> {
@@ -75,7 +79,13 @@ impl<S: Pages> Cluster<S> {
         self.charge_segv(pid);
         if kind.is_write() && self.od_mode == OdMode::Overdrive {
             // A trapped write during overdrive is by definition
-            // unanticipated (anticipated pages were pre-enabled).
+            // unanticipated: anticipated pages were armed current and
+            // writable, so none of them can be here (and enter `dirty` a
+            // second time).
+            debug_assert!(
+                !self.procs[pid].dirty.contains(&page),
+                "an armed page trapped a write"
+            );
             self.od_unanticipated(pid, page);
         }
         if kind.needs_validation() {
@@ -120,7 +130,7 @@ impl<S: Pages> Cluster<S> {
 
     /// Validate by fetching a complete copy from the home — "always exactly
     /// one request-reply pair".
-    fn bar_fetch_page(&mut self, pid: usize, page: PageId) {
+    pub(crate) fn bar_fetch_page(&mut self, pid: usize, page: PageId) {
         let home = self.homes[page.index()];
         assert_ne!(pid, home, "a home page can never be invalid at its home");
         self.materialize_pristine(home, page);
@@ -135,7 +145,15 @@ impl<S: Pages> Cluster<S> {
         let (me, hm) = Self::pair_mut(&mut self.procs, pid, home);
         me.store.copy_page(page, &hm.store);
         me.store.set_version_seen(page, version);
-        self.set_prot(pid, page, Protection::Read);
+        // bar-m pre-granted write permission on its union for the whole
+        // overdrive phase; an invalidation took it away with the copy, and
+        // the fresh copy gets it back.
+        let prot = if self.procs[pid].od.pre_enabled.contains(&page.0) {
+            Protection::ReadWrite
+        } else {
+            Protection::Read
+        };
+        self.set_prot(pid, page, prot);
         self.stats.remote_misses += 1;
         self.emit(CheckEvent::Fetch {
             pid,
@@ -197,26 +215,12 @@ impl<S: Pages> Cluster<S> {
                 } else {
                     self.bar_bump(pid, page);
                     contributions += 1;
-                    if pid != home {
-                        self.bar_flush_home(pid, home, page, &diff);
-                    }
-                    if is_update {
-                        let cs = self.copyset(page).clone();
-                        let members: Vec<usize> = cs.others(pid).filter(|&q| q != home).collect();
-                        self.emit(CheckEvent::UpdateFlush {
-                            writer: pid,
-                            page: page.0,
-                            copyset: &cs,
-                            pushes: members.len(),
-                            diff: &diff,
-                        });
-                        for q in members {
-                            self.bar_push_update(pid, q, page, &diff);
-                        }
-                    }
+                    let cs = is_update.then(|| self.copyset(page).clone());
+                    let copy = |_: &mut Self, _| Some(diff.clone());
+                    self.publish(pid, page, DeliveryKind::Update, cs.as_ref(), &diff, copy);
                 }
-                // The clones rode into the delivery queues; the original's
-                // storage goes back to the free-lists.
+                // The clones rode into the inboxes; the original's storage
+                // goes back to the free-lists.
                 S::recycle(&mut self.pool, diff);
             } else {
                 // Home wrote, no consumers needing a diff: version bump only
@@ -233,166 +237,175 @@ impl<S: Pages> Cluster<S> {
         contributions
     }
 
-    /// Advance `page`'s version on `pid`'s behalf: the barrier's ledger,
-    /// the checker event, and the contribution record.
+    /// Advance `page`'s version on `pid`'s behalf: the barrier's ledger
+    /// (consecutive bumps of one page extend one entry), the contribution
+    /// record, and the checker event.
     pub(crate) fn bar_bump(&mut self, pid: usize, page: PageId) {
         let old = self.versions[page.index()];
-        self.bar_deliveries.bump(page, &mut self.versions);
+        self.versions[page.index()] = old + 1;
+        let ledger = &mut self.bar_deliveries;
+        match ledger.bumps.iter_mut().find(|e| e.0 == page) {
+            Some(e) => e.2 = old + 1,
+            None => ledger.bumps.push((page, old, old + 1)),
+        }
+        ledger.writer_bumps.push((pid, page));
         self.emit(CheckEvent::VersionBump {
             page: page.0,
             old,
             new: old + 1,
         });
-        self.bar_deliveries.writer_bumps.push((pid, page));
     }
 
-    /// Flush `diff` reliably to `page`'s home, queueing it for the home's
-    /// post-release step.
-    pub(crate) fn bar_flush_home(&mut self, pid: usize, home: usize, page: PageId, diff: &S::Diff) {
-        let sent_at = self.procs[pid].clock.now();
-        let bytes = diff.wire_bytes();
-        let tr = self
-            .net
-            .push_reliable(pid, home, ReliableKind::DiffFlushHome, bytes, sent_at);
-        self.charge(pid, Category::Os, tr.sender);
-        self.stats.note_flush(page.index(), bytes as u64);
-        self.note_attempts(pid, home, tr.attempts);
-        self.bar_deliveries
-            .home_flushes
-            .push((home, page, diff.clone(), tr.receiver));
-    }
-
-    /// Push `diff` to consumer `q` as one droppable update, queueing what
-    /// the wire delivers for `q`'s post-release step.
-    pub(crate) fn bar_push_update(&mut self, pid: usize, q: usize, page: PageId, diff: &S::Diff) {
-        let now = self.procs[pid].clock.now();
-        let bytes = diff.wire_bytes();
-        let out = self
-            .net
-            .push_update(pid, q, FlushKind::UpdateFlush, bytes, now);
-        self.charge(pid, Category::Os, out.transit.sender);
-        self.stats.note_flush(page.index(), bytes as u64);
-        if !out.delivered {
+    /// Publish `writer`'s sealed `diff` of `page` — the one path an update
+    /// takes onto the wire. Home-based kinds first flush it reliably to the
+    /// page's home. Then, if `cs` names the page's consumers, every other
+    /// member gets the diff `for_reader` yields for it (`None` elides the
+    /// push) as one droppable update. Whatever the wire delivers is queued
+    /// in its destination's inbox under the writer's name — twice, if the
+    /// faulty wire delivered it twice.
+    pub(crate) fn publish(
+        &mut self,
+        writer: usize,
+        page: PageId,
+        kind: DeliveryKind,
+        cs: Option<&CopySet>,
+        diff: &S::Diff,
+        mut for_reader: impl FnMut(&mut Self, usize) -> Option<S::Diff>,
+    ) {
+        let delivery = |kind, diff, recv| Delivery {
+            kind,
+            page,
+            writer,
+            diff,
+            recv,
+        };
+        // Flush volume is a statistic of the home-based family only.
+        let home_based = kind == DeliveryKind::Update;
+        let home = home_based.then(|| self.homes[page.index()]);
+        if let Some(home) = home.filter(|&h| h != writer) {
+            let sent_at = self.procs[writer].clock.now();
+            let bytes = diff.wire_bytes();
+            let tr =
+                self.net
+                    .push_reliable(writer, home, ReliableKind::DiffFlushHome, bytes, sent_at);
+            self.charge(writer, Category::Os, tr.sender);
+            self.stats.note_flush(page.index(), bytes as u64);
+            self.note_attempts(writer, home, tr.attempts);
+            let flush = delivery(DeliveryKind::Home, diff.clone(), tr.receiver);
+            self.procs[home].inbox.push(flush);
+        }
+        let Some(cs) = cs else {
             return;
+        };
+        let pushes: Vec<(usize, S::Diff)> = cs
+            .others(writer)
+            .filter(|&q| Some(q) != home)
+            .filter_map(|q| for_reader(self, q).map(|d| (q, d)))
+            .collect();
+        self.emit(CheckEvent::UpdateFlush {
+            writer,
+            page: page.0,
+            copyset: cs,
+            pushes: pushes.len(),
+            diff,
+        });
+        for (q, diff) in pushes {
+            let now = self.procs[writer].clock.now();
+            let bytes = diff.wire_bytes();
+            let out = self
+                .net
+                .push_update(writer, q, FlushKind::UpdateFlush, bytes, now);
+            self.charge(writer, Category::Os, out.transit.sender);
+            if home_based {
+                self.stats.note_flush(page.index(), bytes as u64);
+            }
+            if !out.delivered {
+                S::recycle(&mut self.pool, diff);
+                continue;
+            }
+            let update = delivery(kind, diff, out.transit.receiver);
+            if out.duplicated {
+                self.emit(CheckEvent::DupDelivery {
+                    writer,
+                    page: page.0,
+                    dst: q,
+                });
+                self.procs[q].inbox.push(update.clone());
+            }
+            self.procs[q].inbox.push(update);
         }
-        let update = (q, page, diff.clone(), out.transit.receiver);
-        if out.duplicated {
-            // The faulty wire delivered the flush twice: queue a second,
-            // identical copy. Self-validation sees one update too many and
-            // falls back to invalidation — slower, never wrong.
-            self.emit(CheckEvent::DupDelivery {
-                writer: pid,
-                page: page.0,
-                dst: q,
-            });
-            self.bar_deliveries.bar_updates.push(update.clone());
-        }
-        self.bar_deliveries.bar_updates.push(update);
     }
 
     /// Post-release work: homes apply incoming diff flushes, consumers
     /// apply update pushes, everyone else invalidates stale copies.
     pub(crate) fn bar_post_release(&mut self, pid: usize) {
-        // 1. Apply diff flushes addressed to this process as home; the
-        //    diffs are then dropped — their entire lifetime was one barrier.
-        let all = core::mem::take(&mut self.bar_deliveries.home_flushes);
-        let (mine, rest): (Vec<_>, Vec<_>) = all.into_iter().partition(|(h, ..)| *h == pid);
-        self.bar_deliveries.home_flushes = rest;
-        let mine = self.delivery_order(mine, |t| t.1 .0);
-        for (_, page, diff, recv) in mine {
-            self.charge(pid, Category::Sigio, recv);
-            let cost = self.cfg.sim.costs.diff_apply(diff.payload_bytes());
-            self.charge(pid, Category::Os, cost);
-            self.materialize_home_frame(pid, page);
-            self.procs[pid].store.apply_diff(page, &diff);
-            S::recycle(&mut self.pool, diff);
+        // Diff flushes addressed to this process as home come first and
+        // are applied at once, then dropped — their entire lifetime was
+        // one barrier. Update pushes wait for self-validation.
+        let mut updates: Vec<Delivery<S::Diff>> = Vec::new();
+        for d in self.take_inbox(pid) {
+            self.charge(pid, Category::Sigio, d.recv);
+            if d.kind == DeliveryKind::Home {
+                let cost = self.cfg.sim.costs.diff_apply(d.diff.payload_bytes());
+                self.charge(pid, Category::Os, cost);
+                self.materialize_home_frame(pid, d.page);
+                self.procs[pid].store.apply_diff(d.page, &d.diff);
+                S::recycle(&mut self.pool, d.diff);
+            } else {
+                updates.push(d);
+            }
         }
 
-        // 2. The home's copy is current for every page bumped this barrier.
-        let bumps: Vec<(PageId, u32, u32)> = self.bar_deliveries.bumps.clone();
-        for &(page, _, newv) in &bumps {
+        let notice_cost = Time::from_ns(self.cfg.sim.costs.write_notice_ns);
+        for (page, oldv, newv) in self.bar_deliveries.bumps.clone() {
+            self.charge(pid, Category::Os, notice_cost);
             if self.homes[page.index()] == pid {
+                // The home's copy is current for every page bumped.
                 self.materialize_home_frame(pid, page);
                 self.procs[pid].store.set_version_seen(page, newv);
-            }
-        }
-
-        // 3. Self-validation and update application. A writer's copy is
-        //    current once its own contributions plus every received update
-        //    cover the page's version delta; a pure consumer needs every
-        //    writer's flush (lost flushes fall back to invalidation). bar-i
-        //    processes receive no updates, so only sole-writer copies
-        //    self-validate.
-        let all = core::mem::take(&mut self.bar_deliveries.bar_updates);
-        let (mine, rest): (Vec<_>, Vec<_>) = all.into_iter().partition(|(d, ..)| *d == pid);
-        self.bar_deliveries.bar_updates = rest;
-        let mine = self.delivery_order(mine, |t| t.1 .0);
-        let mut by_page: Vec<(PageId, Vec<S::Diff>)> = Vec::new();
-        for (_, page, diff, recv) in mine {
-            self.charge(pid, Category::Sigio, recv);
-            match by_page.iter_mut().find(|(p, _)| *p == page) {
-                Some((_, v)) => v.push(diff),
-                None => by_page.push((page, vec![diff])),
-            }
-        }
-        for &(page, oldv, newv) in &bumps {
-            if self.homes[page.index()] == pid {
                 continue;
             }
-            let received: &[S::Diff] = by_page
-                .iter()
-                .find(|(p, _)| *p == page)
-                .map_or(&[], |(_, v)| v.as_slice());
-            // bar-r certified page: elided pushes must not read as lost
-            // flushes, so the expectation counts only writers that
-            // actually push to this process.
-            let expected = self.barr_expected_updates(pid, page).unwrap_or_else(|| {
-                let my_contrib = self
-                    .bar_deliveries
-                    .writer_bumps
-                    .iter()
-                    .filter(|&&(w, p)| w == pid && p == page)
-                    .count();
-                (newv - oldv) as usize - my_contrib
-            });
-            let current = {
-                let m = self.procs[pid].store.meta(page);
-                m.is_some_and(|m| m.prot.readable() && m.version_seen == oldv)
-                    && received.len() == expected
+            let Some(m) = self.procs[pid]
+                .store
+                .meta(page)
+                .filter(|m| m.prot.readable())
+            else {
+                continue;
             };
-            if current {
-                for diff in received {
-                    let cost = self.cfg.sim.costs.diff_apply(diff.payload_bytes());
+            // Self-validation. A copy that was current before the barrier
+            // stays current iff this process heard, exactly once each, from
+            // every *other* writer that bumped the page and pushes to it
+            // (bar-r elides pushes the certificate proves unread) — compared
+            // by name, so one writer's duplicate can never stand in for
+            // another's lost flush. bar-i processes receive no updates, so
+            // only sole-writer copies self-validate. A lost flush or a
+            // duplicate falls back to invalidation: slower, never wrong.
+            let received = || updates.iter().filter(|d| d.page == page);
+            let heard_all = || {
+                let mut heard: Vec<usize> = received().map(|d| d.writer).collect();
+                let bumped = self.bar_deliveries.writer_bumps.iter();
+                let mut owed: Vec<usize> = bumped
+                    .filter(|&&(w, p)| p == page && w != pid && self.barr_pushes_to(w, pid, page))
+                    .map(|&(w, _)| w)
+                    .collect();
+                heard.sort_unstable();
+                owed.sort_unstable();
+                heard == owed
+            };
+            if m.version_seen == oldv && heard_all() {
+                for d in received() {
+                    let cost = self.cfg.sim.costs.diff_apply(d.diff.payload_bytes());
                     self.charge(pid, Category::Os, cost);
+                    self.procs[pid].store.apply_diff(page, &d.diff);
                 }
-                let store = &mut self.procs[pid].store;
-                for diff in received {
-                    store.apply_diff(page, diff);
-                }
-                store.set_version_seen(page, newv);
+                self.procs[pid].store.set_version_seen(page, newv);
+            } else if m.version_seen < newv {
+                self.set_prot(pid, page, Protection::Invalid);
             }
         }
         // The update diffs' lifetime ends here; recycle their storage.
-        for (_, diffs) in by_page {
-            for d in diffs {
-                S::recycle(&mut self.pool, d);
-            }
-        }
-
-        // 4. Invalidate remaining stale copies.
-        let notice_cost = Time::from_ns(self.cfg.sim.costs.write_notice_ns);
-        for &(page, _, newv) in &bumps {
-            self.charge(pid, Category::Os, notice_cost);
-            if self.homes[page.index()] == pid {
-                continue;
-            }
-            let stale = self.procs[pid]
-                .store
-                .meta(page)
-                .is_some_and(|m| m.prot.readable() && m.version_seen < newv);
-            if stale {
-                self.set_prot(pid, page, Protection::Invalid);
-            }
+        for d in updates {
+            S::recycle(&mut self.pool, d.diff);
         }
     }
 

@@ -28,9 +28,9 @@
 //! Pages without a certificate — true-shared, unanalyzed, or with no
 //! region table installed at all — take the bar-u paths byte-for-byte.
 //! Dispatch lives at three points in `bar.rs`: the fault-time twin
-//! decision, the pre-barrier per-page flush, and the post-release
-//! expected-update count (an elided member must not mistake the missing
-//! push for a lost flush and invalidate a provably clean copy).
+//! decision, the pre-barrier per-page flush, and the post-release set of
+//! writers a copy must hear from (an elided member must not mistake the
+//! missing push for a lost flush and invalidate a provably clean copy).
 
 use dsm_sim::Category;
 use dsm_vm::{Delta, PageId, Pages};
@@ -61,6 +61,7 @@ fn clip_to_spans(
 use crate::check::CheckEvent;
 use crate::drive::cluster::Cluster;
 use crate::mem::RegionTable;
+use crate::proto::bar::DeliveryKind;
 
 impl<S: Pages> Cluster<S> {
     /// True when `pid`'s write fault on `page` may skip the twin: bar-r
@@ -84,7 +85,6 @@ impl<S: Pages> Cluster<S> {
     /// certified non-readers. Returns whether this page contributed a
     /// version bump.
     pub(crate) fn barr_pre_barrier_page(&mut self, pid: usize, page: PageId) -> bool {
-        let home = self.homes[page.index()];
         let rt: std::sync::Arc<RegionTable> = self
             .cfg
             .regions
@@ -134,56 +134,40 @@ impl<S: Pages> Cluster<S> {
         debug_assert!(!diff.is_empty(), "non-clean ranges captured no runs");
 
         self.bar_bump(pid, page);
-        if pid != home {
-            self.bar_flush_home(pid, home, page, &diff);
-        }
 
-        // Update pushes: full-copyset event (the copyset-omission
-        // invariant is unchanged), pushes only to proven readers, an
-        // elision event naming everyone the certificate excused. Each
-        // push is *clipped* to the receiver's proven load spans — the
-        // region-granularity flush proper: words of the delta the
-        // receiver provably never reads are false-sharing traffic and
-        // stay home. (The receiver's copy goes stale on those words,
-        // which is exactly what the certificate licenses; the home's
-        // canonical copy got the full delta above.)
+        // The home gets the full delta (its copy is canonical) and the
+        // `UpdateFlush` event the full copyset; each proven reader gets the
+        // delta clipped to its load spans, everyone else an elision notice.
         let cs = self.copyset(page).clone();
-        let readers = &wr.readers;
         let mut elided = crate::proto::CopySet::EMPTY;
-        let members: Vec<usize> = cs.others(pid).filter(|&q| q != home).collect();
-        self.emit(CheckEvent::UpdateFlush {
-            writer: pid,
-            page: page.0,
-            copyset: &cs,
-            pushes: members.iter().filter(|&&q| readers.contains(q)).count(),
-            diff: &diff,
-        });
-        for q in members {
-            if !readers.contains(q) {
+        let for_reader = |cl: &mut Self, q: usize| {
+            if !wr.readers.contains(q) {
                 elided.insert(q);
-                self.stats.region_elided_pushes += 1;
-                continue;
+                cl.stats.region_elided_pushes += 1;
+                return None;
             }
-            let pdiff = match cert.loads_of(q) {
-                Some(lq) => {
-                    let clipped = clip_to_spans(spans.iter().copied(), lq);
-                    if clipped == spans {
-                        diff.clone()
-                    } else {
-                        self.procs[pid]
-                            .store
-                            .capture(page, &clipped, &mut self.pool)
-                    }
-                }
-                // No load footprint recorded for a proven reader: the
-                // bitmap was computed from the same data, so this cannot
-                // happen with a prover-built table — stay conservative.
+            // No load footprint recorded for a proven reader: the bitmap
+            // was computed from the same data, so this cannot happen with
+            // a prover-built table — stay conservative.
+            let clipped = cert
+                .loads_of(q)
+                .map(|lq| clip_to_spans(spans.iter().copied(), lq))
+                .filter(|clipped| *clipped != spans);
+            let pdiff = match clipped {
+                Some(clipped) => cl.procs[pid].store.capture(page, &clipped, &mut cl.pool),
                 None => diff.clone(),
             };
-            self.stats.region_push_bytes_saved += (diff.wire_bytes() - pdiff.wire_bytes()) as u64;
-            self.bar_push_update(pid, q, page, &pdiff);
-            S::recycle(&mut self.pool, pdiff);
-        }
+            cl.stats.region_push_bytes_saved += (diff.wire_bytes() - pdiff.wire_bytes()) as u64;
+            Some(pdiff)
+        };
+        self.publish(
+            pid,
+            page,
+            DeliveryKind::Update,
+            Some(&cs),
+            &diff,
+            for_reader,
+        );
         if !elided.is_empty() {
             self.emit(CheckEvent::FalseShareElided {
                 writer: pid,
@@ -195,34 +179,20 @@ impl<S: Pages> Cluster<S> {
         true
     }
 
-    /// The update count a non-home process must receive for `page` to
-    /// self-validate, when bar-r elision changes it from the bar-u
-    /// default (`bumps - own contributions`). `None` means "use the
-    /// default": not bar-r, no table, or the page is uncertified.
-    ///
-    /// On a certified page the expectation counts only the bumps whose
-    /// writer actually pushes to `pid`: writers whose proven spans `pid`
-    /// loads (plus, conservatively, any writer the certificate does not
-    /// name — such a writer took the twin path and pushed to everyone).
-    /// An elided member therefore expects zero and self-validates for
-    /// free — sound because it provably never loads the stale words.
-    pub(crate) fn barr_expected_updates(&self, pid: usize, page: PageId) -> Option<usize> {
+    /// Whether `writer`'s flush of `page` is pushed to copyset member
+    /// `reader` — the names `reader` must hear from to self-validate.
+    /// Always, except on a bar-r certified page whose certificate names
+    /// the writer and proves `reader` loads none of its spans: that push
+    /// is elided, and the reader stays current without it — sound because
+    /// it provably never loads the stale words. (A writer the certificate
+    /// does not name took the twin path and pushed to everyone.)
+    pub(crate) fn barr_pushes_to(&self, writer: usize, reader: usize, page: PageId) -> bool {
         if !self.cfg.protocol.is_region() {
-            return None;
+            return true;
         }
-        let rt = self.cfg.regions.as_ref()?;
-        let cert = rt.cert(page.0)?;
-        if !cert.certified() {
-            return None;
-        }
-        let n = self
-            .bar_deliveries
-            .writer_bumps
-            .iter()
-            .filter(|&&(w, p)| {
-                p == page && w != pid && cert.writer(w).is_none_or(|wr| wr.readers.contains(pid))
-            })
-            .count();
-        Some(n)
+        let cert = self.cfg.regions.as_ref().and_then(|rt| rt.cert(page.0));
+        cert.filter(|c| c.certified())
+            .and_then(|c| c.writer(writer))
+            .is_none_or(|wr| wr.readers.contains(reader))
     }
 }

@@ -23,13 +23,14 @@
 //!   to see if all required diffs are present when the next access to that
 //!   page occurs. This next access is signaled by a segmentation fault."
 
-use dsm_net::{FlushKind, ReliableKind};
+use dsm_net::ReliableKind;
 use dsm_sim::{Category, FastMap, Time};
 use dsm_vm::{Delta, Diff, FaultKind, Frame, PageBuf, PageId, Pages, Protection};
 
 use crate::check::CheckEvent;
 use crate::config::{PlantedBug, ProtocolKind};
 use crate::drive::cluster::Cluster;
+use crate::proto::bar::DeliveryKind;
 use crate::proto::copyset::CopySet;
 use crate::proto::notice::{WriteNotice, NOTICE_WIRE_BYTES};
 
@@ -386,56 +387,15 @@ impl<S: Pages> Cluster<S> {
                     continue;
                 };
                 notices.push(WriteNotice::new(page, pid, self.epoch));
-                let members: Vec<usize> = cs.others(pid).collect();
-                self.emit(CheckEvent::UpdateFlush {
-                    writer: pid,
-                    page: page.0,
-                    copyset: &cs,
-                    pushes: members.len(),
-                    diff: &seg.diff,
-                });
-                for q in members {
-                    let now = self.procs[pid].clock.now();
-                    let out = self.net.push_update(
-                        pid,
-                        q,
-                        FlushKind::UpdateFlush,
-                        seg.diff.wire_bytes(),
-                        now,
-                    );
-                    self.charge(pid, Category::Os, out.transit.sender);
-                    if out.delivered {
-                        self.bar_deliveries.lmw_updates.push((
-                            q,
-                            page,
-                            pid as u16,
-                            seg.lo,
-                            seg.hi,
-                            seg.diff.clone(),
-                            out.transit.receiver,
-                        ));
-                        if out.duplicated {
-                            // Duplicated in flight: the receiver applies the
-                            // same absolute-valued segment twice, which is
-                            // idempotent by construction (the oracle checks
-                            // this).
-                            self.emit(CheckEvent::DupDelivery {
-                                writer: pid,
-                                page: page.0,
-                                dst: q,
-                            });
-                            self.bar_deliveries.lmw_updates.push((
-                                q,
-                                page,
-                                pid as u16,
-                                seg.lo,
-                                seg.hi,
-                                seg.diff.clone(),
-                                out.transit.receiver,
-                            ));
-                        }
-                    }
-                }
+                // Duplicated in flight, the receiver applies the same
+                // absolute-valued segment twice, which is idempotent by
+                // construction (the oracle checks this).
+                let kind = DeliveryKind::Segment {
+                    lo: seg.lo,
+                    hi: seg.hi,
+                };
+                let copy = |_: &mut Self, _| Some(seg.diff.clone());
+                self.publish(pid, page, kind, Some(&cs), &seg.diff, copy);
             } else {
                 // Invalidate path: notice only; the diff stays latent in
                 // the accumulating twin until someone asks — except on
@@ -500,12 +460,11 @@ impl<S: Pages> Cluster<S> {
         }
         // Updates addressed to this process, flushed before the senders
         // arrived at the barrier.
-        let all = core::mem::take(&mut self.bar_deliveries.lmw_updates);
-        let (mine, rest): (Vec<_>, Vec<_>) = all.into_iter().partition(|(dst, ..)| *dst == pid);
-        self.bar_deliveries.lmw_updates = rest;
-        let mine = self.delivery_order(mine, |t| t.1 .0);
-        for (_, page, writer, lo, hi, diff, recv) in mine {
-            self.charge(pid, Category::Sigio, recv);
+        for d in self.take_inbox(pid) {
+            let DeliveryKind::Segment { lo, hi } = d.kind else {
+                unreachable!("lmw-u publishes only segments");
+            };
+            self.charge(pid, Category::Sigio, d.recv);
             // Insertion slows down as the out-of-order store grows — stale
             // copyset members never drain theirs (the Barnes pathology).
             let resident = self.procs[pid]
@@ -523,9 +482,9 @@ impl<S: Pages> Cluster<S> {
             self.procs[pid]
                 .lmw
                 .pending_updates
-                .entry(page.0)
+                .entry(d.page.0)
                 .or_default()
-                .push((writer, lo, hi, diff));
+                .push((d.writer as u16, lo, hi, d.diff));
         }
     }
 

@@ -122,13 +122,23 @@ impl<S: Pages> Cluster<S> {
                     .collect();
                 for pg in &union {
                     let page = PageId(*pg);
-                    // A page this process writes every iteration is valid
-                    // here (it was just written and diffed); write-enable it.
-                    self.materialize_pristine(pid, page);
+                    self.od_validate(pid, page);
                     self.set_prot(pid, page, Protection::ReadWrite);
                 }
                 self.procs[pid].od.pre_enabled = union;
             }
+        }
+    }
+
+    /// Overdrive never twins or write-enables a copy it has not validated.
+    /// A page this process writes every iteration is usually current here
+    /// (it was just written and diffed) — but on a lossy wire the barrier
+    /// that just ended may have invalidated it, and write-enabling it as
+    /// it stands would make the stale bytes readable.
+    fn od_validate(&mut self, pid: usize, page: PageId) {
+        self.materialize_pristine(pid, page);
+        if !self.procs[pid].store.protection(page).readable() {
+            self.bar_fetch_page(pid, page);
         }
     }
 
@@ -150,7 +160,7 @@ impl<S: Pages> Cluster<S> {
                 .unwrap_or_default();
             for pg in predicted {
                 let page = PageId(pg);
-                self.materialize_pristine(pid, page);
+                self.od_validate(pid, page);
                 // "We therefore make a twin of x and make it writable
                 // before we leave barrier 1" — every predicted page is
                 // twinned eagerly; for pages the home effect would not have

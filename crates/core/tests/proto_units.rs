@@ -186,6 +186,41 @@ fn home_writes_need_no_diffs_or_flushes() {
     );
 }
 
+#[test]
+fn a_duplicate_never_stands_in_for_a_lost_flush() {
+    // p1 and p2 write disjoint words of one page that p3 caches. The wire
+    // delivers p1's push twice and loses p2's: two messages for two
+    // version bumps, so a consumer that counts calls its copy current
+    // with p2's word stale. One that compares writer names invalidates.
+    struct DupOneLoseOther;
+    impl dsm_sim::Scheduler for DupOneLoseOther {
+        fn flush_drop(&mut self, src: usize, _dst: usize, _prob: f64) -> bool {
+            src == 2
+        }
+        fn flush_duplicate(&mut self, src: usize, _dst: usize, _prob: f64) -> bool {
+            src == 1
+        }
+    }
+    let mut cl = Cluster::new(RunConfig::with_nprocs(ProtocolKind::BarU, 4));
+    cl.install_scheduler(std::rc::Rc::new(std::cell::RefCell::new(DupOneLoseOther)));
+    let arr = cl.setup_ctx().alloc_array::<f64>("a", 8);
+    cl.distribute();
+    for pid in 1..4 {
+        arr.get(&mut cl.exec_ctx(pid), 0); // everyone caches the page
+    }
+    arr.set(&mut cl.exec_ctx(1), 1, 10.0);
+    arr.set(&mut cl.exec_ctx(2), 2, 20.0);
+    cl.barrier_app(None);
+    let misses = cl.stats().remote_misses;
+    assert_eq!(arr.get(&mut cl.exec_ctx(3), 2), 20.0, "p2's lost word");
+    assert_eq!(arr.get(&mut cl.exec_ctx(3), 1), 10.0);
+    assert_eq!(
+        cl.stats().remote_misses,
+        misses + 1,
+        "p3's copy must have ended the barrier invalid and been re-fetched"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Overdrive engagement timing
 // ---------------------------------------------------------------------

@@ -103,6 +103,18 @@ impl FaultProfile {
         }
     }
 
+    /// Campaign profile: a wire that both loses and duplicates, so one
+    /// writer's extra copy can arrive where another's flush went missing —
+    /// the case that tells validation by writer name from validation by
+    /// count.
+    pub fn loss_dup() -> FaultProfile {
+        FaultProfile {
+            loss: 0.05,
+            duplicate: 0.10,
+            ..FaultProfile::none()
+        }
+    }
+
     /// Campaign profile: node `node`'s interface runs at half speed.
     pub fn slow_node(node: usize) -> FaultProfile {
         FaultProfile {
@@ -163,6 +175,7 @@ mod tests {
             FaultProfile::iid_loss(),
             FaultProfile::burst_loss(),
             FaultProfile::dup_reorder(),
+            FaultProfile::loss_dup(),
             FaultProfile::slow_node(1),
         ] {
             assert!(!p.is_none());

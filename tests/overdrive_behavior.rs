@@ -1,7 +1,9 @@
 //! Overdrive semantics under divergence (the paper's §5.2 caveat):
 //! bar-s traps unanticipated writes (and can revert or abort); bar-m
 //! silently misses wrong-epoch writes to pre-enabled pages — "bar-m is
-//! therefore not guaranteed to maintain consistency."
+//! therefore not guaranteed to maintain consistency." And under faults:
+//! a wire that loses and duplicates update flushes may slow the update
+//! family down, never change its answer.
 
 use rdsm::core::{
     run_app, CheckCtx, DivergencePolicy, DsmApp, ExecCtx, PhaseEnd, ProtocolKind, RunConfig,
@@ -245,4 +247,43 @@ fn barnes_never_runs_trap_free() {
         r.stats.segvs > 0,
         "barnes' dynamic sharing must keep write-trapping alive"
     );
+}
+
+#[test]
+fn lossy_wires_never_change_the_answer_at_64_nodes() {
+    use rdsm::apps::{app_by_name, Scale};
+    use rdsm::check::checked_run;
+    use rdsm::sim::FaultProfile;
+    // Overdrive must not twin or write-enable a copy the last barrier
+    // invalidated (sor/bar-s, jacobi/bar-m), and a consumer must not take
+    // one writer's duplicate for another's lost flush (barnes/bar-u).
+    let lossy = [FaultProfile::iid_loss(), FaultProfile::dup_reorder()];
+    let cells = [
+        ("sor", ProtocolKind::BarS, &lossy[..]),
+        ("jacobi", ProtocolKind::BarM, &lossy[..]),
+        (
+            "barnes",
+            ProtocolKind::BarU,
+            &[FaultProfile::loss_dup()][..],
+        ),
+    ];
+    std::thread::scope(|scope| {
+        for (app, protocol, profiles) in cells {
+            scope.spawn(move || {
+                let spec = app_by_name(app).unwrap();
+                let run = |fault: &FaultProfile| {
+                    let mut cfg = RunConfig::with_nprocs(protocol, 64);
+                    cfg.sim.fault = fault.clone();
+                    checked_run(spec.build(Scale::Small).as_mut(), cfg)
+                };
+                let (base, _) = run(&FaultProfile::none());
+                for fault in profiles {
+                    let (r, check) = run(fault);
+                    let cell = format!("{app} under {} with {fault:?}", protocol.label());
+                    assert_eq!(r.checksum, base.checksum, "{cell}");
+                    assert!(check.is_clean(), "{cell}:\n{}", check.summary());
+                }
+            });
+        }
+    });
 }
