@@ -147,10 +147,9 @@ impl<S: Pages> Cluster<S> {
         let mut payloads = vec![0usize; n];
         for pid in order {
             payloads[pid] = if is_lmw {
-                let notices = self.lmw_pre_barrier(pid);
-                let bytes = notices.len() * NOTICE_WIRE_BYTES;
-                merged_notices.extend(notices);
-                bytes
+                let before = merged_notices.len();
+                self.lmw_pre_barrier(pid, &mut merged_notices);
+                (merged_notices.len() - before) * NOTICE_WIRE_BYTES
             } else {
                 self.bar_pre_barrier(pid, reprotect) * BUMP_WIRE_BYTES
             };

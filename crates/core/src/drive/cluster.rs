@@ -37,12 +37,12 @@ pub struct Proc<S: Pages = PageStore> {
     /// Protection changes issued this epoch (stress-model input).
     pub(crate) protect_ops_epoch: u32,
     /// Homeless-protocol per-process state.
-    pub(crate) lmw: LmwProc<S::Diff>,
+    pub lmw: LmwProc<S::Diff>,
     /// Overdrive per-process state.
     pub(crate) od: OdProc,
     /// One-way messages addressed to this process, queued by `publish`
-    /// during the pre-barrier step and drained at release.
-    pub(crate) inbox: Vec<Delivery<S::Diff>>,
+    /// during the pre-barrier step and drained (capacity kept) at release.
+    pub inbox: Vec<Delivery<S::Diff>>,
 }
 
 // Virtual time is excluded from the hash by design: the clock and the
@@ -118,6 +118,10 @@ pub struct Cluster<S: Pages = PageStore> {
     pub(crate) od_revert_pending: bool,
     /// The version bumps the barrier in progress carries.
     pub(crate) bar_deliveries: BarDeliveries,
+    /// Retained-capacity scratch, empty between uses: the pushes one
+    /// `publish` sends, the writer names one self-validation compares.
+    pub(crate) pushes: Vec<(usize, S::Diff)>,
+    pub(crate) names: Vec<usize>,
     pub(crate) measuring: bool,
     /// Result of the most recent reduction, visible to all processes.
     pub(crate) last_reduction: Vec<f64>,
@@ -178,7 +182,7 @@ dsm_sim::impl_state!(Cluster<PageStore> {
         last_reduction, procs;
     // Empty between steps: the ledger is cleared inside the barrier, and
     // a restored execution is live again however the last excursion ended.
-    scratch: bar_deliveries, pruned;
+    scratch: bar_deliveries, pushes, names, pruned;
 });
 
 impl<S: Pages> Cluster<S> {
@@ -224,6 +228,8 @@ impl<S: Pages> Cluster<S> {
             od_mode: OdMode::Learning,
             od_revert_pending: false,
             bar_deliveries: BarDeliveries::default(),
+            pushes: Vec::new(),
+            names: Vec::new(),
             measuring: false,
             last_reduction: Vec::new(),
             reduce_mem: None,
@@ -333,6 +339,11 @@ impl<S: Pages> Cluster<S> {
     /// Per-page home process (all zero outside the bar family).
     pub fn homes(&self) -> &[usize] {
         &self.homes
+    }
+
+    /// Process `pid`'s own state, for inspection.
+    pub fn proc(&self, pid: usize) -> &Proc<S> {
+        &self.procs[pid]
     }
 
     /// Every copyset table entry as `(page, writer, members)`, unordered:

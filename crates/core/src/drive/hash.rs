@@ -145,13 +145,13 @@ impl<S: Pages> Cluster<S> {
         out
     }
 
-    /// Drain the one-way messages queued for `pid`, in consumption order:
-    /// the reliable home flushes, then the droppable updates. Each class
-    /// keeps its queueing order — the canonical order — unless an
-    /// exploring scheduler permutes it.
+    /// Take the one-way messages queued for `pid`, in queueing order — the
+    /// canonical order. The consumer takes the reliable home flushes
+    /// first, then the droppable updates, each class in the order given
+    /// here, which only an exploring scheduler permutes; it drains the
+    /// vector and puts it back in `Proc::inbox`.
     pub(crate) fn take_inbox(&mut self, pid: usize) -> Vec<Delivery<S::Diff>> {
-        let mut inbox = core::mem::take(&mut self.procs[pid].inbox);
-        inbox.sort_by_key(|d| d.kind != DeliveryKind::Home);
+        let inbox = core::mem::take(&mut self.procs[pid].inbox);
         if !self.exploring {
             return inbox;
         }
@@ -165,9 +165,10 @@ impl<S: Pages> Cluster<S> {
         } else {
             ChoiceKind::Delivery
         };
-        let updates = inbox.split_off(inbox.partition_point(|d| d.kind == DeliveryKind::Home));
-        let mut out = Vec::with_capacity(inbox.len() + updates.len());
-        for class in [inbox, updates] {
+        let mut out = Vec::with_capacity(inbox.len());
+        let is_home = |d: &Delivery<S::Diff>| d.kind == DeliveryKind::Home;
+        let (homes, updates): (Vec<_>, Vec<_>) = inbox.into_iter().partition(is_home);
+        for class in [homes, updates] {
             let cands = class.into_iter().map(|d| {
                 let c = Candidate {
                     actor: 0,

@@ -174,12 +174,12 @@ impl<S: Pages> Cluster<S> {
     /// End-of-epoch work: create and flush diffs, bump versions, re-arm
     /// write traps. Returns this process's bump-contribution count (its
     /// arrival payload).
-    pub(crate) fn bar_pre_barrier(&mut self, pid: usize, reprotect: bool) -> usize {
+    pub fn bar_pre_barrier(&mut self, pid: usize, reprotect: bool) -> usize {
         let ps = self.page_size();
-        let dirty = core::mem::take(&mut self.procs[pid].dirty);
+        let mut dirty = core::mem::take(&mut self.procs[pid].dirty);
         let is_update = self.cfg.protocol.is_update();
         let mut contributions = 0usize;
-        for page in dirty {
+        for page in dirty.drain(..) {
             let home = self.homes[page.index()];
             let meta = self.procs[pid].store.meta(page);
             if meta.is_some_and(|m| m.tracking) {
@@ -219,8 +219,8 @@ impl<S: Pages> Cluster<S> {
                     let copy = |_: &mut Self, _| Some(diff.clone());
                     self.publish(pid, page, DeliveryKind::Update, cs.as_ref(), &diff, copy);
                 }
-                // The clones rode into the inboxes; the original's storage
-                // goes back to the free-lists.
+                // Other handles rode into the inboxes; the last one to be
+                // recycled returns the storage to the free-lists.
                 S::recycle(&mut self.pool, diff);
             } else {
                 // Home wrote, no consumers needing a diff: version bump only
@@ -234,6 +234,7 @@ impl<S: Pages> Cluster<S> {
                 self.set_prot(pid, page, Protection::Read);
             }
         }
+        self.procs[pid].dirty = dirty; // emptied; keeps its capacity
         contributions
     }
 
@@ -262,7 +263,8 @@ impl<S: Pages> Cluster<S> {
     /// member gets the diff `for_reader` yields for it (`None` elides the
     /// push) as one droppable update. Whatever the wire delivers is queued
     /// in its destination's inbox under the writer's name — twice, if the
-    /// faulty wire delivered it twice.
+    /// faulty wire delivered it twice — every time as a handle to the one
+    /// sealed diff, unless `for_reader` built another.
     pub(crate) fn publish(
         &mut self,
         writer: usize,
@@ -297,11 +299,9 @@ impl<S: Pages> Cluster<S> {
         let Some(cs) = cs else {
             return;
         };
-        let pushes: Vec<(usize, S::Diff)> = cs
-            .others(writer)
-            .filter(|&q| Some(q) != home)
-            .filter_map(|q| for_reader(self, q).map(|d| (q, d)))
-            .collect();
+        let mut pushes = core::mem::take(&mut self.pushes);
+        let readers = cs.others(writer).filter(|&q| Some(q) != home);
+        pushes.extend(readers.filter_map(|q| for_reader(self, q).map(|d| (q, d))));
         self.emit(CheckEvent::UpdateFlush {
             writer,
             page: page.0,
@@ -309,7 +309,7 @@ impl<S: Pages> Cluster<S> {
             pushes: pushes.len(),
             diff,
         });
-        for (q, diff) in pushes {
+        for (q, diff) in pushes.drain(..) {
             let now = self.procs[writer].clock.now();
             let bytes = diff.wire_bytes();
             let out = self
@@ -334,30 +334,31 @@ impl<S: Pages> Cluster<S> {
             }
             self.procs[q].inbox.push(update);
         }
+        self.pushes = pushes;
     }
 
     /// Post-release work: homes apply incoming diff flushes, consumers
     /// apply update pushes, everyone else invalidates stale copies.
     pub(crate) fn bar_post_release(&mut self, pid: usize) {
         // Diff flushes addressed to this process as home come first and
-        // are applied at once, then dropped — their entire lifetime was
-        // one barrier. Update pushes wait for self-validation.
-        let mut updates: Vec<Delivery<S::Diff>> = Vec::new();
-        for d in self.take_inbox(pid) {
+        // are applied at once. Update pushes wait for self-validation.
+        let mut inbox = self.take_inbox(pid);
+        let mut names = core::mem::take(&mut self.names);
+        for d in inbox.iter().filter(|d| d.kind == DeliveryKind::Home) {
             self.charge(pid, Category::Sigio, d.recv);
-            if d.kind == DeliveryKind::Home {
-                let cost = self.cfg.sim.costs.diff_apply(d.diff.payload_bytes());
-                self.charge(pid, Category::Os, cost);
-                self.materialize_home_frame(pid, d.page);
-                self.procs[pid].store.apply_diff(d.page, &d.diff);
-                S::recycle(&mut self.pool, d.diff);
-            } else {
-                updates.push(d);
-            }
+            let cost = self.cfg.sim.costs.diff_apply(d.diff.payload_bytes());
+            self.charge(pid, Category::Os, cost);
+            self.materialize_home_frame(pid, d.page);
+            self.procs[pid].store.apply_diff(d.page, &d.diff);
+        }
+        let updates = || inbox.iter().filter(|d| d.kind != DeliveryKind::Home);
+        for d in updates() {
+            self.charge(pid, Category::Sigio, d.recv);
         }
 
         let notice_cost = Time::from_ns(self.cfg.sim.costs.write_notice_ns);
-        for (page, oldv, newv) in self.bar_deliveries.bumps.clone() {
+        for i in 0..self.bar_deliveries.bumps.len() {
+            let (page, oldv, newv) = self.bar_deliveries.bumps[i];
             self.charge(pid, Category::Os, notice_cost);
             if self.homes[page.index()] == pid {
                 // The home's copy is current for every page bumped.
@@ -380,14 +381,16 @@ impl<S: Pages> Cluster<S> {
             // another's lost flush. bar-i processes receive no updates, so
             // only sole-writer copies self-validate. A lost flush or a
             // duplicate falls back to invalidation: slower, never wrong.
-            let received = || updates.iter().filter(|d| d.page == page);
-            let heard_all = || {
-                let mut heard: Vec<usize> = received().map(|d| d.writer).collect();
+            let received = || updates().filter(|d| d.page == page);
+            let mut heard_all = || {
+                names.clear();
+                names.extend(received().map(|d| d.writer));
+                let heard = names.len();
                 let bumped = self.bar_deliveries.writer_bumps.iter();
-                let mut owed: Vec<usize> = bumped
-                    .filter(|&&(w, p)| p == page && w != pid && self.barr_pushes_to(w, pid, page))
-                    .map(|&(w, _)| w)
-                    .collect();
+                let owed = bumped
+                    .filter(|&&(w, p)| p == page && w != pid && self.barr_pushes_to(w, pid, page));
+                names.extend(owed.map(|&(w, _)| w));
+                let (heard, owed) = names.split_at_mut(heard);
                 heard.sort_unstable();
                 owed.sort_unstable();
                 heard == owed
@@ -403,10 +406,13 @@ impl<S: Pages> Cluster<S> {
                 self.set_prot(pid, page, Protection::Invalid);
             }
         }
-        // The update diffs' lifetime ends here; recycle their storage.
-        for d in updates {
+        // A delivery lives one barrier; its diff's last handle recycles it.
+        for d in inbox.drain(..) {
             S::recycle(&mut self.pool, d.diff);
         }
+        names.clear();
+        self.procs[pid].inbox = inbox;
+        self.names = names;
     }
 
     /// Materialize a frame at its home from the initial image. Unlike the

@@ -78,6 +78,13 @@ dsm_sim::impl_state!(LmwProc<Diff> {
 });
 
 impl<D> LmwProc<D> {
+    /// The sealed segments of `page` this process still holds whose last
+    /// epoch is after `since`, in ascending `hi`.
+    fn segments_since(&self, page: PageId, since: u64) -> impl Iterator<Item = &Segment<D>> {
+        let segs = self.segments.get(&page.0).into_iter().flatten();
+        segs.filter(move |s| s.hi > since)
+    }
+
     /// Total retained diffs (GC-pressure metric).
     pub fn retained_diffs(&self) -> usize {
         self.segments.values().map(Vec::len).sum::<usize>()
@@ -186,7 +193,6 @@ impl<S: Pages> Cluster<S> {
         // Coverage is per epoch *range*: a stored update for intervals
         // [lo, hi] says nothing about the same writer's earlier (or
         // dropped) intervals, which must still be fetched.
-        let mut covered: FastMap<u16, Vec<(u64, u64)>> = FastMap::default();
         if self.cfg.protocol == ProtocolKind::LmwU {
             let stored = self.procs[pid]
                 .lmw
@@ -197,23 +203,23 @@ impl<S: Pages> Cluster<S> {
             self.charge(pid, Category::Os, lookup.scale(stored.len().max(1) as u64));
             for (w, lo, hi, diff) in stored {
                 if hi > applied_w(&self.procs[pid].lmw, w) {
-                    covered.entry(w).or_default().push((lo, hi));
                     to_apply.push((hi, lo, w, diff));
                 }
             }
         }
+        // Until the fetches below add to it, `to_apply` is exactly the
+        // stored updates — the ranges this process can cover locally.
         let planted = self.cfg.planted;
-        let is_covered = move |covered: &FastMap<u16, Vec<(u64, u64)>>, w: u16, e: u64| {
-            covered.get(&w).is_some_and(|v| {
-                v.iter().any(|&(lo, hi)| match planted {
-                    // Seeded regression bug: pretends a stored [lo, hi]
-                    // update covers every epoch up to hi, so an earlier
-                    // dropped flush from the same writer is never fetched.
-                    PlantedBug::LmwUCoverageGap => e <= hi,
-                    // The stale-read plant lives in the pre-barrier seal
-                    // path, not here — coverage stays correct.
-                    PlantedBug::None | PlantedBug::OneSidedStaleRead => lo <= e && e <= hi,
-                })
+        let is_covered = |stored: &[(u64, u64, u16, S::Diff)], w: u16, e: u64| {
+            let mut by_w = stored.iter().filter(|&&(_, _, by, _)| by == w);
+            by_w.any(|&(hi, lo, ..)| match planted {
+                // Seeded regression bug: pretends a stored [lo, hi]
+                // update covers every epoch up to hi, so an earlier
+                // dropped flush from the same writer is never fetched.
+                PlantedBug::LmwUCoverageGap => e <= hi,
+                // The stale-read plant lives in the pre-barrier seal
+                // path, not here — coverage stays correct.
+                PlantedBug::None | PlantedBug::OneSidedStaleRead => lo <= e && e <= hi,
             })
         };
 
@@ -221,7 +227,7 @@ impl<S: Pages> Cluster<S> {
         let mut fetch_writers: Vec<u16> = Vec::new();
         for n in &notices {
             if n.epoch > applied_w(&self.procs[pid].lmw, n.writer)
-                && !is_covered(&covered, n.writer, n.epoch)
+                && !is_covered(&to_apply, n.writer, n.epoch)
                 && !fetch_writers.contains(&n.writer)
             {
                 fetch_writers.push(n.writer);
@@ -247,13 +253,8 @@ impl<S: Pages> Cluster<S> {
                 self.lmw_seal(writer, page, Category::Sigio);
             }
             let since = applied_w(&self.procs[pid].lmw, w);
-            let segs: Vec<Segment<S::Diff>> = self.procs[writer]
-                .lmw
-                .segments
-                .get(&page.0)
-                .map(|v| v.iter().filter(|s| s.hi > since).cloned().collect())
-                .unwrap_or_default();
-            let reply_bytes: usize = segs.iter().map(|s| s.diff.wire_bytes()).sum();
+            let segs = self.procs[writer].lmw.segments_since(page, since);
+            let reply_bytes: usize = segs.map(|s| s.diff.wire_bytes()).sum();
             self.fetch_from(
                 pid,
                 writer,
@@ -261,13 +262,14 @@ impl<S: Pages> Cluster<S> {
                 (ReliableKind::DiffReply, reply_bytes),
                 Time::ZERO,
             );
-            for s in segs {
+            // The reply is handles to the writer's own segments.
+            for s in self.procs[writer].lmw.segments_since(page, since) {
                 // Skip duplicates of segments already covered by updates.
                 if !to_apply
                     .iter()
                     .any(|(hi, lo, tw, _)| *tw == w && *hi == s.hi && *lo == s.lo)
                 {
-                    to_apply.push((s.hi, s.lo, w, s.diff));
+                    to_apply.push((s.hi, s.lo, w, s.diff.clone()));
                 }
             }
             if self.cfg.protocol == ProtocolKind::LmwU {
@@ -281,7 +283,7 @@ impl<S: Pages> Cluster<S> {
         }
 
         // Apply in interval order: ascending hi, then ascending lo (an
-        // earlier-starting segment\'s words are older than a same-hi
+        // earlier-starting segment's words are older than a same-hi
         // segment that started at hi), then writer (same-epoch concurrent
         // diffs are disjoint, so that tie is harmless).
         to_apply.sort_by_key(|(hi, lo, w, _)| (*hi, *lo, *w));
@@ -352,13 +354,13 @@ impl<S: Pages> Cluster<S> {
     // Barrier hooks (called by drive::barrier)
     // ------------------------------------------------------------------
 
-    /// End-of-epoch work before arriving at the barrier: emit write notices
-    /// for dirty pages; keep twins accumulating (lazy diffs) except for
-    /// lmw-u copyset pages, which are sealed and flushed now.
-    pub(crate) fn lmw_pre_barrier(&mut self, pid: usize) -> Vec<WriteNotice> {
-        let dirty = core::mem::take(&mut self.procs[pid].dirty);
-        let mut notices = Vec::with_capacity(dirty.len());
-        for page in dirty {
+    /// End-of-epoch work before arriving at the barrier: append write
+    /// notices for dirty pages to `notices`; keep twins accumulating (lazy
+    /// diffs) except for lmw-u copyset pages, which are sealed and flushed
+    /// now.
+    pub fn lmw_pre_barrier(&mut self, pid: usize, notices: &mut Vec<WriteNotice>) {
+        let mut dirty = core::mem::take(&mut self.procs[pid].dirty);
+        for page in dirty.drain(..) {
             // Re-arm the write trap for the next epoch; the twin survives.
             self.set_prot(pid, page, Protection::Read);
             let cs = if self.cfg.protocol == ProtocolKind::LmwU {
@@ -412,7 +414,7 @@ impl<S: Pages> Cluster<S> {
                 notices.push(WriteNotice::new(page, pid, self.epoch));
             }
         }
-        notices
+        self.procs[pid].dirty = dirty; // emptied; keeps its capacity
     }
 
     /// Post-release work: record and act on the merged write notices, and
@@ -460,19 +462,16 @@ impl<S: Pages> Cluster<S> {
         }
         // Updates addressed to this process, flushed before the senders
         // arrived at the barrier.
-        for d in self.take_inbox(pid) {
+        let mut inbox = self.take_inbox(pid);
+        let stored = self.procs[pid].lmw.pending_updates.values();
+        let resident = stored.map(Vec::len).sum::<usize>() as u64;
+        for (resident, d) in (resident..).zip(inbox.drain(..)) {
             let DeliveryKind::Segment { lo, hi } = d.kind else {
                 unreachable!("lmw-u publishes only segments");
             };
             self.charge(pid, Category::Sigio, d.recv);
             // Insertion slows down as the out-of-order store grows — stale
             // copyset members never drain theirs (the Barnes pathology).
-            let resident = self.procs[pid]
-                .lmw
-                .pending_updates
-                .values()
-                .map(Vec::len)
-                .sum::<usize>() as u64;
             let insert_cost = Time::from_ns(
                 self.cfg.sim.costs.update_store_insert_ns
                     + self.cfg.sim.costs.update_store_per_pending_ns * resident,
@@ -486,6 +485,7 @@ impl<S: Pages> Cluster<S> {
                 .or_default()
                 .push((d.writer as u16, lo, hi, d.diff));
         }
+        self.procs[pid].inbox = inbox;
     }
 
     /// Stop-the-world garbage collection: make every noticed page current
@@ -560,16 +560,10 @@ impl Cluster {
                 .unwrap_or(0)
                 .max(floor)
         };
-        let notices = p0
-            .lmw
-            .known_notices
-            .get(&page.0)
-            .cloned()
-            .unwrap_or_default();
+        let notices = p0.lmw.known_notices.get(&page.0).into_iter().flatten();
         // Gather every relevant sealed segment plus each writer's unsealed
         // accumulation (as a virtual diff), then apply in interval order.
         let mut writers: Vec<u16> = notices
-            .iter()
             .filter(|n| n.writer != 0)
             .map(|n| n.writer)
             .collect();
@@ -579,12 +573,8 @@ impl Cluster {
         for w in writers {
             let since = applied_w(w);
             let proc = &self.procs[w as usize];
-            if let Some(segs) = proc.lmw.segments.get(&page.0) {
-                for s in segs {
-                    if s.hi > since {
-                        to_apply.push((s.hi, s.lo, w, s.diff.clone()));
-                    }
-                }
+            for s in proc.lmw.segments_since(page, since) {
+                to_apply.push((s.hi, s.lo, w, s.diff.clone()));
             }
             if let Some(&(lo, hi)) = proc.lmw.pending.get(&page.0) {
                 if let Some(f) = proc.store.frame(page) {

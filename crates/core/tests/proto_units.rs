@@ -2,7 +2,13 @@
 //! clusters: lazy diff creation, forced sealing, version indices, copyset
 //! growth, empty-diff suppression, and overdrive engagement timing.
 
-use dsm_core::{Cluster, ProtocolKind, RunConfig, SharedArray};
+use dsm_core::proto::bar::{Delivery, DeliveryKind};
+use dsm_core::proto::CopySet;
+use dsm_core::{
+    Cluster, PageCert, PageClass, ProtocolKind, ReaderLoads, RegionTable, RunConfig, SharedArray,
+    WriterRegions,
+};
+use dsm_vm::Diff;
 
 fn cluster(protocol: ProtocolKind, nprocs: usize) -> (Cluster, SharedArray<f64>) {
     let mut cl = Cluster::new(RunConfig::with_nprocs(protocol, nprocs));
@@ -219,6 +225,113 @@ fn a_duplicate_never_stands_in_for_a_lost_flush() {
         misses + 1,
         "p3's copy must have ended the barrier invalid and been re-fetched"
     );
+}
+
+// ---------------------------------------------------------------------
+// One sealed diff, many handles
+// ---------------------------------------------------------------------
+
+/// A wire that delivers every push to p2 twice.
+struct DupToP2;
+impl dsm_sim::Scheduler for DupToP2 {
+    fn flush_drop(&mut self, _src: usize, _dst: usize, _prob: f64) -> bool {
+        false
+    }
+    fn flush_duplicate(&mut self, _src: usize, dst: usize, _prob: f64) -> bool {
+        dst == 2
+    }
+}
+
+/// p0 homes the page, p1 writes it, p2..p5 cache it; the wire duplicates
+/// p1's push to p2. Runs up to the point where p1 is about to publish.
+fn one_writer_four_readers(cfg: RunConfig) -> (Cluster, SharedArray<f64>) {
+    let mut cl = Cluster::new(cfg);
+    cl.install_scheduler(std::rc::Rc::new(std::cell::RefCell::new(DupToP2)));
+    let arr = cl.setup_ctx().alloc_array::<f64>("a", 8);
+    cl.distribute();
+    if cl.config().protocol.is_lmw() {
+        // A homeless writer learns its copyset from the first fetches.
+        arr.set(&mut cl.exec_ctx(1), 1, 1.0);
+        cl.barrier_app(None);
+    }
+    for pid in 2..6 {
+        arr.get(&mut cl.exec_ctx(pid), 1);
+    }
+    cl.barrier_app(None);
+    arr.set(&mut cl.exec_ctx(1), 1, 10.0);
+    arr.set(&mut cl.exec_ctx(1), 2, 20.0);
+    (cl, arr)
+}
+
+/// Everything queued for `pids`, in pid order.
+fn queued(cl: &Cluster, pids: std::ops::Range<usize>) -> Vec<&Delivery<Diff>> {
+    pids.flat_map(|pid| &cl.proc(pid).inbox).collect()
+}
+
+#[test]
+fn publish_queues_handles_to_the_one_sealed_diff() {
+    // bar-u: the home flush, four updates and the duplicate are six
+    // deliveries of one diff.
+    let (mut cl, _) = one_writer_four_readers(RunConfig::with_nprocs(ProtocolKind::BarU, 6));
+    cl.bar_pre_barrier(1, true);
+    let all = queued(&cl, 0..6);
+    let kinds: Vec<_> = all.iter().map(|d| d.kind).collect();
+    let mut want = vec![DeliveryKind::Update; 6];
+    want[0] = DeliveryKind::Home;
+    assert_eq!(kinds, want, "home flush, p2 twice, p3, p4, p5");
+    assert!(all
+        .iter()
+        .all(|d| d.writer == 1 && d.diff.payload_bytes() == 16));
+    assert!(all.iter().all(|d| d.diff.shares_storage_with(&all[0].diff)));
+
+    // lmw-u: no home; the four flushes and the duplicate alias the segment
+    // the writer keeps for later fetches.
+    let (mut cl, _) = one_writer_four_readers(RunConfig::with_nprocs(ProtocolKind::LmwU, 6));
+    cl.lmw_pre_barrier(1, &mut Vec::new());
+    let all = queued(&cl, 0..6);
+    assert_eq!(all.len(), 5, "p2 twice, p3, p4, p5");
+    let kept = &cl.proc(1).lmw.segments[&0].last().expect("sealed").diff;
+    assert_eq!(kept.payload_bytes(), 16);
+    assert!(all.iter().all(|d| d.diff.shares_storage_with(kept)));
+}
+
+#[test]
+fn bar_r_aliases_an_unclipped_push_and_copies_a_clipped_one() {
+    // p1 is the page's only writer (words 1 and 2). p2 provably loads both,
+    // so its push is the full delta; p3 loads only word 1, so its push is a
+    // smaller diff of its own; p4 and p5 load neither and get nothing.
+    let cert = PageCert {
+        page: 0,
+        class: PageClass::Exclusive,
+        writers: vec![WriterRegions {
+            writer: 1,
+            spans: vec![(8, 24)],
+            readers: CopySet::from_iter([2, 3]),
+        }],
+        loads: vec![
+            ReaderLoads {
+                reader: 2,
+                spans: vec![(0, 64)],
+            },
+            ReaderLoads {
+                reader: 3,
+                spans: vec![(8, 16)],
+            },
+        ],
+    };
+    let mut cfg = RunConfig::with_nprocs(ProtocolKind::BarR, 6);
+    cfg.regions = Some(std::sync::Arc::new(RegionTable::new(vec![cert])));
+    let (mut cl, _) = one_writer_four_readers(cfg);
+    cl.bar_pre_barrier(1, true);
+    let home = &cl.proc(0).inbox[0].diff;
+    assert_eq!(home.payload_bytes(), 16);
+    let to_p2 = queued(&cl, 2..3);
+    assert_eq!(to_p2.len(), 2, "the duplicate");
+    assert!(to_p2.iter().all(|d| d.diff.shares_storage_with(home)));
+    let to_p3 = &cl.proc(3).inbox[0].diff;
+    assert_eq!(to_p3.payload_bytes(), 8);
+    assert!(!to_p3.shares_storage_with(home));
+    assert!(queued(&cl, 4..6).is_empty(), "elided");
 }
 
 // ---------------------------------------------------------------------

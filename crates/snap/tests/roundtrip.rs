@@ -266,3 +266,45 @@ fn snapshot_round_trip_lossy_profile_pinned() {
         round_trip(&cfg, 5, k);
     }
 }
+
+/// How many readers' stored updates are handles to a diff some writer
+/// also keeps as a segment — storage the snapshot will write once per
+/// holder and the restore will give each holder its own copy of.
+fn aliased_updates(run: &StepRun<'_, MiniApp>) -> usize {
+    let cl = run.cluster();
+    let kept = |w: u16, diff: &dsm_vm::Diff| {
+        let segs = cl.proc(usize::from(w)).lmw.segments.values().flatten();
+        segs.into_iter().any(|s| s.diff.shares_storage_with(diff))
+    };
+    (0..cl.nprocs())
+        .flat_map(|pid| cl.proc(pid).lmw.pending_updates.values().flatten())
+        .filter(|(w, _, _, diff)| kept(*w, diff))
+        .count()
+}
+
+#[test]
+fn snapshot_round_trip_where_stored_updates_alias_segments() {
+    // lmw-u, four processes writing disjoint words of one page: after the
+    // barrier that ends a write phase, each writer's newest segment is
+    // also sitting, unapplied, in the other three's update stores — one
+    // diff, four handles. Find such a boundary, show the restore hands
+    // every holder a diff of its own, and require that nothing downstream
+    // can tell (`round_trip`: hashes, trace, reports all equal).
+    let cfg = RunConfig::with_nprocs(ProtocolKind::LmwU, 4);
+    let iters = 5;
+    let at = |k: usize| {
+        let mut app = MiniApp::new(iters);
+        let mut run = StepRun::new(&mut app, cfg.clone(), None, None);
+        (0..k).for_each(|_| assert!(run.step()));
+        let aliased = aliased_updates(&run);
+        let bytes = snapshot_run(&run, None);
+        let mut fresh = MiniApp::new(iters);
+        let mut restored = StepRun::new(&mut fresh, cfg.clone(), None, None);
+        restore_run(&bytes, &mut restored, None);
+        assert_eq!(aliased_updates(&restored), 0, "decode re-created aliasing");
+        aliased
+    };
+    let k = (1..2 * iters).find(|&k| at(k) >= 2);
+    let k = k.expect("some boundary holds a diff two readers and its writer share");
+    round_trip(&cfg, iters, k);
+}

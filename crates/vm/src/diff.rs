@@ -18,23 +18,45 @@
 //!   (compiled to `memcmp`), falling back to the word walk only around
 //!   actual differences.
 
+use std::rc::Rc;
+
+use dsm_sim::{SnapError, SnapReader, SnapWriter, State, StateHasher};
+
 use crate::buf::PageBuf;
 use crate::dirty::DirtyRanges;
 use crate::page::PageId;
 use crate::pool::BufPool;
 
-/// One contiguous modified byte range.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct DiffRun {
-    /// Byte offset within the page.
-    pub offset: u32,
-    /// The new bytes.
-    pub data: Vec<u8>,
+/// What a diff holds, behind its handle. One unit, so the pool recycles a
+/// diff whole and sealing one allocates nothing per run.
+#[derive(PartialEq, Eq, Debug, Default)]
+pub(crate) struct Body {
+    /// `(byte offset within the page, length)` of each contiguous modified
+    /// range, in ascending non-overlapping offset order.
+    runs: Vec<(u32, u32)>,
+    /// Every run's new bytes, back to back in run order.
+    data: Vec<u8>,
 }
 
-dsm_sim::impl_state!(DiffRun { state: offset, data; });
+impl Body {
+    fn push(&mut self, offset: usize, bytes: &[u8]) {
+        self.runs.push((offset as u32, bytes.len() as u32));
+        self.data.extend_from_slice(bytes);
+    }
+
+    /// Empty the body, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.runs.clear();
+        self.data.clear();
+    }
+}
 
 /// All modifications to one page in one interval.
+///
+/// A diff is immutable once built and a `Diff` value is a *handle* to it:
+/// `clone` is O(1) and yields another handle to the same runs. That is how
+/// one sealed diff serves the home, every copyset reader, a duplicated
+/// delivery and every later fetch reply without being copied.
 ///
 /// ```
 /// use dsm_vm::{Diff, PageBuf, PageId};
@@ -44,21 +66,21 @@ dsm_sim::impl_state!(DiffRun { state: offset, data; });
 /// cur.bytes_mut()[128] = 0xAB;
 ///
 /// let diff = Diff::between(PageId(0), &twin, &cur);
-/// assert_eq!(diff.runs.len(), 1);
+/// assert_eq!(diff.runs().count(), 1);
+/// assert!(diff.clone().shares_storage_with(&diff));
 ///
 /// let mut rebuilt = twin.clone();
 /// diff.apply_to(&mut rebuilt);
 /// assert_eq!(rebuilt.bytes(), cur.bytes());
 /// ```
-#[derive(Clone, PartialEq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Diff {
     /// The page this diff applies to.
     pub page: PageId,
-    /// Modified ranges, in ascending non-overlapping offset order.
-    pub runs: Vec<DiffRun>,
+    /// Only ever written through `Rc::get_mut`, that is while this is the
+    /// one handle: no handle can watch its diff change.
+    pub(crate) body: Rc<Body>,
 }
-
-dsm_sim::impl_state!(Diff { state: page, runs; });
 
 /// Comparison granularity: diffs are computed on 8-byte words, matching the
 /// word-comparison loop of the original implementation.
@@ -71,27 +93,7 @@ const CHUNK_WORDS: usize = 32;
 /// Scan the word span `[lo, hi)` (word indices) of `tw`/`cw`, appending
 /// runs for every differing word (adjacent differing words coalesce).
 /// `cb` is the current page as bytes, for run payload extraction.
-fn scan_span(
-    runs: &mut Vec<DiffRun>,
-    pool: &mut Option<&mut BufPool>,
-    tw: &[u64],
-    cw: &[u64],
-    cb: &[u8],
-    lo: usize,
-    hi: usize,
-) {
-    let mut push_run = |pool: &mut Option<&mut BufPool>, start_w: usize, end_w: usize| {
-        let (s, e) = (start_w * WORD, end_w * WORD);
-        let mut data = match pool {
-            Some(p) => p.take_run_buf(),
-            None => Vec::new(),
-        };
-        data.extend_from_slice(&cb[s..e]);
-        runs.push(DiffRun {
-            offset: s as u32,
-            data,
-        });
-    };
+fn scan_span(body: &mut Body, tw: &[u64], cw: &[u64], cb: &[u8], lo: usize, hi: usize) {
     let mut w = lo;
     while w < hi {
         // Fast path: skip clean chunks with a memcmp-style slice compare.
@@ -114,39 +116,43 @@ fn scan_span(
         while w < hi && tw[w] != cw[w] {
             w += 1;
         }
-        push_run(pool, start, w);
+        body.push(start * WORD, &cb[start * WORD..w * WORD]);
     }
 }
 
+/// A diff of `page` whose runs `fill` writes into an empty body from
+/// `pool` — recycled storage if it has any, so a steady-state seal
+/// allocates nothing.
+fn build(page: PageId, pool: &mut BufPool, fill: impl FnOnce(&mut Body)) -> Diff {
+    let mut body = pool.take_body();
+    fill(Rc::get_mut(&mut body).expect("a pooled body has one handle"));
+    Diff { page, body }
+}
+
 /// Shared scanner: full page when `ranges` is `None` or collapsed,
-/// recorded ranges otherwise; storage from `pool` when provided.
+/// recorded ranges otherwise.
 fn scan(
     page: PageId,
     twin: &PageBuf,
     current: &PageBuf,
     ranges: Option<&DirtyRanges>,
-    mut pool: Option<&mut BufPool>,
+    pool: &mut BufPool,
 ) -> Diff {
     assert_eq!(twin.len(), current.len(), "page size mismatch");
     let len = twin.len();
-    let mut runs = match pool.as_deref_mut() {
-        Some(p) => p.take_runs(),
-        None => Vec::new(),
-    };
     let tw = twin.typed::<u64>(0..len);
     let cw = current.typed::<u64>(0..len);
     let cb = current.bytes();
-    match ranges {
+    build(page, pool, |body| match ranges {
         Some(r) if !r.is_all() => {
             for (s, e) in r.iter() {
                 let lo = s as usize / WORD;
                 let hi = (e as usize).min(len) / WORD;
-                scan_span(&mut runs, &mut pool, tw, cw, cb, lo, hi);
+                scan_span(body, tw, cw, cb, lo, hi);
             }
         }
-        _ => scan_span(&mut runs, &mut pool, tw, cw, cb, 0, len / WORD),
-    }
-    Diff { page, runs }
+        _ => scan_span(body, tw, cw, cb, 0, len / WORD),
+    })
 }
 
 impl Diff {
@@ -154,7 +160,7 @@ impl Diff {
     /// `current` by a full-page scan. Runs cover every word that differs;
     /// adjacent differing words coalesce into a single run.
     pub fn between(page: PageId, twin: &PageBuf, current: &PageBuf) -> Diff {
-        scan(page, twin, current, None, None)
+        scan(page, twin, current, None, &mut BufPool::new())
     }
 
     /// [`Diff::between`], restricted to `ranges`. Produces byte-identical
@@ -167,7 +173,7 @@ impl Diff {
         current: &PageBuf,
         ranges: &DirtyRanges,
     ) -> Diff {
-        scan(page, twin, current, Some(ranges), None)
+        Self::between_ranges_in(page, twin, current, ranges, &mut BufPool::new())
     }
 
     /// [`Diff::between_ranges`] drawing run storage from `pool`.
@@ -178,7 +184,7 @@ impl Diff {
         ranges: &DirtyRanges,
         pool: &mut BufPool,
     ) -> Diff {
-        scan(page, twin, current, Some(ranges), Some(pool))
+        scan(page, twin, current, Some(ranges), pool)
     }
 
     /// Capture the raw contents of `current` over `spans` (sorted,
@@ -189,7 +195,7 @@ impl Diff {
     /// the freshest value of those words, so shipping them verbatim
     /// commutes with every concurrent writer's delta by construction.
     pub fn capture(page: PageId, current: &PageBuf, spans: &[(u32, u32)]) -> Diff {
-        Self::capture_impl(page, current, spans, None)
+        Self::capture_in(page, current, spans, &mut BufPool::new())
     }
 
     /// [`Diff::capture`] drawing run storage from `pool`.
@@ -199,58 +205,57 @@ impl Diff {
         spans: &[(u32, u32)],
         pool: &mut BufPool,
     ) -> Diff {
-        Self::capture_impl(page, current, spans, Some(pool))
-    }
-
-    fn capture_impl(
-        page: PageId,
-        current: &PageBuf,
-        spans: &[(u32, u32)],
-        mut pool: Option<&mut BufPool>,
-    ) -> Diff {
         let len = current.len() as u32;
         let cb = current.bytes();
-        let mut runs = match pool.as_deref_mut() {
-            Some(p) => p.take_runs(),
-            None => Vec::new(),
-        };
-        for &(s, e) in spans {
-            let e = e.min(len);
-            if s >= e {
-                continue;
+        build(page, pool, |body| {
+            for &(s, e) in spans {
+                let e = e.min(len);
+                if s < e {
+                    body.push(s as usize, &cb[s as usize..e as usize]);
+                }
             }
-            let mut data = match pool.as_deref_mut() {
-                Some(p) => p.take_run_buf(),
-                None => Vec::new(),
-            };
-            data.extend_from_slice(&cb[s as usize..e as usize]);
-            runs.push(DiffRun { offset: s, data });
-        }
-        Diff { page, runs }
+        })
+    }
+
+    /// The modified ranges as `(byte offset, new bytes)`, in ascending
+    /// non-overlapping offset order.
+    pub fn runs(&self) -> impl Iterator<Item = (usize, &[u8])> {
+        let mut rest = self.body.data.as_slice();
+        self.body.runs.iter().map(move |&(offset, len)| {
+            let (bytes, tail) = rest.split_at(len as usize);
+            rest = tail;
+            (offset as usize, bytes)
+        })
+    }
+
+    /// True if `self` and `other` are handles to the same diff — one made
+    /// from the other by `clone`, however many hands it passed through.
+    pub fn shares_storage_with(&self, other: &Diff) -> bool {
+        Rc::ptr_eq(&self.body, &other.body)
     }
 
     /// True if the twin and current contents were identical — the paper's
     /// "zero-length diff", which overdrive protocols use to skip flushes.
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.body.runs.is_empty()
     }
 
     /// Total payload bytes carried by the runs.
     pub fn payload_bytes(&self) -> usize {
-        self.runs.iter().map(|r| r.data.len()).sum()
+        self.body.data.len()
     }
 
     /// Wire size: page id + run count header plus, per run, offset + length
     /// headers and the payload.
     pub fn wire_bytes(&self) -> usize {
-        8 + self.runs.iter().map(|r| 8 + r.data.len()).sum::<usize>()
+        8 + 8 * self.body.runs.len() + self.body.data.len()
     }
 
     /// Apply this diff's runs to `target`.
     pub fn apply_to(&self, target: &mut PageBuf) {
-        for run in &self.runs {
-            let start = run.offset as usize;
-            target.bytes_mut()[start..start + run.data.len()].copy_from_slice(&run.data);
+        let target = target.bytes_mut();
+        for (start, bytes) in self.runs() {
+            target[start..start + bytes.len()].copy_from_slice(bytes);
         }
     }
 
@@ -258,22 +263,73 @@ impl Diff {
     /// diffs of a data-race-free program are always disjoint, which is what
     /// makes multi-writer merging sound.
     pub fn disjoint_from(&self, other: &Diff) -> bool {
-        for a in &self.runs {
-            let (a0, a1) = (a.offset as usize, a.offset as usize + a.data.len());
-            for b in &other.runs {
-                let (b0, b1) = (b.offset as usize, b.offset as usize + b.data.len());
-                if a0 < b1 && b0 < a1 {
-                    return false;
-                }
-            }
+        let apart = |(a0, a): (usize, &[u8]), (b0, b): (usize, &[u8])| {
+            a0 + a.len() <= b0 || b0 + b.len() <= a0
+        };
+        self.runs().all(|a| other.runs().all(|b| apart(a, b)))
+    }
+
+    /// Write the run list alone — a count, then each run's offset and
+    /// length-prefixed bytes ([`crate::Frame`] delta-encodes its contents
+    /// and twin this way).
+    pub(crate) fn encode_runs(&self, w: &mut SnapWriter) {
+        w.usize(self.body.runs.len());
+        for (offset, bytes) in self.runs() {
+            w.u32(offset as u32);
+            w.bytes(bytes);
         }
-        true
+    }
+}
+
+/// A snapshot and the hash see a page id and a list of runs, nothing of the
+/// handle, so decoding never re-creates aliasing: every decoded diff owns
+/// its body. No execution can tell, because no diff is ever written after
+/// it is built.
+impl State for Diff {
+    fn encode(&self, w: &mut SnapWriter) {
+        let Diff { page, body: _ } = self;
+        page.encode(w);
+        self.encode_runs(w);
+    }
+
+    fn decode(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let Diff { page, body } = self;
+        page.decode(r)?;
+        // Other handles keep the diff they hold; this one starts over.
+        if Rc::get_mut(body).is_none() {
+            *body = Rc::default();
+        }
+        let body = Rc::get_mut(body).expect("a fresh body has one handle");
+        body.clear();
+        for _ in 0..r.count()? {
+            let offset = r.u32()? as usize;
+            body.push(offset, r.bytes()?);
+        }
+        Ok(())
+    }
+
+    fn fold(&self, h: &mut StateHasher) {
+        let Diff { page, body } = self;
+        page.fold(h);
+        h.usize(body.runs.len());
+        for (offset, bytes) in self.runs() {
+            h.usize(offset);
+            h.usize(bytes.len());
+            h.bytes(bytes);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `(offset, length)` of every run.
+    fn shape(d: &Diff) -> Vec<(usize, usize)> {
+        d.runs()
+            .map(|(offset, bytes)| (offset, bytes.len()))
+            .collect()
+    }
 
     fn page_with(bytes: &[(usize, u8)], size: usize) -> PageBuf {
         let mut p = PageBuf::zeroed(size);
@@ -298,10 +354,8 @@ mod tests {
         let twin = PageBuf::zeroed(256);
         let cur = page_with(&[(17, 0xFF)], 256);
         let d = Diff::between(PageId(1), &twin, &cur);
-        assert_eq!(d.runs.len(), 1);
         // Word granularity: the run covers the containing 8-byte word.
-        assert_eq!(d.runs[0].offset, 16);
-        assert_eq!(d.runs[0].data.len(), 8);
+        assert_eq!(shape(&d), [(16, 8)]);
     }
 
     #[test]
@@ -309,9 +363,7 @@ mod tests {
         let twin = PageBuf::zeroed(256);
         let cur = page_with(&[(8, 1), (16, 2), (24, 3)], 256);
         let d = Diff::between(PageId(0), &twin, &cur);
-        assert_eq!(d.runs.len(), 1);
-        assert_eq!(d.runs[0].offset, 8);
-        assert_eq!(d.runs[0].data.len(), 24);
+        assert_eq!(shape(&d), [(8, 24)]);
     }
 
     #[test]
@@ -319,7 +371,7 @@ mod tests {
         let twin = PageBuf::zeroed(256);
         let cur = page_with(&[(0, 1), (128, 2)], 256);
         let d = Diff::between(PageId(0), &twin, &cur);
-        assert_eq!(d.runs.len(), 2);
+        assert_eq!(shape(&d), [(0, 8), (128, 8)]);
     }
 
     #[test]
@@ -327,8 +379,7 @@ mod tests {
         let twin = PageBuf::zeroed(64);
         let cur = page_with(&[(63, 9)], 64);
         let d = Diff::between(PageId(0), &twin, &cur);
-        assert_eq!(d.runs.len(), 1);
-        assert_eq!(d.runs[0].offset, 56);
+        assert_eq!(shape(&d), [(56, 8)]);
     }
 
     #[test]
@@ -341,9 +392,7 @@ mod tests {
             *b = 7;
         }
         let d = Diff::between(PageId(0), &twin, &cur);
-        assert_eq!(d.runs.len(), 1);
-        assert_eq!(d.runs[0].offset as usize, boundary - 16);
-        assert_eq!(d.runs[0].data.len(), 32);
+        assert_eq!(shape(&d), [(boundary - 16, 32)]);
     }
 
     #[test]
@@ -375,7 +424,7 @@ mod tests {
         let twin = PageBuf::zeroed(64);
         let cur = page_with(&[(0, 1), (32, 1)], 64);
         let d = Diff::between(PageId(0), &twin, &cur);
-        assert_eq!(d.runs.len(), 2);
+        assert_eq!(d.runs().count(), 2);
         assert_eq!(d.payload_bytes(), 16);
         assert_eq!(d.wire_bytes(), 8 + (8 + 8) + (8 + 8));
     }
@@ -404,15 +453,13 @@ mod tests {
     fn capture_ships_span_contents_verbatim() {
         let cur = page_with(&[(8, 1), (9, 2), (64, 3)], 128);
         let d = Diff::capture(PageId(7), &cur, &[(8, 16), (64, 72)]);
-        assert_eq!(d.runs.len(), 2);
-        assert_eq!(d.runs[0].offset, 8);
-        assert_eq!(&d.runs[0].data[..2], &[1, 2]);
-        assert_eq!(d.runs[1].offset, 64);
-        assert_eq!(d.runs[1].data[0], 3);
+        let runs: Vec<_> = d.runs().collect();
+        assert_eq!(runs.len(), 2);
+        assert_eq!((runs[0].0, &runs[0].1[..2]), (8, &[1, 2][..]));
+        assert_eq!((runs[1].0, runs[1].1[0]), (64, 3));
         // Spans past the page end clip; empty spans drop.
         let e = Diff::capture(PageId(0), &cur, &[(120, 200), (40, 40)]);
-        assert_eq!(e.runs.len(), 1);
-        assert_eq!(e.runs[0].data.len(), 8);
+        assert_eq!(shape(&e), [(120, 8)]);
         // Pooled storage must not leak stale bytes.
         let mut pool = BufPool::new();
         let p1 = Diff::capture_in(PageId(7), &cur, &[(8, 16), (64, 72)], &mut pool);
@@ -480,15 +527,15 @@ mod proptests {
             let cur = sparse_variant(g, &twin);
             let d = Diff::between(PageId(0), &twin, &cur);
             let mut prev_end = 0usize;
-            for (i, run) in d.runs.iter().enumerate() {
-                assert!(!run.data.is_empty());
-                assert_eq!(run.offset as usize % 8, 0);
-                assert_eq!(run.data.len() % 8, 0);
+            for (i, (offset, bytes)) in d.runs().enumerate() {
+                assert!(!bytes.is_empty());
+                assert_eq!(offset % 8, 0);
+                assert_eq!(bytes.len() % 8, 0);
                 if i > 0 {
                     // Strictly separated: coalescing guarantees a gap.
-                    assert!(run.offset as usize > prev_end);
+                    assert!(offset > prev_end);
                 }
-                prev_end = run.offset as usize + run.data.len();
+                prev_end = offset + bytes.len();
             }
             assert!(prev_end <= 256);
         });
@@ -556,6 +603,42 @@ mod proptests {
             pool.put_diff(p1);
             let p2 = Diff::between_ranges_in(PageId(1), &twin, &cur, &ranges, &mut pool);
             assert_eq!(full, p2, "recycled buffers must not leak stale bytes");
+        });
+    }
+
+    /// A sealed diff outlives every handle but the last: recycling one
+    /// handle neither returns the storage nor lets later diffs built from
+    /// the pool disturb what the surviving handle applies.
+    #[test]
+    fn recycling_under_a_live_alias_is_inert() {
+        check("recycling_under_a_live_alias_is_inert", 200, |g| {
+            let mut pool = BufPool::new();
+            let twin = random_page(g);
+            let cur = sparse_variant(g, &twin);
+            let mut all = DirtyRanges::new();
+            all.mark_all();
+            // Warm the pool so the sealed diff sits on recycled storage.
+            let warm = Diff::between_ranges_in(PageId(0), &twin, &random_page(g), &all, &mut pool);
+            pool.put_diff(warm);
+            let sealed = Diff::between_ranges_in(PageId(0), &twin, &cur, &all, &mut pool);
+            let kept = sealed.clone();
+            assert!(kept.shares_storage_with(&sealed));
+            let before = pool.sizes();
+            pool.put_diff(sealed);
+            assert_eq!(pool.sizes(), before, "a live alias keeps the storage out");
+            // Churn the pool: other diffs draw from it and return to it.
+            for _ in 0..g.range(1, 6) {
+                let other = random_page(g);
+                let d = Diff::between_ranges_in(PageId(1), &twin, &other, &all, &mut pool);
+                assert!(!d.shares_storage_with(&kept));
+                pool.put_diff(d);
+            }
+            let mut rebuilt = twin.clone();
+            kept.apply_to(&mut rebuilt);
+            assert_eq!(rebuilt.bytes(), cur.bytes());
+            let before = pool.sizes();
+            pool.put_diff(kept);
+            assert_eq!(pool.sizes().1, before.1 + 1, "the last handle recycles");
         });
     }
 }

@@ -211,13 +211,12 @@ impl Frame {
     pub fn apply_diff(&mut self, diff: &Diff) {
         diff.apply_to(&mut self.data);
         if self.twin.is_some() {
-            for run in &diff.runs {
-                self.dirty.insert(run.offset as usize, run.data.len());
+            for (offset, bytes) in diff.runs() {
+                self.dirty.insert(offset, bytes.len());
             }
         } else if self.tracking {
-            for run in &diff.runs {
-                self.dirty
-                    .insert_coarse(run.offset as usize, run.data.len());
+            for (offset, bytes) in diff.runs() {
+                self.dirty.insert_coarse(offset, bytes.len());
             }
         }
         self.touch();
@@ -332,10 +331,10 @@ impl Frame {
         applied_through.encode(w);
         tracking.encode(w);
         dirty.encode(w);
-        Diff::between(page, base, data).runs.encode(w);
+        Diff::between(page, base, data).encode_runs(w);
         w.bool(twin.is_some());
         if let Some(t) = twin {
-            Diff::between(page, data, t).runs.encode(w);
+            Diff::between(page, data, t).encode_runs(w);
         }
     }
 
@@ -440,11 +439,7 @@ impl Frame {
     /// outside them are equal to the twin by construction, so the result
     /// is byte-identical to a full-page scan. Panics if no twin exists.
     pub fn diff_against_twin(&self, page: PageId) -> Diff {
-        let twin = self
-            .twin
-            .as_ref()
-            .expect("diff_against_twin called without a twin");
-        Diff::between_ranges(page, twin, &self.data, &self.dirty)
+        self.diff_against_twin_in(page, &mut BufPool::new())
     }
 
     /// [`Frame::diff_against_twin`] drawing run storage from `pool`.
@@ -512,7 +507,7 @@ mod tests {
         f.write_at(8, &[42]);
         let d = f.diff_against_twin(PageId(5));
         assert_eq!(d.page, PageId(5));
-        assert_eq!(d.runs.len(), 1);
+        assert_eq!(d.runs().count(), 1);
         assert!(f.has_twin(), "diff creation must not consume the twin");
     }
 
@@ -564,14 +559,9 @@ mod tests {
         assert!(f.dirty_ranges().is_all(), "bulk replace marks everything");
         let mut g = Frame::new(64);
         g.make_twin();
-        let d = Diff {
-            page: PageId(0),
-            runs: vec![crate::diff::DiffRun {
-                offset: 16,
-                data: vec![7; 8],
-            }],
-        };
-        g.apply_diff(&d);
+        let mut sevens = PageBuf::zeroed(64);
+        sevens.bytes_mut().fill(7);
+        g.apply_diff(&Diff::capture(PageId(0), &sevens, &[(16, 24)]));
         assert!(g.dirty_ranges().covers(16));
         assert!(!g.dirty_ranges().covers(40));
         assert_eq!(g.data().bytes()[16], 7);

@@ -23,7 +23,7 @@
 //!   store as the base its frames delta-encode against.
 //! * [`pages`] — the questions the protocols ask of a page table, as a
 //!   trait: [`store::PageStore`] is the runtime's answer.
-//! * [`pool`] — free-lists recycling twin buffers and diff run storage.
+//! * [`pool`] — free-lists recycling twin buffers and diff storage.
 //! * [`store`] — a process's page table over the shared segment.
 
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -39,7 +39,7 @@ pub mod pool;
 pub mod store;
 
 pub use buf::{as_bytes, as_bytes_mut, cast_slice, cast_slice_mut, PageBuf, Pod};
-pub use diff::{Diff, DiffRun};
+pub use diff::Diff;
 pub use dirty::DirtyRanges;
 pub use frame::Frame;
 pub use image::Image;

@@ -58,7 +58,12 @@ pub struct Meta {
 /// One process's page table, as the protocols see it. Costs are the
 /// caller's business: every method is pure state.
 pub trait Pages {
-    /// A sealed set of modifications to one page.
+    /// A sealed set of modifications to one page, immutable from the
+    /// moment [`Pages::seal`] or [`Pages::capture`] returns it (no method
+    /// takes a diff mutably). `Clone` relies on that: a clone is *another
+    /// handle to the same modifications*, O(1) whatever the diff's size —
+    /// which is how one sealed diff reaches the home, every copyset
+    /// reader, a duplicated delivery and every later fetch reply.
     type Diff: Delta + Clone + Default;
     /// Host-side scratch the twin and diff operations draw from; one per
     /// cluster, never logical state.
@@ -102,7 +107,8 @@ pub trait Pages {
     fn apply_diff(&mut self, page: PageId, diff: &Self::Diff);
     /// Replace the page's contents with `from`'s copy of it.
     fn copy_page(&mut self, page: PageId, from: &Self);
-    /// End of a diff's life: hand its storage back.
+    /// End of one handle's life. The diff's storage goes back to `pool`
+    /// with the last handle, never under a live one.
     fn recycle(pool: &mut Self::Pool, diff: Self::Diff);
 
     /// Start recording writes without a twin (`bar-r` certified pages).

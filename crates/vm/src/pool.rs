@@ -1,34 +1,36 @@
-//! Free-lists for page buffers and diff run storage.
+//! Free-lists for page buffers and diff storage.
 //!
 //! The protocols allocate in a tight loop: a twin per write-trapped page
-//! per interval, a run vector plus one payload vector per run per diff,
-//! all dropped within a barrier (home-based) or at GC (homeless). A
-//! [`BufPool`] recycles those allocations — callers `take_*` instead of
-//! allocating and `put_*` instead of dropping. Pooling is pure host-side
-//! mechanics: buffers carry no virtual-time cost and recycled memory is
-//! always fully overwritten before use (twins by a full page copy, run
-//! payloads by `extend_from_slice` onto an emptied vector), a property the
+//! per interval and a diff per sealed page, the diff living until its last
+//! recipient has consumed it — one barrier later (home-based) or at GC
+//! (homeless). A [`BufPool`] recycles those allocations — callers `take_*`
+//! instead of allocating and `put_*` instead of dropping. Pooling is pure
+//! host-side mechanics: buffers carry no virtual-time cost and recycled
+//! memory is always fully overwritten before use (twins by a full page
+//! copy, diff bodies by appending to an emptied one), a property the
 //! proptests in `frame.rs` and `diff.rs` pin down.
 
+use std::rc::Rc;
+
 use crate::buf::PageBuf;
-use crate::diff::{Diff, DiffRun};
+use crate::diff::{Body, Diff};
 
 /// Retention caps: a pool never holds more than this many of each kind
 /// (excess is simply dropped), bounding idle memory.
 const PAGES_CAP: usize = 128;
-const RUN_LISTS_CAP: usize = 128;
-const RUN_BUFS_CAP: usize = 512;
+const DIFFS_CAP: usize = 128;
 
-/// A free-list for [`PageBuf`]s (twins, copies) and the two vectors a
-/// [`Diff`] is made of (the run list and each run's payload). Pooled
-/// memory is interchangeable scratch, fully overwritten before reuse —
-/// never logical state, so owners class it `config` in their state
-/// declarations.
+/// A free-list for [`PageBuf`]s (twins, copies) and for the storage behind
+/// a [`Diff`] (the shared box, its run table and its payload, recycled as
+/// one unit). Pooled memory is interchangeable scratch, fully overwritten
+/// before reuse — never logical state, so owners class it `config` in
+/// their state declarations.
 #[derive(Debug, Default)]
 pub struct BufPool {
     pages: Vec<PageBuf>,
-    run_lists: Vec<Vec<DiffRun>>,
-    run_bufs: Vec<Vec<u8>>,
+    /// Emptied diff bodies, each uniquely held: a body enters only through
+    /// `Rc::get_mut` in [`BufPool::put_diff`], and the pool never clones.
+    diffs: Vec<Rc<Body>>,
 }
 
 impl BufPool {
@@ -56,39 +58,29 @@ impl BufPool {
         }
     }
 
-    /// An empty run vector (recycled capacity if available).
-    pub fn take_runs(&mut self) -> Vec<DiffRun> {
-        self.run_lists.pop().unwrap_or_default()
+    /// An empty, uniquely held diff body (recycled capacity if available).
+    pub(crate) fn take_body(&mut self) -> Rc<Body> {
+        self.diffs.pop().unwrap_or_default()
     }
 
-    /// An empty run payload vector (recycled capacity if available).
-    pub fn take_run_buf(&mut self) -> Vec<u8> {
-        self.run_bufs.pop().unwrap_or_default()
-    }
-
-    /// Recycle a diff's storage: each run's payload and the run vector
-    /// itself go back to their free-lists.
+    /// Give up one handle to a diff. Its storage goes back to the
+    /// free-list only if this was the last handle; while any other is
+    /// alive `Rc::get_mut` refuses, the handle is merely dropped, and the
+    /// diff those others see is untouched.
     pub fn put_diff(&mut self, diff: Diff) {
-        self.put_runs(diff.runs);
-    }
-
-    /// Recycle a run vector (and the payloads it holds).
-    pub fn put_runs(&mut self, mut runs: Vec<DiffRun>) {
-        for mut run in runs.drain(..) {
-            if self.run_bufs.len() < RUN_BUFS_CAP {
-                run.data.clear();
-                self.run_bufs.push(run.data);
+        let mut body = diff.body;
+        if let Some(last) = Rc::get_mut(&mut body) {
+            if self.diffs.len() < DIFFS_CAP {
+                last.clear();
+                self.diffs.push(body);
             }
         }
-        if self.run_lists.len() < RUN_LISTS_CAP {
-            self.run_lists.push(runs);
-        }
     }
 
-    /// Pooled buffer counts `(pages, run_lists, run_bufs)` — observability
-    /// for tests and debugging.
-    pub fn sizes(&self) -> (usize, usize, usize) {
-        (self.pages.len(), self.run_lists.len(), self.run_bufs.len())
+    /// Pooled buffer counts `(pages, diffs)` — observability for tests
+    /// and debugging.
+    pub fn sizes(&self) -> (usize, usize) {
+        (self.pages.len(), self.diffs.len())
     }
 }
 
@@ -123,25 +115,16 @@ mod tests {
     #[test]
     fn diff_storage_recycles_emptied() {
         let mut pool = BufPool::new();
-        let diff = Diff {
-            page: PageId(0),
-            runs: vec![
-                DiffRun {
-                    offset: 0,
-                    data: vec![1; 16],
-                },
-                DiffRun {
-                    offset: 32,
-                    data: vec![2; 8],
-                },
-            ],
-        };
+        let mut cur = PageBuf::zeroed(64);
+        cur.bytes_mut()[..16].fill(1);
+        cur.bytes_mut()[32..40].fill(2);
+        let diff = Diff::capture(PageId(0), &cur, &[(0, 16), (32, 40)]);
         pool.put_diff(diff);
-        assert_eq!(pool.sizes(), (0, 1, 2));
-        let runs = pool.take_runs();
-        assert!(runs.is_empty(), "recycled run vectors arrive empty");
-        let buf = pool.take_run_buf();
-        assert!(buf.is_empty(), "recycled payload vectors arrive empty");
-        assert!(buf.capacity() >= 8, "capacity is what gets recycled");
+        assert_eq!(pool.sizes(), (0, 1));
+        // What comes back is empty: a diff built on it holds its own runs
+        // only, and the pool is drawn down.
+        let again = Diff::capture_in(PageId(0), &cur, &[(32, 40)], &mut pool);
+        assert_eq!(pool.sizes(), (0, 0));
+        assert_eq!(again.runs().collect::<Vec<_>>(), [(32, &[2u8; 8][..])]);
     }
 }
