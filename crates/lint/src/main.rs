@@ -59,7 +59,7 @@ const CRATES: [&str; 8] = [
 ];
 
 /// Extra source trees under the *transport* rules only: examples and the
-/// bench harness drive real clusters, so a raw `send_flush` there skips
+/// bench harness drive real clusters, so a raw `push_update` there skips
 /// costs and fault injection exactly as it would in a library crate.
 const TRANSPORT_EXTRA: [&str; 2] = ["examples", "crates/bench/src"];
 

@@ -17,7 +17,7 @@ pub struct Finding {
     pub msg: String,
 }
 
-/// Source prefixes allowed to call the transport's send entry points.
+/// Source prefixes allowed to call the network's verbs.
 pub const SEND_ALLOWED: [&str; 3] = [
     "crates/net/src/",
     "crates/core/src/proto/",
@@ -102,9 +102,16 @@ pub fn check_determinism(toks: &[Tok]) -> Vec<Finding> {
     findings
 }
 
-/// Transport discipline: raw send call sites outside the protocol
+/// The network's verbs: every logical message enters through one of these.
+pub const NETWORK_VERBS: [&str; 4] = ["send_reliable", "fetch", "push_reliable", "push_update"];
+
+/// The wire's per-message resolvers, which only the network may call.
+pub const WIRE_INTERNALS: [&str; 2] = ["resolve_reliable", "resolve_flush"];
+
+/// Transport discipline: network verb call sites outside the protocol
 /// engine, wire internals outside the transport, and discarded
-/// [`FlushOutcome`]s. `rel` is the workspace-relative path.
+/// [`FlushOutcome`]s of `push_update`. `rel` is the workspace-relative
+/// path.
 pub fn check_sends(rel: &str, toks: &[Tok]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let in_engine = SEND_ALLOWED.iter().any(|p| rel.starts_with(p));
@@ -114,8 +121,8 @@ pub fn check_sends(rel: &str, toks: &[Tok]) -> Vec<Finding> {
         if t.kind != TokKind::Ident {
             continue;
         }
-        let wire_internal = matches!(t.text.as_str(), "resolve_reliable" | "resolve_flush");
-        if !wire_internal && !matches!(t.text.as_str(), "send_reliable" | "send_flush") {
+        let wire_internal = WIRE_INTERNALS.contains(&t.text.as_str());
+        if !wire_internal && !NETWORK_VERBS.contains(&t.text.as_str()) {
             continue;
         }
         if toks.get(i + 1).is_none_or(|n| n.text != "(") {
@@ -131,7 +138,7 @@ pub fn check_sends(rel: &str, toks: &[Tok]) -> Vec<Finding> {
                     rule: "send-raw",
                     msg: format!(
                         "wire internal `{}(..)` used outside crates/net \
-                         (go through send_reliable/send_flush)",
+                         (go through the Network verbs)",
                         t.text
                     ),
                 });
@@ -151,7 +158,7 @@ pub fn check_sends(rel: &str, toks: &[Tok]) -> Vec<Finding> {
             });
             continue;
         }
-        if t.text == "send_flush" && flush_outcome_discarded(toks, i) {
+        if t.text == "push_update" && flush_outcome_discarded(toks, i) {
             findings.push(Finding {
                 line: t.line,
                 rule: "flush-outcome",
@@ -164,9 +171,9 @@ pub fn check_sends(rel: &str, toks: &[Tok]) -> Vec<Finding> {
     findings
 }
 
-/// Statement-prefix binding analysis for a `send_flush` call at token
-/// index `at`: the outcome is discarded when the call is an expression
-/// statement or is bound to a `_`-named local.
+/// Statement binding analysis for a `push_update` call at token index
+/// `at`: the outcome is discarded when the call is an expression statement
+/// or is bound to a `_`-named local.
 fn flush_outcome_discarded(toks: &[Tok], at: usize) -> bool {
     // The statement this call belongs to.
     let stmt = toks[..at]
@@ -185,12 +192,31 @@ fn flush_outcome_discarded(toks: &[Tok], at: usize) -> bool {
     // No `let`: consumed when nested in a larger expression (an argument
     // or macro operand leaves an open paren in the prefix; an assignment
     // leaves an `=`; a `match`/`return`/`if`/`while` scrutinee flows
-    // onward). A bare receiver chain is an expression statement.
-    !prefix.iter().any(|t| {
+    // onward) or when it is its block's tail, whose value flows out. A
+    // bare receiver chain ended by `;` is an expression statement.
+    let nested = prefix.iter().any(|t| {
         t.text.contains('=')
             || t.text == "("
             || matches!(t.text.as_str(), "match" | "return" | "if" | "while")
-    })
+    });
+    !nested && statement_end(toks, at) == Some(";")
+}
+
+/// The token that ends the statement containing token `at`: the first
+/// `;` or unmatched `}` after it, outside any nested delimiters.
+fn statement_end(toks: &[Tok], at: usize) -> Option<&str> {
+    let mut depth = 0usize;
+    for t in &toks[at..] {
+        match t.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" => depth = depth.saturating_sub(1),
+            "}" if depth == 0 => return Some("}"),
+            "}" => depth -= 1,
+            ";" if depth == 0 => return Some(";"),
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Sparse-scaling contract: node-count-sized allocations in protocol
@@ -391,12 +417,30 @@ mod tests {
 
     #[test]
     fn examples_and_bench_are_not_engine_paths() {
-        let src = "net.send_flush(p, q, k, n);";
+        let src = "let out = net.push_update(p, q, k, n, now);";
         for rel in ["examples/quickstart.rs", "crates/bench/src/paper.rs"] {
             let f = check_sends(rel, &toks(src));
             assert_eq!(f.len(), 1, "{rel}");
             assert_eq!(f[0].rule, "send-raw", "{rel}");
         }
+    }
+
+    #[test]
+    fn raw_data_verbs_outside_engine_flagged() {
+        // The data verbs are sends too: a raw push or fetch from an
+        // example bypasses the protocol engine exactly as a sync send.
+        for src in [
+            "let t = net.push_reliable(p, q, k, n, now);",
+            "let d = net.fetch(p, q, rk, 0, pk, n, prep, now);",
+        ] {
+            let f = check_sends("examples/quickstart.rs", &toks(src));
+            assert_eq!(f.len(), 1, "{src}");
+            assert_eq!(f[0].rule, "send-raw", "{src}");
+            assert!(check_sends("crates/core/src/drive/cluster.rs", &toks(src)).is_empty());
+        }
+        // A differently named call is not a verb.
+        let ok = "let d = self.fetch_from(p, q, req, rep, fixed);";
+        assert!(check_sends("examples/quickstart.rs", &toks(ok)).is_empty());
     }
 
     #[test]
@@ -412,20 +456,22 @@ mod tests {
     #[test]
     fn discarded_flush_outcome_flagged() {
         for src in [
-            "self.net.send_flush(p, q, k, n);",
-            "let _ = self.net.send_flush(p, q, k, n);",
-            "let _out = self\n    .net\n    .send_flush(p, q, k, n);",
-            "let mut _scratch = self.net.send_flush(p, q, k, n);",
+            "self.net.push_update(p, q, k, n, now);",
+            "let _ = self.net.push_update(p, q, k, n, now);",
+            "let _out = self\n    .net\n    .push_update(p, q, k, n, now);",
+            "let mut _scratch = self.net.push_update(p, q, k, n, now);",
         ] {
             let f = check_sends("crates/core/src/proto/bar.rs", &toks(src));
             assert_eq!(f.len(), 1, "{src}");
             assert_eq!(f[0].rule, "flush-outcome", "{src}");
         }
         for ok in [
-            "let out = self\n    .net\n    .send_flush(p, q, k, n);\nuse_(out.delivered);",
-            "consume(self.net.send_flush(p, q, k, n));",
-            "match self.net.send_flush(p, q, k, n) { _ => {} }",
-            "total += self.net.send_flush(p, q, k, n).delivered as u64;",
+            "let out = self\n    .net\n    .push_update(p, q, k, n, now);\nuse_(out.delivered);",
+            "consume(self.net.push_update(p, q, k, n, now));",
+            "match self.net.push_update(p, q, k, n, now) { _ => {} }",
+            "total += self.net.push_update(p, q, k, n, now).delivered as u64;",
+            // A block's tail is its value: returned, not discarded.
+            "fn f(n: &mut Network) -> FlushOutcome { n.push_update(p, q, k, n, now) }",
         ] {
             assert!(
                 check_sends("crates/core/src/proto/bar.rs", &toks(ok)).is_empty(),
@@ -436,10 +482,10 @@ mod tests {
 
     #[test]
     fn send_definitions_and_prose_not_flagged() {
-        let def = "pub fn send_flush(&mut self, src: usize) -> FlushOutcome {";
+        let def = "pub fn push_update(&mut self, src: usize) -> FlushOutcome {";
         assert!(check_sends("crates/net/src/network.rs", &toks(def)).is_empty());
         // Comments and strings never reach the token stream.
-        let prose = "// send_flush(..) is documented here\nlet s = \"send_reliable(\";";
+        let prose = "// push_update(..) is documented here\nlet s = \"send_reliable(\";";
         assert!(check_sends("crates/apps/src/sor.rs", &toks(prose)).is_empty());
     }
 

@@ -67,13 +67,6 @@ impl MsgKind {
         }
     }
 
-    /// True for kinds that may be sent unreliably and dropped without
-    /// violating correctness (only update flushes: the receiver falls back
-    /// to a fault-time fetch).
-    pub fn droppable(self) -> bool {
-        matches!(self, MsgKind::UpdateFlush)
-    }
-
     /// All kinds, for table-driven stats.
     pub const ALL: [MsgKind; 11] = [
         MsgKind::DiffRequest,
@@ -141,29 +134,9 @@ impl ReliableKind {
     }
 }
 
-impl TryFrom<MsgKind> for ReliableKind {
-    type Error = MsgKind;
-
-    /// Fails exactly on the kinds the reliable path must reject: droppable
-    /// flushes and transport-internal one-sided verbs.
-    fn try_from(k: MsgKind) -> Result<ReliableKind, MsgKind> {
-        match k {
-            MsgKind::DiffRequest => Ok(ReliableKind::DiffRequest),
-            MsgKind::DiffReply => Ok(ReliableKind::DiffReply),
-            MsgKind::PageRequest => Ok(ReliableKind::PageRequest),
-            MsgKind::PageReply => Ok(ReliableKind::PageReply),
-            MsgKind::BarrierArrive => Ok(ReliableKind::BarrierArrive),
-            MsgKind::BarrierRelease => Ok(ReliableKind::BarrierRelease),
-            MsgKind::DiffFlushHome => Ok(ReliableKind::DiffFlushHome),
-            MsgKind::PageMigrate => Ok(ReliableKind::PageMigrate),
-            MsgKind::UpdateFlush | MsgKind::OneSidedRead | MsgKind::OneSidedWrite => Err(k),
-        }
-    }
-}
-
-/// Message kinds a protocol may hand to the *unreliable* flush path —
-/// the type-level counterpart of [`MsgKind::droppable`]. Only update
-/// flushes qualify: every other kind would violate correctness if lost.
+/// Message kinds a protocol may hand to the *unreliable* flush path. Only
+/// update flushes qualify: every other kind would violate correctness if
+/// lost, so droppability is a type, not a predicate.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum FlushKind {
     UpdateFlush,
@@ -174,17 +147,6 @@ impl FlushKind {
     pub fn kind(self) -> MsgKind {
         match self {
             FlushKind::UpdateFlush => MsgKind::UpdateFlush,
-        }
-    }
-}
-
-impl TryFrom<MsgKind> for FlushKind {
-    type Error = MsgKind;
-
-    fn try_from(k: MsgKind) -> Result<FlushKind, MsgKind> {
-        match k {
-            MsgKind::UpdateFlush => Ok(FlushKind::UpdateFlush),
-            other => Err(other),
         }
     }
 }
@@ -208,11 +170,24 @@ mod tests {
         assert_eq!(MsgKind::OneSidedWrite.category(), MsgCategory::Flush);
     }
 
+    /// Every reliable variant.
+    const RELIABLE: [ReliableKind; 8] = [
+        ReliableKind::DiffRequest,
+        ReliableKind::DiffReply,
+        ReliableKind::PageRequest,
+        ReliableKind::PageReply,
+        ReliableKind::BarrierArrive,
+        ReliableKind::BarrierRelease,
+        ReliableKind::DiffFlushHome,
+        ReliableKind::PageMigrate,
+    ];
+
     #[test]
     fn only_update_flushes_droppable() {
-        for kind in MsgKind::ALL {
-            assert_eq!(kind.droppable(), kind == MsgKind::UpdateFlush);
-        }
+        // The one flush variant is the update flush, and no reliable
+        // variant can name it.
+        assert_eq!(FlushKind::UpdateFlush.kind(), MsgKind::UpdateFlush);
+        assert!(RELIABLE.iter().all(|r| r.kind() != MsgKind::UpdateFlush));
     }
 
     #[test]
@@ -228,26 +203,15 @@ mod tests {
 
     #[test]
     fn typed_split_partitions_the_kinds() {
-        // Every kind is reliable XOR droppable XOR one-sided, and the
-        // typed enums round-trip through the underlying MsgKind. These are
-        // the unit-coverage successors of the old runtime-assert tests
-        // (`reliable_api_rejects_droppable_kinds` and friends): rejection
-        // now happens at the type level, so we assert the conversions.
+        // Every kind is reliable XOR droppable XOR one-sided: exactly one
+        // typed variant names it, unless it is a transport-posted verb.
+        // Routing a flush through the acked path is a compile error, not
+        // a runtime panic.
         for kind in MsgKind::ALL {
-            let rel = ReliableKind::try_from(kind);
-            let fl = FlushKind::try_from(kind);
+            let reliable = RELIABLE.iter().filter(|r| r.kind() == kind).count();
+            let flush = usize::from(FlushKind::UpdateFlush.kind() == kind);
             let one_sided = matches!(kind, MsgKind::OneSidedRead | MsgKind::OneSidedWrite);
-            assert_eq!(rel.is_ok(), !kind.droppable() && !one_sided, "{kind:?}");
-            assert_eq!(fl.is_ok(), kind.droppable(), "{kind:?}");
-            if let Ok(r) = rel {
-                assert_eq!(r.kind(), kind);
-            }
-            if let Ok(f) = fl {
-                assert_eq!(f.kind(), kind);
-            }
+            assert_eq!(reliable + flush + usize::from(one_sided), 1, "{kind:?}");
         }
-        // The old runtime panics, as type-level rejections:
-        assert!(ReliableKind::try_from(MsgKind::UpdateFlush).is_err());
-        assert!(FlushKind::try_from(MsgKind::PageRequest).is_err());
     }
 }

@@ -1,20 +1,14 @@
 //! The charging network: cost legs, statistics, loss injection, and the
 //! backend routing between the two wire personalities.
 
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 
-use dsm_sim::{
-    CostModel, DetRng, FaultProfile, RdmaParams, SharedScheduler, Time, TransportKind,
-    VirtualTimeScheduler,
-};
+use dsm_sim::{CostModel, FaultProfile, RdmaParams, SharedScheduler, Time, TransportKind};
 
 use crate::message::{FlushKind, MsgKind, ReliableKind, HEADER_BYTES};
 use crate::rdma::Rdma;
 use crate::stats::NetStats;
-use crate::transport::{FetchDelivery, Transport};
-use crate::wire::{Wire, WireTuning};
+use crate::wire::Wire;
 
 /// The time legs of one message: the sender is charged `sender`, the
 /// receiving handler is charged `receiver`, and anyone synchronously waiting
@@ -23,7 +17,7 @@ use crate::wire::{Wire, WireTuning};
 /// Reliable sends always produce a delivered `Transit` — the wire's
 /// reliability sublayer retransmits until the message lands, and whatever it
 /// cost is already folded into `wire` (itemized in `retrans_wait`). Only
-/// [`Network::send_flush`] can lose a message, and it says so in its
+/// [`Network::push_update`] can lose a message, and it says so in its
 /// [`FlushOutcome`], not here: there is no `delivered` flag for callers of
 /// reliable kinds to ignore. On the one-sided backend the `receiver` leg of
 /// any data verb is zero: remote reads and writes involve no remote CPU.
@@ -38,12 +32,33 @@ pub struct Transit {
     /// slow paths, head-of-line blocking, slow-node stretch). Zero on a
     /// faultless run; callers feed it to `Clock::note_retrans`.
     pub retrans_wait: Time,
+    /// Copies resent after a lost ack, which the receiver already had and
+    /// suppressed by sequence number. They cost no delivery time.
+    pub dups_suppressed: u32,
 }
 
 impl Transit {
+    /// The cost model's legs, untouched: one attempt, no overhead.
+    pub fn clean((sender, wire, receiver): (Time, Time, Time)) -> Transit {
+        Transit {
+            sender,
+            wire,
+            receiver,
+            attempts: 1,
+            retrans_wait: Time::ZERO,
+            dups_suppressed: 0,
+        }
+    }
+
     /// End-to-end time seen by a synchronous waiter.
     pub fn total(&self) -> Time {
         self.sender + self.wire + self.receiver
+    }
+
+    /// Copies put on the wire beyond the first: one per lost data attempt
+    /// and one per lost ack.
+    pub fn retransmits(&self) -> u64 {
+        u64::from(self.attempts - 1 + self.dups_suppressed)
     }
 }
 
@@ -60,32 +75,49 @@ pub struct FlushOutcome {
     pub duplicated: bool,
 }
 
-/// The cluster interconnect: full crossbar, per-link counters, and two
-/// wire personalities behind the [`Transport`] trait — the lossy two-sided
-/// [`Wire`] (acks, retransmission, droppable flushes) and the one-sided
-/// [`Rdma`] backend (remote read/write verbs, zero remote CPU). Which one
-/// carries *data* traffic is the run's [`TransportKind`]; synchronization
-/// traffic always rides the two-sided reliable wire.
+/// What happened to one synchronous data fetch: a request/reply pair
+/// (two-sided) or a single remote read (one-sided).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FetchDelivery {
+    /// End-to-end time the initiator waits: request out, server
+    /// preparation, data back. On the one-sided backend this is post +
+    /// wire + poll — there is no server preparation to wait for.
+    pub wait: Time,
+    /// CPU charged to the remote node for serving the fetch (SIGIO
+    /// request handling + reply preparation). Zero on the one-sided
+    /// backend: that is its defining property.
+    pub server_cpu: Time,
+    /// Portion of `wait` that is fault overhead (both legs combined).
+    pub retrans_wait: Time,
+    /// Data attempts of the request leg (always 1 one-sided).
+    pub req_attempts: u32,
+    /// Data attempts of the reply leg (always 1 one-sided).
+    pub rep_attempts: u32,
+}
+
+/// The cluster interconnect: a full crossbar with two wire personalities —
+/// the lossy two-sided [`Wire`] (acks, retransmission, droppable flushes)
+/// and the one-sided [`Rdma`] backend (remote read/write verbs, zero remote
+/// CPU). Which one carries *data* traffic is the run's [`TransportKind`],
+/// resolved by one `match` in each data verb; synchronization traffic
+/// always rides the two-sided reliable wire.
 pub struct Network {
     nprocs: usize,
     costs: CostModel,
     stats: NetStats,
-    /// Per (src, dst) message counts, for diagnostics and tests.
-    link_msgs: Box<[u64]>,
     drop_prob: f64,
     /// The two-sided fault-injecting transport (sequence numbers, bursts,
-    /// FIFO, retransmission timers). Always present: sync traffic rides it
-    /// regardless of the data backend.
+    /// FIFO). Always present: sync traffic rides it regardless of the data
+    /// backend.
     wire: Wire,
-    /// The one-sided transport (queue pairs, completion timers). Always
-    /// present so snapshots have a uniform layout; idle under
-    /// [`TransportKind::TwoSided`].
+    /// The one-sided transport (queue pairs). Always present so snapshots
+    /// have a uniform layout; idle under [`TransportKind::TwoSided`].
     rdma: Rdma,
     /// Which personality carries data traffic.
     backend: TransportKind,
     /// Resolves every random decision (legacy flush drops and wire fault
-    /// draws). The default wraps the RNG stream handed to [`Network::new`];
-    /// an exploration driver swaps in its own via [`Network::set_scheduler`].
+    /// draws); shared with the cluster, which may swap in an exploration
+    /// driver's via [`Network::set_scheduler`].
     sched: SharedScheduler,
 }
 
@@ -93,7 +125,7 @@ pub struct Network {
 // are configuration; the scheduler is the cluster's, snapshotted there.
 dsm_sim::impl_state!(Network {
     config: nprocs, costs, drop_prob, backend, sched;
-    state: stats, link_msgs, wire, rdma;
+    state: stats, wire, rdma;
 });
 
 impl fmt::Debug for Network {
@@ -109,40 +141,10 @@ impl fmt::Debug for Network {
 }
 
 impl Network {
-    pub fn new(
-        nprocs: usize,
-        costs: CostModel,
-        drop_prob: f64,
-        fault: FaultProfile,
-        rng: DetRng,
-    ) -> Network {
-        let sched = Rc::new(RefCell::new(VirtualTimeScheduler::new(rng)));
-        Network::with_scheduler(nprocs, costs, drop_prob, fault, sched)
-    }
-
-    /// Build with an explicit decision scheduler (shared with the cluster)
-    /// and the default two-sided backend.
-    pub fn with_scheduler(
-        nprocs: usize,
-        costs: CostModel,
-        drop_prob: f64,
-        fault: FaultProfile,
-        sched: SharedScheduler,
-    ) -> Network {
-        Network::with_transport(
-            nprocs,
-            costs,
-            drop_prob,
-            fault,
-            TransportKind::TwoSided,
-            RdmaParams::default(),
-            sched,
-        )
-    }
-
-    /// Build with an explicit backend selection. `rdma` parameterizes the
-    /// one-sided personality; it is constructed (cheaply) either way so the
-    /// snapshot layout does not depend on the backend.
+    /// Build with the decision scheduler (shared with the cluster) and the
+    /// data backend. `rdma` parameterizes the one-sided personality; it is
+    /// constructed (cheaply) either way so the snapshot layout does not
+    /// depend on the backend.
     #[allow(clippy::too_many_arguments)]
     pub fn with_transport(
         nprocs: usize,
@@ -161,9 +163,8 @@ impl Network {
             nprocs,
             costs,
             stats: NetStats::new(),
-            link_msgs: vec![0; nprocs * nprocs].into(),
             drop_prob,
-            wire: Wire::new(nprocs, fault, WireTuning::default()),
+            wire: Wire::new(nprocs, fault),
             rdma: Rdma::new(nprocs, rdma),
             backend,
             sched,
@@ -175,13 +176,25 @@ impl Network {
         self.sched = sched;
     }
 
-    /// Common bookkeeping for any send: endpoint checks, Table 1 statistics,
-    /// and link counters.
+    /// Common bookkeeping for any send: endpoint checks and Table 1
+    /// statistics.
     fn prepare(&mut self, src: usize, dst: usize, kind: MsgKind, payload: usize) {
         assert!(src < self.nprocs && dst < self.nprocs, "bad endpoint");
         assert_ne!(src, dst, "no self-messages: local work is not a message");
         self.stats.record(kind, payload);
-        self.link_msgs[src * self.nprocs + dst] += 1;
+    }
+
+    /// One reliable two-sided message through the wire's retry ladder,
+    /// with its retransmission overhead folded into the statistics.
+    fn reliable(&mut self, src: usize, dst: usize, payload: usize, now: Time) -> Transit {
+        let legs = self.costs.msg_legs(payload + HEADER_BYTES);
+        let t = self
+            .wire
+            .resolve_reliable(src, dst, legs, now, &mut *self.sched.borrow_mut());
+        self.stats.retransmits += t.retransmits();
+        self.stats.retransmit_bytes += (payload + HEADER_BYTES) as u64 * t.retransmits();
+        self.stats.dups_suppressed += u64::from(t.dups_suppressed);
+        t
     }
 
     /// Send a reliable message of `kind` from `src` to `dst` at the
@@ -206,65 +219,18 @@ impl Network {
         now: Time,
     ) -> Transit {
         self.prepare(src, dst, kind.kind(), payload);
-        let d = {
-            let mut sched = self.sched.borrow_mut();
-            self.wire
-                .push_reliable(&self.costs, src, dst, payload, now, &mut *sched)
-        };
-        self.stats.retransmits += d.retransmits;
-        self.stats.retransmit_bytes += (payload + HEADER_BYTES) as u64 * d.retransmits;
-        self.stats.dups_suppressed += d.dups_suppressed;
-        d.transit
-    }
-
-    /// Send a fire-and-forget flush of `kind` (an unreliable, droppable
-    /// kind) from `src` to `dst` on the two-sided wire.
-    ///
-    /// Charge-then-drop: statistics and the full cost legs — including the
-    /// sender leg — are committed *before* the loss decision. This is the
-    /// paper's semantics: flushes "can be unreliable, and therefore do not
-    /// need to be acknowledged", so the sender cannot know the message was
-    /// lost and pays its send-side cost either way. The faulty wire may
-    /// additionally deliver the flush twice; the outcome says so and the
-    /// receiver must apply the copy idempotently.
-    pub fn send_flush(
-        &mut self,
-        src: usize,
-        dst: usize,
-        kind: FlushKind,
-        payload: usize,
-    ) -> FlushOutcome {
-        self.prepare(src, dst, kind.kind(), payload);
-        let out = {
-            let mut sched = self.sched.borrow_mut();
-            self.wire.push_update(
-                &self.costs,
-                src,
-                dst,
-                payload,
-                self.drop_prob,
-                Time::ZERO,
-                &mut *sched,
-            )
-        };
-        if !out.delivered {
-            self.stats.flushes_dropped += 1;
-        }
-        if out.duplicated {
-            self.stats.flushes_duplicated += 1;
-        }
-        out
+        self.reliable(src, dst, payload, now)
     }
 
     /// Synchronously fetch data: `rep_payload` bytes from `dst`, named by
     /// a `req_payload`-byte request, with server-side preparation `prep`.
     ///
-    /// Two-sided this is the classic RPC pair (`req_kind` out at `now`,
-    /// `rep_kind` back after the server prepares) — draw-for-draw what the
-    /// two `send_reliable` calls used to be. One-sided it collapses into a
-    /// single `OneSidedRead` of the payload: no request message, no server
-    /// CPU, no preparation — the protocol layer has already sealed the
-    /// data in fetchable form.
+    /// Two-sided this is the paper's RPC shape: `req_kind` out at `now`,
+    /// `rep_kind` back after the server prepares — draw-for-draw two
+    /// `send_reliable` calls. One-sided it collapses into a single
+    /// `OneSidedRead` of the payload: no request message, no server CPU,
+    /// no preparation — the protocol layer has already sealed the data in
+    /// fetchable form.
     #[allow(clippy::too_many_arguments)]
     pub fn fetch(
         &mut self,
@@ -281,36 +247,30 @@ impl Network {
             TransportKind::TwoSided => {
                 self.prepare(src, dst, req_kind.kind(), req_payload);
                 self.prepare(dst, src, rep_kind.kind(), rep_payload);
+                let req = self.reliable(src, dst, req_payload, now);
+                let rep = self.reliable(dst, src, rep_payload, now + req.total() + prep);
+                FetchDelivery {
+                    wait: req.total() + prep + rep.total(),
+                    server_cpu: req.receiver + prep + rep.sender,
+                    retrans_wait: req.retrans_wait + rep.retrans_wait,
+                    req_attempts: req.attempts,
+                    rep_attempts: rep.attempts,
+                }
             }
             TransportKind::OneSided => {
+                // The request identifier rides the verb (not modeled as
+                // bytes) and `prep` vanishes: there is no server.
                 self.prepare(src, dst, MsgKind::OneSidedRead, rep_payload);
+                let t = self.rdma.read(src, dst, rep_payload, now);
+                FetchDelivery {
+                    wait: t.total(),
+                    server_cpu: Time::ZERO,
+                    retrans_wait: Time::ZERO,
+                    req_attempts: 1,
+                    rep_attempts: 1,
+                }
             }
         }
-        let d = {
-            let mut sched = self.sched.borrow_mut();
-            let (t, costs) = {
-                let t: &mut dyn Transport = match self.backend {
-                    TransportKind::TwoSided => &mut self.wire,
-                    TransportKind::OneSided => &mut self.rdma,
-                };
-                (t, &self.costs)
-            };
-            t.fetch(
-                costs,
-                src,
-                dst,
-                req_payload,
-                rep_payload,
-                prep,
-                now,
-                &mut *sched,
-            )
-        };
-        self.stats.retransmits += d.req_retransmits + d.rep_retransmits;
-        self.stats.retransmit_bytes += (req_payload + HEADER_BYTES) as u64 * d.req_retransmits
-            + (rep_payload + HEADER_BYTES) as u64 * d.rep_retransmits;
-        self.stats.dups_suppressed += d.dups_suppressed;
-        d
     }
 
     /// Push `payload` bytes reliably (home flushes, page migrations),
@@ -328,19 +288,27 @@ impl Network {
             TransportKind::TwoSided => self.send_reliable(src, dst, kind, payload, now),
             TransportKind::OneSided => {
                 self.prepare(src, dst, MsgKind::OneSidedWrite, payload);
-                let d = {
-                    let mut sched = self.sched.borrow_mut();
-                    self.rdma
-                        .push_reliable(&self.costs, src, dst, payload, now, &mut *sched)
-                };
-                d.transit
+                self.rdma.write(src, dst, payload, now)
             }
         }
     }
 
-    /// Push an update flush, routed by backend: the droppable two-sided
-    /// flush (see [`Network::send_flush`]), or a reliable-connected
-    /// one-sided write — always delivered, never duplicated, no draws.
+    /// Push an update flush of `kind` (an unreliable, droppable kind),
+    /// routed by backend.
+    ///
+    /// Two-sided it is fire-and-forget, charge-then-drop: statistics and
+    /// the full cost legs — including the sender leg — are committed
+    /// *before* the loss decision. This is the paper's semantics: flushes
+    /// "can be unreliable, and therefore do not need to be acknowledged",
+    /// so the sender cannot know the message was lost and pays its
+    /// send-side cost either way. The legacy drop draw comes first (the
+    /// only draw on a clean wire), then the fault profile resolves the
+    /// survivor; the faulty wire may deliver it twice, and the receiver
+    /// must apply the copy idempotently. Flushes are unanchored: `now` is
+    /// ignored.
+    ///
+    /// One-sided it is a reliable-connected write — always delivered,
+    /// never duplicated, no draws.
     pub fn push_update(
         &mut self,
         src: usize,
@@ -349,27 +317,29 @@ impl Network {
         payload: usize,
         now: Time,
     ) -> FlushOutcome {
-        match self.backend {
-            TransportKind::TwoSided => self.send_flush(src, dst, kind, payload),
+        let out = match self.backend {
+            TransportKind::TwoSided => {
+                self.prepare(src, dst, kind.kind(), payload);
+                let legs = self.costs.msg_legs(payload + HEADER_BYTES);
+                let mut sched = self.sched.borrow_mut();
+                let dropped = sched.flush_drop(src, dst, self.drop_prob);
+                let mut out = self.wire.resolve_flush(src, dst, legs, &mut *sched);
+                out.delivered &= !dropped;
+                out.duplicated &= out.delivered;
+                out
+            }
             TransportKind::OneSided => {
                 self.prepare(src, dst, MsgKind::OneSidedWrite, payload);
-                let mut sched = self.sched.borrow_mut();
-                self.rdma.push_update(
-                    &self.costs,
-                    src,
-                    dst,
-                    payload,
-                    self.drop_prob,
-                    now,
-                    &mut *sched,
-                )
+                FlushOutcome {
+                    transit: self.rdma.write(src, dst, payload, now),
+                    delivered: true,
+                    duplicated: false,
+                }
             }
-        }
-    }
-
-    /// Messages sent from `src` to `dst` so far.
-    pub fn link_count(&self, src: usize, dst: usize) -> u64 {
-        self.link_msgs[src * self.nprocs + dst]
+        };
+        self.stats.flushes_dropped += u64::from(!out.delivered);
+        self.stats.flushes_duplicated += u64::from(out.duplicated);
+        out
     }
 
     /// Statistics since construction or the last [`Network::reset_stats`].
@@ -382,63 +352,38 @@ impl Network {
     /// state are connection-lifetime and survive the reset.
     pub fn reset_stats(&mut self) {
         self.stats = NetStats::new();
-        self.link_msgs.fill(0);
-    }
-
-    pub fn nprocs(&self) -> usize {
-        self.nprocs
-    }
-
-    pub fn costs(&self) -> &CostModel {
-        &self.costs
-    }
-
-    /// Which personality carries data traffic.
-    pub fn transport(&self) -> TransportKind {
-        self.backend
-    }
-
-    /// The one-sided backend (verb counters, for reports and tests).
-    pub fn rdma(&self) -> &Rdma {
-        &self.rdma
-    }
-
-    /// The transport's fault profile.
-    pub fn fault(&self) -> &FaultProfile {
-        self.wire.fault()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
-    use dsm_sim::{SnapReader, SnapWriter, State};
+    use dsm_sim::{DetRng, Scheduler, SnapReader, SnapWriter, State, VirtualTimeScheduler};
+
+    fn build(backend: TransportKind, drop: f64, fault: FaultProfile, seed: u64) -> Network {
+        let sched = Rc::new(RefCell::new(VirtualTimeScheduler::new(DetRng::new(seed))));
+        let params = RdmaParams::default();
+        Network::with_transport(4, CostModel::default(), drop, fault, backend, params, sched)
+    }
 
     fn net(drop: f64) -> Network {
-        Network::new(
-            4,
-            CostModel::default(),
-            drop,
-            FaultProfile::none(),
-            DetRng::new(1),
-        )
+        build(TransportKind::TwoSided, drop, FaultProfile::none(), 1)
     }
 
     fn faulty(fault: FaultProfile) -> Network {
-        Network::new(4, CostModel::default(), 0.0, fault, DetRng::new(1))
+        build(TransportKind::TwoSided, 0.0, fault, 1)
     }
 
     fn one_sided(drop: f64, fault: FaultProfile) -> Network {
-        let sched = Rc::new(RefCell::new(VirtualTimeScheduler::new(DetRng::new(1))));
-        Network::with_transport(
-            4,
-            CostModel::default(),
-            drop,
-            fault,
-            TransportKind::OneSided,
-            RdmaParams::default(),
-            sched,
-        )
+        build(TransportKind::OneSided, drop, fault, 1)
+    }
+
+    /// A two-sided update flush (its `now` is ignored).
+    fn flush(n: &mut Network, src: usize, dst: usize, payload: usize) -> FlushOutcome {
+        n.push_update(src, dst, FlushKind::UpdateFlush, payload, Time::ZERO)
     }
 
     #[test]
@@ -448,15 +393,13 @@ mod tests {
         n.send_reliable(1, 0, ReliableKind::PageReply, 8192, Time::ZERO);
         assert_eq!(n.stats().msgs_of(MsgKind::PageRequest), 1);
         assert_eq!(n.stats().bytes_of(MsgKind::PageReply), 8192);
-        assert_eq!(n.link_count(0, 1), 1);
-        assert_eq!(n.link_count(1, 0), 1);
-        assert_eq!(n.link_count(0, 2), 0);
+        assert_eq!(n.stats().total_msgs(), 2);
     }
 
     #[test]
     fn transit_legs_match_cost_model() {
         let mut n = net(0.0);
-        let out = n.send_flush(0, 1, FlushKind::UpdateFlush, 100);
+        let out = flush(&mut n, 0, 1, 100);
         let (s, w, r) = CostModel::default().msg_legs(100 + HEADER_BYTES);
         let t = out.transit;
         assert_eq!(t.sender, s);
@@ -466,9 +409,7 @@ mod tests {
         assert!(out.delivered);
         assert!(!out.duplicated);
         let t = n.send_reliable(0, 1, ReliableKind::DiffRequest, 100, Time::ZERO);
-        assert_eq!((t.sender, t.wire, t.receiver), (s, w, r));
-        assert_eq!(t.attempts, 1);
-        assert_eq!(t.retrans_wait, Time::ZERO);
+        assert_eq!(t, Transit::clean((s, w, r)));
     }
 
     #[test]
@@ -483,39 +424,52 @@ mod tests {
     #[test]
     #[should_panic(expected = "no self-messages")]
     fn self_send_rejected() {
-        net(0.0).send_flush(2, 2, FlushKind::UpdateFlush, 0);
+        flush(&mut net(0.0), 2, 2, 0);
+    }
+
+    /// `fetch` against the two `send_reliable` calls its two-sided arm
+    /// stands for, 64 times on twin networks: same legs, same statistics,
+    /// and the same number of generator draws. Returns the statistics.
+    fn fetch_matches_paired_sends(mut routed: Network, mut manual: Network) -> NetStats {
+        let prep = Time::from_us(200);
+        let (req_kind, rep_kind) = (ReliableKind::DiffRequest, ReliableKind::DiffReply);
+        for i in 0..64 {
+            let now = Time::from_ms(3 * i);
+            let d = routed.fetch(0, 1, req_kind, 64, rep_kind, 4096, prep, now);
+            let req = manual.send_reliable(0, 1, req_kind, 64, now);
+            let rep = manual.send_reliable(1, 0, rep_kind, 4096, now + req.total() + prep);
+            assert_eq!(d.wait, req.total() + prep + rep.total());
+            assert_eq!(d.server_cpu, req.receiver + prep + rep.sender);
+            assert_eq!(d.retrans_wait, req.retrans_wait + rep.retrans_wait);
+            assert_eq!(d.req_attempts, req.attempts);
+            assert_eq!(d.rep_attempts, rep.attempts);
+        }
+        assert_eq!(routed.stats(), manual.stats());
+        let next = |n: &Network| n.sched.borrow_mut().wire_chance(0.5);
+        for _ in 0..8 {
+            assert_eq!(next(&routed), next(&manual), "draw-for-draw");
+        }
+        routed.stats().clone()
     }
 
     #[test]
     fn two_sided_fetch_matches_paired_sends() {
         // The routed fetch on the default backend must be byte-identical
         // to the request/reply pair the call sites used to make by hand.
-        let mut routed = net(0.0);
-        let mut manual = net(0.0);
-        let prep = Time::from_us(200);
-        let d = routed.fetch(
-            0,
-            1,
-            ReliableKind::DiffRequest,
-            64,
-            ReliableKind::DiffReply,
-            4096,
-            prep,
-            Time::from_ms(1),
-        );
-        let req = manual.send_reliable(0, 1, ReliableKind::DiffRequest, 64, Time::from_ms(1));
-        let rep = manual.send_reliable(
-            1,
-            0,
-            ReliableKind::DiffReply,
-            4096,
-            Time::from_ms(1) + req.total() + prep,
-        );
-        assert_eq!(d.wait, req.total() + prep + rep.total());
-        assert_eq!(d.server_cpu, req.receiver + prep + rep.sender);
-        assert_eq!(routed.stats(), manual.stats());
-        assert_eq!(routed.link_count(0, 1), 1);
-        assert_eq!(routed.link_count(1, 0), 1);
+        let stats = fetch_matches_paired_sends(net(0.0), net(0.0));
+        assert_eq!(stats.msgs_of(MsgKind::DiffRequest), 64);
+        assert_eq!(stats.msgs_of(MsgKind::DiffReply), 64);
+        assert_eq!(stats.retransmits, 0);
+    }
+
+    #[test]
+    fn lossy_fetch_matches_two_reliable_sends() {
+        // The only check that a *lossy* two-sided fetch walks both retry
+        // ladders exactly as two reliable sends would.
+        for fault in [FaultProfile::iid_loss(), FaultProfile::burst_loss()] {
+            let stats = fetch_matches_paired_sends(faulty(fault.clone()), faulty(fault));
+            assert!(stats.retransmits > 0, "the ladder must be exercised");
+        }
     }
 
     #[test]
@@ -535,14 +489,13 @@ mod tests {
         assert_eq!((d.req_attempts, d.rep_attempts), (1, 1));
         assert_eq!(d.retrans_wait, Time::ZERO);
         // One OneSidedRead carrying the payload; the request/reply pair
-        // and the server preparation are gone.
+        // and the server preparation are gone, and nothing flows back.
         assert_eq!(n.stats().msgs_of(MsgKind::OneSidedRead), 1);
         assert_eq!(n.stats().bytes_of(MsgKind::OneSidedRead), 8192);
-        assert_eq!(n.stats().msgs_of(MsgKind::DiffRequest), 0);
-        assert_eq!(n.stats().msgs_of(MsgKind::DiffReply), 0);
-        assert_eq!(n.link_count(0, 1), 1);
-        assert_eq!(n.link_count(1, 0), 0, "nothing flows back");
-        assert_eq!(n.rdma().completions(), 1);
+        assert_eq!(n.stats().total_msgs(), 1);
+        let p = RdmaParams::default();
+        let pre = p.qp_setup_ns + p.post_overhead_ns;
+        assert_eq!(d.wait, Time::from_ns(pre + p.poll_ns) + p.read_wire(8192));
     }
 
     #[test]
@@ -584,8 +537,9 @@ mod tests {
         let a = routed.push_reliable(0, 1, ReliableKind::DiffFlushHome, 300, Time::ZERO);
         let b = legacy.send_reliable(0, 1, ReliableKind::DiffFlushHome, 300, Time::ZERO);
         assert_eq!(a, b);
+        // A two-sided flush is unanchored: its instant changes nothing.
         let a = routed.push_update(0, 1, FlushKind::UpdateFlush, 128, Time::from_ms(1));
-        let b = legacy.send_flush(0, 1, FlushKind::UpdateFlush, 128);
+        let b = flush(&mut legacy, 0, 1, 128);
         assert_eq!(a, b);
         assert_eq!(routed.stats(), legacy.stats());
     }
@@ -593,7 +547,7 @@ mod tests {
     #[test]
     fn lossy_network_drops_only_flushes() {
         let mut n = net(1.0);
-        let out = n.send_flush(0, 1, FlushKind::UpdateFlush, 10);
+        let out = flush(&mut n, 0, 1, 10);
         assert!(!out.delivered);
         assert!(!out.duplicated, "a lost flush cannot be duplicated");
         assert_eq!(n.stats().flushes_dropped, 1);
@@ -612,14 +566,11 @@ mod tests {
         // drop counter) differ.
         let mut lossy = net(1.0);
         let mut clean = net(0.0);
-        let out_drop = lossy.send_flush(0, 1, FlushKind::UpdateFlush, 256);
-        let out_ok = clean.send_flush(0, 1, FlushKind::UpdateFlush, 256);
+        let out_drop = flush(&mut lossy, 0, 1, 256);
+        let out_ok = flush(&mut clean, 0, 1, 256);
         assert!(!out_drop.delivered);
         assert!(out_ok.delivered);
-        let (t_drop, t_ok) = (out_drop.transit, out_ok.transit);
-        assert_eq!(t_drop.sender, t_ok.sender, "sender leg charged either way");
-        assert_eq!(t_drop.wire, t_ok.wire);
-        assert_eq!(t_drop.receiver, t_ok.receiver);
+        assert_eq!(out_drop.transit, out_ok.transit, "legs charged either way");
         assert_eq!(
             lossy.stats().msgs_of(MsgKind::UpdateFlush),
             clean.stats().msgs_of(MsgKind::UpdateFlush)
@@ -628,7 +579,6 @@ mod tests {
             lossy.stats().bytes_of(MsgKind::UpdateFlush),
             clean.stats().bytes_of(MsgKind::UpdateFlush)
         );
-        assert_eq!(lossy.link_count(0, 1), 1, "link counter ticks on drop too");
         assert_eq!(lossy.stats().flushes_dropped, 1);
         assert_eq!(clean.stats().flushes_dropped, 0);
     }
@@ -637,33 +587,26 @@ mod tests {
     fn injected_scheduler_decides_drops() {
         // A scripted scheduler: drop every other flush, ignoring `prob`.
         struct EveryOther(u32);
-        impl dsm_sim::Scheduler for EveryOther {
+        impl Scheduler for EveryOther {
             fn flush_drop(&mut self, _s: usize, _d: usize, _p: f64) -> bool {
                 self.0 += 1;
                 self.0.is_multiple_of(2)
             }
         }
-        let sched: dsm_sim::SharedScheduler = Rc::new(RefCell::new(EveryOther(0)));
-        let mut n =
-            Network::with_scheduler(2, CostModel::default(), 0.0, FaultProfile::none(), sched);
-        assert!(n.send_flush(0, 1, FlushKind::UpdateFlush, 8).delivered);
-        assert!(!n.send_flush(0, 1, FlushKind::UpdateFlush, 8).delivered);
-        assert!(n.send_flush(0, 1, FlushKind::UpdateFlush, 8).delivered);
+        let mut n = net(0.0);
+        n.set_scheduler(Rc::new(RefCell::new(EveryOther(0))));
+        assert!(flush(&mut n, 0, 1, 8).delivered);
+        assert!(!flush(&mut n, 0, 1, 8).delivered);
+        assert!(flush(&mut n, 0, 1, 8).delivered);
         assert_eq!(n.stats().flushes_dropped, 1);
     }
 
     #[test]
     fn partial_loss_is_deterministic_per_seed() {
         let run = |seed| {
-            let mut n = Network::new(
-                2,
-                CostModel::default(),
-                0.5,
-                FaultProfile::none(),
-                DetRng::new(seed),
-            );
+            let mut n = build(TransportKind::TwoSided, 0.5, FaultProfile::none(), seed);
             (0..100)
-                .map(|_| n.send_flush(0, 1, FlushKind::UpdateFlush, 8).delivered)
+                .map(|_| flush(&mut n, 0, 1, 8).delivered)
                 .collect::<Vec<bool>>()
         };
         assert_eq!(run(7), run(7));
@@ -679,12 +622,18 @@ mod tests {
             ..FaultProfile::none()
         });
         let mut total_wait = Time::ZERO;
+        let mut copies = 0;
         for i in 0..50 {
             let t = n.send_reliable(0, 1, ReliableKind::PageRequest, 64, Time::from_ms(i * 20));
             total_wait += t.retrans_wait;
+            copies += t.retransmits();
         }
         assert!(n.stats().retransmits > 0, "50% loss must retransmit");
-        assert!(n.stats().retransmit_bytes > 0);
+        assert_eq!(n.stats().retransmits, copies, "stats sum the transits");
+        assert_eq!(
+            n.stats().retransmit_bytes,
+            copies * (64 + HEADER_BYTES) as u64
+        );
         assert!(total_wait > Time::ZERO, "backoff shows up in transits");
         assert_eq!(
             n.stats().msgs_of(MsgKind::PageRequest),
@@ -699,7 +648,7 @@ mod tests {
             duplicate: 1.0,
             ..FaultProfile::none()
         });
-        let out = n.send_flush(0, 1, FlushKind::UpdateFlush, 8);
+        let out = flush(&mut n, 0, 1, 8);
         assert!(out.delivered);
         assert!(out.duplicated);
         assert_eq!(n.stats().flushes_duplicated, 1);
@@ -711,7 +660,6 @@ mod tests {
         n.send_reliable(0, 1, ReliableKind::PageRequest, 0, Time::ZERO);
         n.reset_stats();
         assert_eq!(n.stats().total_msgs(), 0);
-        assert_eq!(n.link_count(0, 1), 0);
     }
 
     #[test]
@@ -723,7 +671,7 @@ mod tests {
             ReliableKind::PageRequest,
             0,
             ReliableKind::PageReply,
-            8192,
+            65536,
             Time::ZERO,
             Time::from_ms(1),
         );
@@ -734,7 +682,21 @@ mod tests {
         let mut fresh = one_sided(0.0, FaultProfile::none());
         fresh.decode(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(fresh.stats(), n.stats());
-        assert_eq!(fresh.rdma().completions(), 1);
-        assert_eq!(fresh.rdma().posted(0, 1), 1);
+        // The queue pair is restored connected with its completion clamp:
+        // the next read costs the same in both instances.
+        let read = |n: &mut Network| {
+            let rep = ReliableKind::PageReply;
+            n.fetch(
+                0,
+                1,
+                ReliableKind::PageRequest,
+                0,
+                rep,
+                64,
+                Time::ZERO,
+                Time::from_ms(1),
+            )
+        };
+        assert_eq!(read(&mut fresh), read(&mut n));
     }
 }

@@ -13,11 +13,11 @@
 //!   reordering below the verbs: no retransmission ladder, no drop
 //!   draws, no generator state consumed. The fault profile simply does
 //!   not apply; a one-sided run is deterministic by construction.
-//! * **Posted-op completion timers.** Every verb arms a completion
-//!   timer in virtual time on the [`TimerQueue`] and retires it
-//!   analytically at the poll, with a per-QP FIFO clamp: completions on
-//!   one queue pair retire in posting order, so a large read delays a
-//!   small one posted behind it.
+//! * **Analytic in-order completion.** A verb's completion instant is
+//!   computed at the post, with a per-QP FIFO clamp: completions on one
+//!   queue pair retire in posting order, so a large read delays a small
+//!   one posted behind it. The poll happens inside the same call, so no
+//!   completion is ever outstanding between calls.
 //!
 //! Costs come from [`RdmaParams`]: a one-time queue-pair setup per
 //! directed endpoint pair, sub-microsecond post/poll CPU on the
@@ -25,10 +25,9 @@
 //! costs around the verbs (segv, mprotect, diff creation) stay at the
 //! paper's 1998 values — that asymmetry is the experiment.
 
-use dsm_sim::{CostModel, RdmaParams, Scheduler, Time, TimerQueue, TransportKind};
+use dsm_sim::{RdmaParams, Time};
 
-use crate::network::{FlushOutcome, Transit};
-use crate::transport::{FetchDelivery, PushDelivery, Transport};
+use crate::network::Transit;
 
 /// Per directed `(src, dst)` queue-pair state.
 #[derive(Clone, Debug, Default)]
@@ -37,29 +36,21 @@ struct QpState {
     connected: bool,
     /// Instant the last posted op completed: the FIFO retirement clamp.
     clear_at: Time,
-    /// Work requests posted on this QP so far.
-    posted: u64,
 }
 
-dsm_sim::impl_state!(QpState { state: connected, clear_at, posted; });
+dsm_sim::impl_state!(QpState { state: connected, clear_at; });
 
-/// The one-sided transport: a QP table, the completion [`TimerQueue`],
-/// and verb counters.
+/// The one-sided transport: the cost parameters and a QP table.
 #[derive(Clone, Debug)]
 pub struct Rdma {
     nprocs: usize,
     params: RdmaParams,
     qps: Box<[QpState]>,
-    timers: TimerQueue,
-    /// Queue pairs established so far (each charged `qp_setup_ns` once).
-    qp_setups: u64,
-    /// Work-request completions retired so far.
-    completions: u64,
 }
 
 dsm_sim::impl_state!(Rdma {
     config: nprocs, params;
-    state: qps, timers, qp_setups, completions;
+    state: qps;
 });
 
 impl Rdma {
@@ -68,64 +59,31 @@ impl Rdma {
             nprocs,
             params,
             qps: vec![QpState::default(); nprocs * nprocs].into(),
-            timers: TimerQueue::new(),
-            qp_setups: 0,
-            completions: 0,
         }
     }
 
-    pub fn params(&self) -> &RdmaParams {
-        &self.params
-    }
-
-    /// Queue pairs established so far.
-    pub fn qp_setups(&self) -> u64 {
-        self.qp_setups
-    }
-
-    /// Completions retired so far.
-    pub fn completions(&self) -> u64 {
-        self.completions
-    }
-
-    /// Work requests posted on `src → dst` so far.
-    pub fn posted(&self, src: usize, dst: usize) -> u64 {
-        self.qps[src * self.nprocs + dst].posted
-    }
-
     /// Post one verb with wire time `wire` on `src → dst` at `now` and
-    /// retire its completion. All CPU is the initiator's (`sender` leg);
-    /// the `receiver` leg is zero by construction. The completion timer
-    /// is armed at post time and popped at the poll — virtual, analytic,
-    /// deterministic, exactly like the retransmission ladder it
-    /// replaces.
+    /// poll its completion. All CPU is the initiator's (`sender` leg);
+    /// the `receiver` leg is zero by construction.
     fn post(&mut self, src: usize, dst: usize, wire: Time, now: Time) -> Transit {
-        let qi = src * self.nprocs + dst;
+        let qp = &mut self.qps[src * self.nprocs + dst];
         let mut pre = Time::from_ns(self.params.post_overhead_ns);
-        if !self.qps[qi].connected {
-            self.qps[qi].connected = true;
-            self.qp_setups += 1;
+        if !qp.connected {
+            qp.connected = true;
             pre += Time::from_ns(self.params.qp_setup_ns);
         }
         let issue_at = now + pre;
         // Per-QP FIFO retirement: this op may not complete before an
         // earlier one on the same queue pair.
-        let complete_at = (issue_at + wire).max(self.qps[qi].clear_at);
-        self.qps[qi].clear_at = complete_at;
-        self.qps[qi].posted += 1;
-        let timer = self.timers.schedule(complete_at);
-        let (_, fired) = self
-            .timers
-            .pop_due(complete_at)
-            .expect("armed completion timer must fire");
-        debug_assert_eq!(fired, timer);
-        self.completions += 1;
+        let complete_at = (issue_at + wire).max(qp.clear_at);
+        qp.clear_at = complete_at;
         Transit {
             sender: pre + Time::from_ns(self.params.poll_ns),
             wire: complete_at - issue_at,
             receiver: Time::ZERO,
             attempts: 1,
             retrans_wait: Time::ZERO,
+            dups_suppressed: 0,
         }
     }
 
@@ -142,83 +100,34 @@ impl Rdma {
     }
 }
 
-impl Transport for Rdma {
-    fn kind(&self) -> TransportKind {
-        TransportKind::OneSided
-    }
-
-    /// The collapse: request/reply becomes one remote read of the
-    /// payload. The request identifier rides the verb (not modeled as
-    /// bytes) and `prep` vanishes — there is no server to prepare
-    /// anything, which is why the protocol layer seals diffs eagerly.
-    fn fetch(
-        &mut self,
-        _costs: &CostModel,
-        src: usize,
-        dst: usize,
-        _req_payload: usize,
-        rep_payload: usize,
-        _prep: Time,
-        now: Time,
-        _sched: &mut dyn Scheduler,
-    ) -> FetchDelivery {
-        let t = self.read(src, dst, rep_payload, now);
-        FetchDelivery {
-            wait: t.total(),
-            server_cpu: Time::ZERO,
-            retrans_wait: Time::ZERO,
-            req_attempts: 1,
-            rep_attempts: 1,
-            req_retransmits: 0,
-            rep_retransmits: 0,
-            dups_suppressed: 0,
-        }
-    }
-
-    fn push_reliable(
-        &mut self,
-        _costs: &CostModel,
-        src: usize,
-        dst: usize,
-        payload: usize,
-        now: Time,
-        _sched: &mut dyn Scheduler,
-    ) -> PushDelivery {
-        PushDelivery {
-            transit: self.write(src, dst, payload, now),
-            retransmits: 0,
-            dups_suppressed: 0,
-        }
-    }
-
-    /// Reliable-connected: an update push is always delivered, never
-    /// duplicated, and consumes no generator state — the drop
-    /// probability and fault profile are two-sided phenomena.
-    fn push_update(
-        &mut self,
-        _costs: &CostModel,
-        src: usize,
-        dst: usize,
-        payload: usize,
-        _drop_prob: f64,
-        now: Time,
-        _sched: &mut dyn Scheduler,
-    ) -> FlushOutcome {
-        FlushOutcome {
-            transit: self.write(src, dst, payload, now),
-            delivered: true,
-            duplicated: false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
-    use dsm_sim::{SnapReader, SnapWriter, State, VirtualTimeScheduler};
+    use dsm_sim::{
+        CostModel, DetRng, FaultProfile, Scheduler, SharedScheduler, SnapReader, SnapWriter, State,
+        TransportKind, VirtualTimeScheduler,
+    };
+
+    use crate::{FlushKind, Network, ReliableKind};
 
     fn rdma(n: usize) -> Rdma {
         Rdma::new(n, RdmaParams::default())
+    }
+
+    /// A one-sided network under a hostile drop probability and fault
+    /// profile, neither of which may touch a verb.
+    fn one_sided(sched: SharedScheduler) -> Network {
+        let fault = FaultProfile {
+            loss: 1.0,
+            duplicate: 1.0,
+            ..FaultProfile::none()
+        };
+        let backend = TransportKind::OneSided;
+        let params = RdmaParams::default();
+        Network::with_transport(2, CostModel::default(), 1.0, fault, backend, params, sched)
     }
 
     #[test]
@@ -232,12 +141,9 @@ mod tests {
             p.qp_setup_ns,
             "setup only on the first verb"
         );
-        assert_eq!(r.qp_setups(), 1);
         // The reverse direction is its own QP.
-        r.write(1, 0, 64, Time::from_ms(2));
-        assert_eq!(r.qp_setups(), 2);
-        assert_eq!(r.posted(0, 1), 2);
-        assert_eq!(r.posted(1, 0), 1);
+        let reverse = r.write(1, 0, 64, Time::from_ms(2));
+        assert_eq!(reverse.sender, first.sender);
     }
 
     #[test]
@@ -277,38 +183,51 @@ mod tests {
             "clamped to the big read's completion instant"
         );
         assert_eq!(small_other.wire, p.read_wire(64), "own QP, no clamp");
-        assert_eq!(r.completions(), 5);
     }
 
     #[test]
     fn verbs_consume_no_generator_state() {
-        let mut r = rdma(2);
-        let mut sched = VirtualTimeScheduler::from_seed(7);
-        let costs = CostModel::default();
+        // Every one-sided arm of the network, under drop 1.0 and a
+        // total-loss profile, leaves the scheduler's stream untouched.
+        let vts = Rc::new(RefCell::new(VirtualTimeScheduler::new(DetRng::new(7))));
+        let mut n = one_sided(Rc::clone(&vts) as SharedScheduler);
         for i in 0..16 {
-            Transport::fetch(
-                &mut r,
-                &costs,
+            let now = Time::from_ms(i);
+            let rep = ReliableKind::DiffReply;
+            n.fetch(
                 0,
                 1,
+                ReliableKind::DiffRequest,
                 64,
+                rep,
                 8192,
-                Time::from_us(100),
-                Time::from_ms(i),
-                &mut sched,
+                Time::ZERO,
+                now,
             );
-            r.push_update(&costs, 0, 1, 256, 1.0, Time::from_ms(i), &mut sched);
+            let out = n.push_update(0, 1, FlushKind::UpdateFlush, 256, now);
+            assert!(out.delivered && !out.duplicated);
+            n.push_reliable(1, 0, ReliableKind::DiffFlushHome, 512, now);
         }
-        let mut fresh = dsm_sim::DetRng::new(7);
-        assert_eq!(sched.wire_chance(0.5), fresh.chance(0.5));
+        let mut fresh = DetRng::new(7);
+        assert_eq!(vts.borrow_mut().wire_chance(0.5), fresh.chance(0.5));
     }
 
     #[test]
     fn push_update_is_reliable_connected() {
-        let mut r = rdma(2);
-        let mut sched = VirtualTimeScheduler::from_seed(1);
-        let costs = CostModel::default();
-        let out = r.push_update(&costs, 0, 1, 128, 1.0, Time::ZERO, &mut sched);
+        // No drop or duplicate decision is even offered: a scripted
+        // scheduler that would lose and duplicate everything is never
+        // asked, so an explorer has no one-sided flush to enumerate.
+        struct Hostile;
+        impl Scheduler for Hostile {
+            fn flush_drop(&mut self, _s: usize, _d: usize, _p: f64) -> bool {
+                panic!("one-sided pushes take no drop decision")
+            }
+            fn flush_duplicate(&mut self, _s: usize, _d: usize, _p: f64) -> bool {
+                panic!("one-sided pushes take no duplicate decision")
+            }
+        }
+        let mut n = one_sided(Rc::new(RefCell::new(Hostile)));
+        let out = n.push_update(0, 1, FlushKind::UpdateFlush, 128, Time::ZERO);
         assert!(out.delivered, "drop probability does not apply");
         assert!(!out.duplicated);
     }
@@ -316,20 +235,20 @@ mod tests {
     #[test]
     fn snapshot_round_trips_qp_and_timer_state() {
         let mut r = rdma(2);
-        r.read(0, 1, 8192, Time::from_ms(1));
+        r.read(0, 1, 65536, Time::from_ms(1));
         r.write(1, 0, 64, Time::from_ms(2));
         let mut w = SnapWriter::new();
         r.encode(&mut w);
         let bytes = w.into_bytes();
         let mut fresh = rdma(2);
         fresh.decode(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(fresh.qp_setups(), r.qp_setups());
-        assert_eq!(fresh.completions(), r.completions());
-        assert_eq!(fresh.posted(0, 1), 1);
-        // Restored clamp state behaves identically: the next read on
-        // the same QP costs the same in both instances.
-        let a = r.read(0, 1, 64, Time::from_ms(3));
-        let b = fresh.read(0, 1, 64, Time::from_ms(3));
-        assert_eq!(a, b);
+        // Restored connection and clamp state behave identically: the
+        // next verb on each QP costs the same in both instances (no
+        // setup charged, same head-of-line clamp).
+        for (src, dst) in [(0, 1), (1, 0)] {
+            let a = r.read(src, dst, 64, Time::from_ms(1));
+            let b = fresh.read(src, dst, 64, Time::from_ms(1));
+            assert_eq!(a, b);
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Traffic statistics — the raw material of the paper's Table 1.
 
-use crate::message::{MsgCategory, MsgKind, HEADER_BYTES};
+use crate::message::{MsgCategory, MsgKind};
 
 /// Message and byte counters, per kind.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -78,34 +78,9 @@ impl NetStats {
         self.payload_bytes.iter().sum()
     }
 
-    /// Fraction of all bytes on the wire that were retransmitted copies
-    /// (0 on a clean wire): wire overhead vs. goodput.
-    pub fn retransmit_overhead(&self) -> f64 {
-        let good = self.total_payload_bytes() + HEADER_BYTES as u64 * self.total_msgs();
-        let extra = self.retransmit_bytes;
-        if good + extra == 0 {
-            0.0
-        } else {
-            extra as f64 / (good + extra) as f64
-        }
-    }
-
     /// The paper's "Data (kbytes)" column.
     pub fn data_kbytes(&self) -> f64 {
         self.total_payload_bytes() as f64 / 1024.0
-    }
-
-    /// Merge another window into this one.
-    pub fn merge(&mut self, other: &NetStats) {
-        for i in 0..self.msgs.len() {
-            self.msgs[i] += other.msgs[i];
-            self.payload_bytes[i] += other.payload_bytes[i];
-        }
-        self.flushes_dropped += other.flushes_dropped;
-        self.flushes_duplicated += other.flushes_duplicated;
-        self.retransmits += other.retransmits;
-        self.retransmit_bytes += other.retransmit_bytes;
-        self.dups_suppressed += other.dups_suppressed;
     }
 }
 
@@ -154,41 +129,5 @@ mod tests {
         s.record(MsgKind::PageReply, 8192);
         s.record(MsgKind::UpdateFlush, 1024);
         assert!((s.data_kbytes() - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_combines_windows() {
-        let mut a = NetStats::new();
-        a.record(MsgKind::UpdateFlush, 10);
-        a.flushes_dropped = 1;
-        a.retransmits = 2;
-        a.retransmit_bytes = 100;
-        let mut b = NetStats::new();
-        b.record(MsgKind::UpdateFlush, 20);
-        b.record(MsgKind::PageRequest, 0);
-        b.flushes_dropped = 2;
-        b.flushes_duplicated = 1;
-        b.retransmits = 3;
-        b.retransmit_bytes = 50;
-        b.dups_suppressed = 4;
-        a.merge(&b);
-        assert_eq!(a.msgs_of(MsgKind::UpdateFlush), 2);
-        assert_eq!(a.bytes_of(MsgKind::UpdateFlush), 30);
-        assert_eq!(a.msgs_of(MsgKind::PageRequest), 1);
-        assert_eq!(a.flushes_dropped, 3);
-        assert_eq!(a.flushes_duplicated, 1);
-        assert_eq!(a.retransmits, 5);
-        assert_eq!(a.retransmit_bytes, 150);
-        assert_eq!(a.dups_suppressed, 4);
-    }
-
-    #[test]
-    fn retransmit_overhead_fraction() {
-        let mut s = NetStats::new();
-        assert_eq!(s.retransmit_overhead(), 0.0, "empty window has no overhead");
-        s.record(MsgKind::PageReply, 8192 - HEADER_BYTES as u64 as usize);
-        assert_eq!(s.retransmit_overhead(), 0.0, "clean wire has no overhead");
-        s.retransmit_bytes = 8192;
-        assert!((s.retransmit_overhead() - 0.5).abs() < 1e-12);
     }
 }

@@ -24,11 +24,9 @@
 //! * [`fault`] — wire [`fault::FaultProfile`]s (iid/burst loss, duplication,
 //!   reordering, per-node slowdown) consumed by `dsm-net`'s reliability
 //!   sublayer; the default profile is a perfect wire.
-//! * [`timer`] — the deterministic [`timer::TimerQueue`] behind
-//!   retransmission timeouts.
 //! * [`transport`] — the [`transport::TransportKind`] backend selector and
-//!   the one-sided [`transport::RdmaParams`] cost model consumed by
-//!   `dsm-net`'s `Transport` trait.
+//!   the one-sided [`transport::RdmaParams`] cost model; `dsm-net`'s
+//!   `Network` matches on the kind once per data verb.
 //! * [`prop`] — a small deterministic property-test harness built on
 //!   [`rng::DetRng`] (the workspace builds offline and carries no external
 //!   test dependencies).
@@ -57,7 +55,6 @@ pub mod snapio;
 pub mod state;
 pub mod stress;
 pub mod time;
-pub mod timer;
 pub mod transport;
 
 pub use breakdown::{Category, TimeBreakdown};
@@ -72,5 +69,4 @@ pub use snapio::{SnapError, SnapErrorKind, SnapReader, SnapWriter};
 pub use state::{decode_table, encode_table, fold_encoding, Sparse, State, StateHasher};
 pub use stress::StressModel;
 pub use time::Time;
-pub use timer::{TimerId, TimerQueue};
 pub use transport::{RdmaParams, TransportKind};

@@ -18,8 +18,9 @@
 //!   this barrier or is deferred to a later one.
 //!
 //! In addition the wire's reliability sublayer (see `dsm-net`) consults
-//! [`Scheduler::wire_chance`] for fault-profile Bernoulli draws and reports
-//! retransmission timer firings through [`Scheduler::observe_timer`].
+//! [`Scheduler::wire_chance`] for fault-profile Bernoulli draws. Its
+//! retransmission timeouts are not decisions: the backoff ladder is
+//! arithmetic on the draws, resolved inside the send call.
 //!
 //! The default [`VirtualTimeScheduler`] resolves them exactly the way the
 //! cluster always has: drops come from a [`DetRng`] Bernoulli draw and every
@@ -152,13 +153,6 @@ pub trait Scheduler {
     fn flush_duplicate(&mut self, src: usize, dst: usize, prob: f64) -> bool {
         let _ = (src, dst);
         self.wire_chance(prob)
-    }
-
-    /// Observe one retransmission timer firing for a reliable message
-    /// (`attempt` is the 1-based attempt the firing triggers). Purely a
-    /// notification — timers are deterministic, not a choice point.
-    fn observe_timer(&mut self, src: usize, dst: usize, attempt: u32) {
-        let _ = (src, dst, attempt);
     }
 
     /// Pick the next candidate to schedule.
@@ -331,7 +325,7 @@ mod tests {
     #[test]
     fn base_scheduler_defaults_see_a_faultless_wire() {
         // A scripted scheduler that only implements flush_drop inherits
-        // fault-free wire defaults and ignores timer notifications.
+        // fault-free wire defaults.
         struct DropAll;
         impl Scheduler for DropAll {
             fn flush_drop(&mut self, _s: usize, _d: usize, _p: f64) -> bool {
@@ -341,7 +335,6 @@ mod tests {
         let mut s = DropAll;
         assert!(!s.wire_chance(1.0));
         assert!(!s.flush_duplicate(0, 1, 1.0));
-        s.observe_timer(0, 1, 2);
     }
 
     #[test]

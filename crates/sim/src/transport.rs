@@ -5,8 +5,8 @@
 //! burns CPU in a SIGIO handler preparing the reply. Modern interconnects
 //! invert this — a one-sided remote read completes without any receiver
 //! involvement, at single-digit-microsecond latency. [`TransportKind`]
-//! names the two wire personalities `dsm-net` implements behind its
-//! `Transport` trait; [`RdmaParams`] carries the one-sided
+//! names the two wire personalities `dsm-net`'s `Network` chooses between
+//! in one `match` per data verb; [`RdmaParams`] carries the one-sided
 //! latency/bandwidth/setup parameterization, defaulted to a conservative
 //! early-RDMA NIC so the *host* costs (segv, mprotect, diff creation)
 //! stay at the paper's 1998 values while the *wire* jumps ahead two
@@ -30,7 +30,7 @@ pub enum TransportKind {
     TwoSided,
     /// RDMA-style one-sided verbs: remote read/write with no receiver
     /// involvement, reliable-connected semantics (no loss, duplication,
-    /// or reordering below the verbs), posted-op completion timers.
+    /// or reordering below the verbs), per-queue-pair in-order completion.
     OneSided,
 }
 
@@ -93,13 +93,6 @@ impl Default for RdmaParams {
 }
 
 impl RdmaParams {
-    /// Initiator CPU charged per verb: post the work request, later poll
-    /// its completion. The remote CPU cost of any verb is zero — that is
-    /// the defining property of one-sided transport.
-    pub fn initiator_cpu(&self) -> Time {
-        Time::from_ns(self.post_overhead_ns + self.poll_ns)
-    }
-
     /// Wire time of a one-sided *read* returning `payload` bytes: the
     /// request reaches the remote NIC, the payload streams back.
     pub fn read_wire(&self, payload: usize) -> Time {

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic    8 bytes  b"DSMSNAP\0"
-//! version  u8       SNAP_VERSION (3)
+//! version  u8       SNAP_VERSION (4)
 //! flags    u8       bit 0: CHECK section present
 //! digest   u64      configuration digest (see [`config_digest`])
 //! sections ...      fourcc + length u64 + payload, in order:
@@ -46,8 +46,9 @@ use dsm_sim::{SnapReader, SnapWriter};
 /// v3: section payloads are generated from the `State` declarations
 /// (DESIGN.md §16 lists every layout change against v2); the bulk
 /// encodings — frame delta runs, race-detector shadow words, oracle pages
-/// — are unchanged.
-pub const SNAP_VERSION: u8 = 3;
+/// — are unchanged. v4: the network's write-only counters and its two
+/// always-empty timer queues are gone (DESIGN.md §16 lists the fields).
+pub const SNAP_VERSION: u8 = 4;
 
 /// Magic prefix of every snapshot.
 pub const SNAP_MAGIC: [u8; 8] = *b"DSMSNAP\0";
