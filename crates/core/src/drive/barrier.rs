@@ -237,7 +237,11 @@ impl<S: Pages> Cluster<S> {
             self.charge(pid, Category::Os, tr.receiver);
         }
 
-        // 5. Post-release consistency work.
+        // 5. Post-release consistency work. Every process receives the
+        //    same merged notices: the cluster files them once.
+        if is_lmw {
+            self.notice_log.append(&merged_notices);
+        }
         for pid in 0..n {
             if is_lmw {
                 self.lmw_post_release(pid, &merged_notices);

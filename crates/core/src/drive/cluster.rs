@@ -26,6 +26,7 @@ use crate::mem::SharedSegment;
 use crate::proto::bar::{BarDeliveries, Delivery};
 use crate::proto::copyset::CopySet;
 use crate::proto::lmw::LmwProc;
+use crate::proto::notice::NoticeLog;
 use crate::proto::overdrive::{OdMode, OdProc};
 
 /// One simulated process.
@@ -105,6 +106,9 @@ pub struct Cluster<S: Pages = PageStore> {
     /// whom — maintained from merged barrier notices (homeless protocols).
     pub(crate) last_write_epoch: Vec<u64>,
     pub(crate) last_writer: Vec<u16>,
+    /// Every merged write notice since the last GC, filed once for all
+    /// processes, with each one's consumption cursors (homeless protocols).
+    pub(crate) notice_log: NoticeLog,
     /// Writers observed during the first iteration (migration input).
     /// Sparse: entries exist only for pages somebody wrote.
     pub(crate) iter_writers: Sparse<u32, CopySet>,
@@ -179,7 +183,7 @@ dsm_sim::impl_state!(Cluster<PageStore> {
     timing: phases_per_iter, seg, stats, net, measuring, reduce_mem, sched, trace_hash;
     state: homes, versions, copysets, last_write_epoch, last_writer, iter_writers,
         iter_write_counts, migrated, od_mode, od_revert_pending, migration_pending,
-        last_reduction, procs;
+        last_reduction, procs, notice_log;
     // Empty between steps: the ledger is cleared inside the barrier, and
     // a restored execution is live again however the last excursion ended.
     scratch: bar_deliveries, pushes, names, pruned;
@@ -222,6 +226,7 @@ impl<S: Pages> Cluster<S> {
             copysets: Sparse::default(),
             last_write_epoch: Vec::new(),
             last_writer: Vec::new(),
+            notice_log: NoticeLog::new(nprocs),
             iter_writers: Sparse::default(),
             iter_write_counts: Sparse::default(),
             migrated: false,

@@ -9,7 +9,10 @@
 //!   the home-based family ("diffs are created promptly at the end of each
 //!   interval rather than lazily, as with homeless protocols");
 //! * **write notices** naming the modified intervals ride on barrier
-//!   messages and invalidate remote copies;
+//!   messages and invalidate remote copies. Every process receives the
+//!   same merged notices, so the cluster files them once, in a
+//!   [`NoticeLog`](crate::proto::notice::NoticeLog) that each process
+//!   consumes past its own cursor;
 //! * faults fetch the named diffs from their creators and apply them to the
 //!   pre-existing replica;
 //! * diffs and notices are **retained indefinitely** — "no diff, nor any of
@@ -57,8 +60,6 @@ pub struct LmwProc<D> {
     /// Pages with an accumulating (un-diffed) twin:
     /// page → (first dirty epoch, last dirty epoch).
     pub pending: FastMap<u32, (u64, u64)>,
-    /// Write notices received but not yet applied locally, per page.
-    pub known_notices: FastMap<u32, Vec<WriteNotice>>,
     /// lmw-u: updates that arrived by flush: page → (writer, lo, hi, diff).
     pub pending_updates: FastMap<u32, Vec<(u16, u64, u64, D)>>,
     /// lmw-u: this process's view of who caches each page it writes.
@@ -74,15 +75,19 @@ pub struct LmwProc<D> {
 // Map values that are vectors keep their order verbatim: it is the
 // deterministic push order, observable through fetch/apply sequencing.
 dsm_sim::impl_state!(LmwProc<Diff> {
-    state: segments, pending, known_notices, pending_updates, copysets, applied;
+    state: segments, pending, pending_updates, copysets, applied;
 });
+
+/// A diff queued to apply at a fault: (hi, lo, writer, diff), the
+/// application order.
+type Apply<D> = (u64, u64, u16, D);
 
 impl<D> LmwProc<D> {
     /// The sealed segments of `page` this process still holds whose last
     /// epoch is after `since`, in ascending `hi`.
-    fn segments_since(&self, page: PageId, since: u64) -> impl Iterator<Item = &Segment<D>> {
-        let segs = self.segments.get(&page.0).into_iter().flatten();
-        segs.filter(move |s| s.hi > since)
+    fn segments_since(&self, page: PageId, since: u64) -> &[Segment<D>] {
+        let segs = self.segments.get(&page.0).map_or(&[][..], Vec::as_slice);
+        &segs[segs.partition_point(|s| s.hi <= since)..]
     }
 
     /// Total retained diffs (GC-pressure metric).
@@ -137,23 +142,20 @@ impl<S: Pages> Cluster<S> {
             S::recycle(&mut self.pool, diff);
             return true;
         }
-        self.procs[writer]
-            .lmw
-            .segments
-            .entry(page.0)
-            .or_default()
-            .push(Segment { lo, hi, diff });
+        let segs = self.procs[writer].lmw.segments.entry(page.0).or_default();
+        // `segments_since` binary-searches on this order.
+        debug_assert!(
+            segs.last().is_none_or(|s| s.hi <= hi),
+            "segment hi went back"
+        );
+        segs.push(Segment { lo, hi, diff });
         true
     }
 
     /// Bring `pid`'s copy of `page` current: apply stored updates, fetch
     /// missing segments from their creators, apply in interval order.
     pub(crate) fn lmw_validate(&mut self, pid: usize, page: PageId) {
-        let mut notices = self.procs[pid]
-            .lmw
-            .known_notices
-            .remove(&page.0)
-            .unwrap_or_default();
+        let notices = self.notice_log.consume(pid, page.0);
         for n in &notices {
             self.emit(CheckEvent::NoticeConsume {
                 pid,
@@ -162,8 +164,13 @@ impl<S: Pages> Cluster<S> {
                 epoch: n.epoch,
             });
         }
-        notices.retain(|n| n.writer as usize != pid);
-        notices.sort_by_key(|n| (n.epoch, n.writer));
+
+        if notices.is_empty() {
+            // Cold fault (possible after GC): fetch a full current copy
+            // from the page's last writer.
+            self.lmw_fetch_full(pid, page);
+            return;
+        }
 
         let floor = self.procs[pid]
             .store
@@ -177,14 +184,7 @@ impl<S: Pages> Cluster<S> {
                 .max(floor)
         };
 
-        if notices.is_empty() {
-            // Cold fault (possible after GC): fetch a full current copy
-            // from the page's last writer.
-            self.lmw_fetch_full(pid, page);
-            return;
-        }
-
-        let mut to_apply: Vec<(u64, u64, u16, S::Diff)> = Vec::new();
+        let mut to_apply: Vec<Apply<S::Diff>> = Vec::new();
 
         // lmw-u: consult the pending-update store — this per-fault scan is
         // exactly the data-structure overhead the paper blames for
@@ -204,13 +204,15 @@ impl<S: Pages> Cluster<S> {
             for (w, lo, hi, diff) in stored {
                 if hi > applied_w(&self.procs[pid].lmw, w) {
                     to_apply.push((hi, lo, w, diff));
+                } else {
+                    S::recycle(&mut self.pool, diff);
                 }
             }
         }
         // Until the fetches below add to it, `to_apply` is exactly the
         // stored updates — the ranges this process can cover locally.
         let planted = self.cfg.planted;
-        let is_covered = |stored: &[(u64, u64, u16, S::Diff)], w: u16, e: u64| {
+        let is_covered = |stored: &[Apply<S::Diff>], w: u16, e: u64| {
             let mut by_w = stored.iter().filter(|&&(_, _, by, _)| by == w);
             by_w.any(|&(hi, lo, ..)| match planted {
                 // Seeded regression bug: pretends a stored [lo, hi]
@@ -223,20 +225,29 @@ impl<S: Pages> Cluster<S> {
             })
         };
 
-        // Which writers still have intervals we cannot cover locally?
-        let mut fetch_writers: Vec<u16> = Vec::new();
-        for n in &notices {
-            if n.epoch > applied_w(&self.procs[pid].lmw, n.writer)
-                && !is_covered(&to_apply, n.writer, n.epoch)
-                && !fetch_writers.contains(&n.writer)
-            {
-                fetch_writers.push(n.writer);
+        // Which writers still have intervals we cannot cover locally, and
+        // what each has had applied? One `applied` lookup per writer:
+        // nothing below changes it before the apply loop. Grouping by
+        // writer lists them ascending.
+        let fetches = {
+            let mut notices = notices;
+            notices.sort_unstable_by_key(|n| (n.writer, n.epoch));
+            let mut fetches: Vec<(u16, u64)> = Vec::new();
+            for by_w in notices.chunk_by(|a, b| a.writer == b.writer) {
+                let w = by_w[0].writer;
+                let since = applied_w(&self.procs[pid].lmw, w);
+                if by_w
+                    .iter()
+                    .any(|n| n.epoch > since && !is_covered(&to_apply, w, n.epoch))
+                {
+                    fetches.push((w, since));
+                }
             }
-        }
-        fetch_writers.sort_unstable();
+            fetches
+        };
 
-        let used_net = !fetch_writers.is_empty();
-        for &w in &fetch_writers {
+        let used_net = !fetches.is_empty();
+        for (w, since) in fetches {
             let writer = w as usize;
             self.emit(CheckEvent::Fetch {
                 pid,
@@ -252,9 +263,8 @@ impl<S: Pages> Cluster<S> {
                 // already fetchable in place.
                 self.lmw_seal(writer, page, Category::Sigio);
             }
-            let since = applied_w(&self.procs[pid].lmw, w);
             let segs = self.procs[writer].lmw.segments_since(page, since);
-            let reply_bytes: usize = segs.map(|s| s.diff.wire_bytes()).sum();
+            let reply_bytes: usize = segs.iter().map(|s| s.diff.wire_bytes()).sum();
             self.fetch_from(
                 pid,
                 writer,
@@ -450,12 +460,6 @@ impl<S: Pages> Cluster<S> {
                 writer: n.writer,
                 epoch: n.epoch,
             });
-            self.procs[pid]
-                .lmw
-                .known_notices
-                .entry(n.page)
-                .or_default()
-                .push(*n);
             if self.procs[pid].store.protection(n.page_id()).readable() {
                 self.set_prot(pid, n.page_id(), Protection::Invalid);
             }
@@ -499,14 +503,7 @@ impl<S: Pages> Cluster<S> {
         self.stats.gc_events += 1;
         let n = self.nprocs();
         for pid in 0..n {
-            let pages: Vec<u32> = self.procs[pid]
-                .lmw
-                .known_notices
-                .iter()
-                .filter(|(_, v)| !v.is_empty())
-                .map(|(pg, _)| *pg)
-                .collect();
-            for pg in pages {
+            for pg in self.notice_log.pending_pages(pid) {
                 let page = PageId(pg);
                 self.materialize_pristine(pid, page);
                 if !self.procs[pid].store.protection(page).readable() {
@@ -534,9 +531,9 @@ impl<S: Pages> Cluster<S> {
                     S::recycle(&mut self.pool, d);
                 }
             }
-            lmw.known_notices.clear();
             lmw.applied.clear();
         }
+        self.notice_log.clear();
     }
 }
 
@@ -560,16 +557,13 @@ impl Cluster {
                 .unwrap_or(0)
                 .max(floor)
         };
-        let notices = p0.lmw.known_notices.get(&page.0).into_iter().flatten();
         // Gather every relevant sealed segment plus each writer's unsealed
         // accumulation (as a virtual diff), then apply in interval order.
-        let mut writers: Vec<u16> = notices
-            .filter(|n| n.writer != 0)
-            .map(|n| n.writer)
-            .collect();
+        let notices = self.notice_log.unconsumed(0, page.0);
+        let mut writers: Vec<u16> = notices.map(|n| n.writer).collect();
         writers.sort_unstable();
         writers.dedup();
-        let mut to_apply: Vec<(u64, u64, u16, Diff)> = Vec::new();
+        let mut to_apply: Vec<Apply<Diff>> = Vec::new();
         for w in writers {
             let since = applied_w(w);
             let proc = &self.procs[w as usize];

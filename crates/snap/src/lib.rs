@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic    8 bytes  b"DSMSNAP\0"
-//! version  u8       SNAP_VERSION (4)
+//! version  u8       SNAP_VERSION (5)
 //! flags    u8       bit 0: CHECK section present
 //! digest   u64      configuration digest (see [`config_digest`])
 //! sections ...      fourcc + length u64 + payload, in order:
@@ -48,7 +48,9 @@ use dsm_sim::{SnapReader, SnapWriter};
 /// encodings — frame delta runs, race-detector shadow words, oracle pages
 /// — are unchanged. v4: the network's write-only counters and its two
 /// always-empty timer queues are gone (DESIGN.md §16 lists the fields).
-pub const SNAP_VERSION: u8 = 4;
+/// v5: homeless write notices are one cluster-wide log with per-process
+/// cursors instead of one map per process.
+pub const SNAP_VERSION: u8 = 5;
 
 /// Magic prefix of every snapshot.
 pub const SNAP_MAGIC: [u8; 8] = *b"DSMSNAP\0";

@@ -144,6 +144,17 @@ impl PageBuf {
         assert_eq!(self.len(), src.len(), "page size mismatch");
         self.words.copy_from_slice(&src.words);
     }
+
+    /// Copy the word-aligned byte span `[lo, hi)` of `src` into the same
+    /// span of this buffer.
+    #[inline]
+    pub fn copy_span_from(&mut self, src: &PageBuf, lo: usize, hi: usize) {
+        debug_assert!(
+            lo.is_multiple_of(8) && hi.is_multiple_of(8),
+            "unaligned span"
+        );
+        self.words[lo / 8..hi / 8].copy_from_slice(&src.words[lo / 8..hi / 8]);
+    }
 }
 
 impl fmt::Debug for PageBuf {
@@ -208,6 +219,13 @@ mod tests {
         // Independent after copy.
         b.bytes_mut()[0] = 99;
         assert_ne!(a.bytes()[0], b.bytes()[0]);
+        let mut c = PageBuf::zeroed(64);
+        c.copy_span_from(&a, 8, 24);
+        assert_eq!(&c.bytes()[8..24], &a.bytes()[8..24]);
+        assert!(c.bytes()[..8]
+            .iter()
+            .chain(&c.bytes()[24..])
+            .all(|&x| x == 0));
     }
 
     #[test]

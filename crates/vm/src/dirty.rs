@@ -13,6 +13,10 @@
 //! exceed [`DirtyRanges::MAX_RANGES`] collapse to "the whole page" —
 //! at that point a full scan is no slower than a ranged one, and the
 //! bookkeeping stays O(1) per write.
+//!
+//! The same search that merges a write in also finds the words it turns
+//! dirty ([`DirtyRanges::insert_fresh`]): the frame's twin holds exactly
+//! those words' old values, saved at the first write that reaches them.
 
 /// Diff granularity in bytes; ranges are aligned to this.
 const WORD: usize = 8;
@@ -77,21 +81,59 @@ impl DirtyRanges {
         self.ranges.clear();
     }
 
+    /// [`DirtyRanges::mark_all`], first reporting as `fresh(lo, hi)` every
+    /// byte span of `[0, page_len)` that no range covers, in ascending
+    /// order (nothing if the set had already collapsed).
+    pub fn mark_all_fresh(&mut self, page_len: usize, mut fresh: impl FnMut(usize, usize)) {
+        if !self.all {
+            let mut at = 0;
+            for &(s, e) in &self.ranges {
+                if at < s as usize {
+                    fresh(at, s as usize);
+                }
+                at = e as usize;
+            }
+            if at < page_len {
+                fresh(at, page_len);
+            }
+        }
+        self.mark_all();
+    }
+
     /// Record a write of `len` bytes at byte offset `start`, widened to
     /// word alignment. Overlapping and adjacent ranges merge.
     pub fn insert(&mut self, start: usize, len: usize) {
+        self.insert_fresh(start, len, 0, |_, _| {});
+    }
+
+    /// [`DirtyRanges::insert`], reporting as `fresh(lo, hi)` every
+    /// word-aligned byte span that turns dirty, before it is recorded: the
+    /// spans of the write no range covered yet — found by the same search
+    /// that merges the write in — and, if the insert collapses the set,
+    /// every span of `[0, page_len)` outside the ranges. Each word is
+    /// reported at most once between two [`DirtyRanges::clear`]s, which is
+    /// what lets a frame fill its twin lazily: it saves exactly these
+    /// spans' old words before the write overwrites them.
+    pub fn insert_fresh(
+        &mut self,
+        start: usize,
+        len: usize,
+        page_len: usize,
+        mut fresh: impl FnMut(usize, usize),
+    ) {
         if self.all || len == 0 {
             return;
         }
-        self.merge_in(start, len);
+        self.merge_in(start, len, &mut fresh);
         if self.ranges.len() > Self::MAX_RANGES {
-            self.mark_all();
+            self.mark_all_fresh(page_len, fresh);
         }
     }
 
     /// Word-align `[start, start+len)` and merge it into the sorted set,
-    /// with no cap policy applied.
-    fn merge_in(&mut self, start: usize, len: usize) {
+    /// with no cap policy applied, reporting its uncovered spans to
+    /// `fresh`.
+    fn merge_in(&mut self, start: usize, len: usize, fresh: &mut impl FnMut(usize, usize)) {
         let s = (start & !(WORD - 1)) as u32;
         let e = ((start + len + WORD - 1) & !(WORD - 1)) as u32;
         // First range whose end reaches s (merge candidates start here;
@@ -99,6 +141,18 @@ impl DirtyRanges {
         let i = self.ranges.partition_point(|&(_, re)| re < s);
         // First range that starts strictly past e (not mergeable).
         let j = i + self.ranges[i..].partition_point(|&(rs, _)| rs <= e);
+        // The merge candidates are sorted and each touches [s, e): the
+        // write's uncovered spans are the gaps between them.
+        let mut at = s;
+        for &(rs, re) in &self.ranges[i..j] {
+            if at < rs {
+                fresh(at as usize, rs as usize);
+            }
+            at = at.max(re);
+        }
+        if at < e {
+            fresh(at as usize, e as usize);
+        }
         if i == j {
             self.ranges.insert(i, (s, e));
         } else {
@@ -130,7 +184,7 @@ impl DirtyRanges {
         if self.all || len == 0 {
             return;
         }
-        self.merge_in(start, len);
+        self.merge_in(start, len, &mut |_, _| {});
         while self.ranges.len() > Self::MAX_RANGES {
             // Merge the pair with the smallest gap (ties: the leftmost).
             let mut best = 0;
@@ -249,6 +303,40 @@ mod tests {
         // Inserts after collapse are no-ops.
         d.insert(0, 8);
         assert!(d.is_all());
+    }
+
+    #[test]
+    fn insert_reports_each_word_once() {
+        fn insert(d: &mut DirtyRanges, fresh: &mut Vec<(usize, usize)>, start: usize, len: usize) {
+            d.insert_fresh(start, len, 512, |lo, hi| fresh.push((lo, hi)));
+        }
+        let mut d = DirtyRanges::new();
+        let mut fresh = Vec::new();
+        insert(&mut d, &mut fresh, 16, 8);
+        insert(&mut d, &mut fresh, 48, 8);
+        // Words [8, 56): the gaps around both ranges.
+        insert(&mut d, &mut fresh, 12, 40);
+        insert(&mut d, &mut fresh, 20, 4); // already dirty: nothing
+        assert_eq!(fresh, [(16, 24), (48, 56), (8, 16), (24, 48)]);
+        fresh.clear();
+        // One range too many: the write's word, then everything else.
+        for i in 0..DirtyRanges::MAX_RANGES {
+            insert(&mut d, &mut fresh, 64 + i * 16, 8);
+        }
+        assert!(d.is_all());
+        let mut covered = [false; 512 / WORD];
+        for &(lo, hi) in &fresh {
+            for word in &mut covered[lo / WORD..hi / WORD] {
+                assert!(!*word, "a word reported twice");
+                *word = true;
+            }
+        }
+        assert!(covered[7..].iter().all(|&c| c), "collapse saved the rest");
+        assert!(!covered[1] && !covered[6], "dirty before the collapse");
+        fresh.clear();
+        insert(&mut d, &mut fresh, 0, 8);
+        d.mark_all_fresh(512, |lo, hi| fresh.push((lo, hi)));
+        assert!(fresh.is_empty(), "a collapsed set reports nothing");
     }
 
     #[test]

@@ -1,20 +1,29 @@
 //! One process's copy of one shared page.
 //!
 //! The frame is the choke point every mutation of page state funnels
-//! through, which lets it maintain two host-side accelerators invisibly:
+//! through, which lets it maintain three host-side accelerators invisibly:
 //!
 //! * **dirty word ranges** — while a twin exists, every content write is
 //!   recorded in a [`DirtyRanges`], so [`Frame::diff_against_twin`] scans
 //!   only the written ranges instead of the whole page (byte-identical
 //!   output; see `diff.rs`);
+//! * **a lazily filled twin** — taking a twin copies nothing. The twin is
+//!   the paper's copy of the page at the first write, and outside the
+//!   dirty ranges that copy still equals the contents, so the twin buffer
+//!   holds only the words inside them: each write saves the old value of
+//!   every word it is the first to reach ([`DirtyRanges::insert_fresh`])
+//!   before overwriting it. A write that collapses the ranges saves every
+//!   word not yet saved — the cost the eager copy paid on every twin;
 //! * **a revision counter** — every observable mutation bumps `rev`,
 //!   which keys the memo of the frame's structural hash
 //!   ([`Frame::fold`]), so writes and protocol mutations invalidate it
 //!   for free.
 //!
-//! Neither affects *virtual* cost: twins, diffs, and protection changes
-//! are charged by the protocol layer exactly as before; dirty tracking
-//! and revision bumps are bookkeeping on the host running the simulation.
+//! None affects *virtual* cost: twins, diffs, and protection changes
+//! are charged by the protocol layer exactly as before; dirty tracking,
+//! twin filling and revision bumps are bookkeeping on the host running
+//! the simulation. The diff, the snapshot and the hash all read the twin
+//! as the eager copy would hold it, so none of them can tell.
 //!
 //! Fields are private on purpose: a mutation path that bypassed the
 //! recording methods would silently break the range-diff equivalence and
@@ -41,6 +50,8 @@ pub struct Frame {
     /// Current protection.
     prot: Protection,
     /// Twin created at the first write of the current interval, if any.
+    /// Only its words inside `dirty` are meaningful (the rest of the twin
+    /// is `data`), all of them once `dirty` has collapsed.
     twin: Option<PageBuf>,
     /// Version of the page contents this frame reflects (home-based
     /// protocols); unused by homeless protocols.
@@ -100,12 +111,6 @@ impl Frame {
     #[inline]
     pub fn prot(&self) -> Protection {
         self.prot
-    }
-
-    /// The twin, if one exists.
-    #[inline]
-    pub fn twin(&self) -> Option<&PageBuf> {
-        self.twin.as_ref()
     }
 
     /// True while a twin exists.
@@ -181,18 +186,29 @@ impl Frame {
         }
     }
 
+    /// Record that `[offset, offset + len)` is about to be overwritten:
+    /// under a twin, save the old value of every word this is the first
+    /// write to reach; otherwise, while tracking is armed, extend the
+    /// cover.
+    fn record(&mut self, offset: usize, len: usize) {
+        if let Some(twin) = &mut self.twin {
+            let data = &self.data;
+            self.dirty.insert_fresh(offset, len, data.len(), |lo, hi| {
+                twin.copy_span_from(data, lo, hi);
+            });
+        } else if self.tracking {
+            // Twin-free: the recorded ranges ARE the delta (no twin to
+            // compare against), so a bounded cover beats collapse-to-all.
+            self.dirty.insert_coarse(offset, len);
+        }
+    }
+
     /// Write `src` into the contents at byte `offset` — the application
     /// write path. Records the range while a twin exists or tracking is
     /// armed.
     pub fn write_at(&mut self, offset: usize, src: &[u8]) {
+        self.record(offset, src.len());
         self.data.bytes_mut()[offset..offset + src.len()].copy_from_slice(src);
-        if self.twin.is_some() {
-            self.dirty.insert(offset, src.len());
-        } else if self.tracking {
-            // Twin-free: the recorded ranges ARE the delta (no twin to
-            // compare against), so a bounded cover beats collapse-to-all.
-            self.dirty.insert_coarse(offset, src.len());
-        }
         self.touch();
     }
 
@@ -200,24 +216,23 @@ impl Frame {
     /// Conservatively marks everything dirty if a twin exists or tracking
     /// is armed.
     pub fn fill_from(&mut self, src: &PageBuf) {
-        self.data.copy_from(src);
-        if self.twin.is_some() || self.tracking {
+        if let Some(twin) = &mut self.twin {
+            let data = &self.data;
+            self.dirty.mark_all_fresh(data.len(), |lo, hi| {
+                twin.copy_span_from(data, lo, hi);
+            });
+        } else if self.tracking {
             self.dirty.mark_all();
         }
+        self.data.copy_from(src);
         self.touch();
     }
 
     /// Apply a diff's runs to the contents, recording each run's range.
     pub fn apply_diff(&mut self, diff: &Diff) {
-        diff.apply_to(&mut self.data);
-        if self.twin.is_some() {
-            for (offset, bytes) in diff.runs() {
-                self.dirty.insert(offset, bytes.len());
-            }
-        } else if self.tracking {
-            for (offset, bytes) in diff.runs() {
-                self.dirty.insert_coarse(offset, bytes.len());
-            }
+        for (offset, bytes) in diff.runs() {
+            self.record(offset, bytes.len());
+            self.data.bytes_mut()[offset..offset + bytes.len()].copy_from_slice(bytes);
         }
         self.touch();
     }
@@ -255,20 +270,15 @@ impl Frame {
     /// Take a twin of the current contents (idempotent: keeps the first,
     /// and crucially keeps the dirty ranges already recorded against it).
     pub fn make_twin(&mut self) {
-        if self.twin.is_none() {
-            self.twin = Some(self.data.clone());
-            self.dirty.clear();
-            self.touch();
-        }
+        self.make_twin_in(&mut BufPool::new());
     }
 
-    /// [`Frame::make_twin`] drawing the twin buffer from `pool`. The
-    /// recycled buffer is fully overwritten by the page copy.
+    /// [`Frame::make_twin`] drawing the twin buffer from `pool`. Nothing
+    /// is copied: with no range dirty the twin equals the contents, and
+    /// the recycled buffer is written word by word as writes reach it.
     pub fn make_twin_in(&mut self, pool: &mut BufPool) {
         if self.twin.is_none() {
-            let mut t = pool.take_page(self.data.len());
-            t.copy_from(&self.data);
-            self.twin = Some(t);
+            self.twin = Some(pool.take_page(self.data.len()));
             self.dirty.clear();
             self.touch();
         }
@@ -290,14 +300,12 @@ impl Frame {
 
     /// Refresh the twin to match current contents (overdrive protocols
     /// re-twin predicted pages each epoch without re-trapping), drawing a
-    /// fresh twin (when none exists) from `pool`.
+    /// fresh twin (when none exists) from `pool`. Like
+    /// [`Frame::make_twin_in`], it copies nothing: clearing the ranges
+    /// is what makes the twin equal the contents.
     pub fn refresh_twin_in(&mut self, pool: &mut BufPool) {
-        if let Some(t) = &mut self.twin {
-            t.copy_from(&self.data);
-        } else {
-            let mut t = pool.take_page(self.data.len());
-            t.copy_from(&self.data);
-            self.twin = Some(t);
+        if self.twin.is_none() {
+            self.twin = Some(pool.take_page(self.data.len()));
         }
         self.dirty.clear();
         self.touch();
@@ -314,6 +322,8 @@ impl Frame {
     /// applications touch a small, stable fraction of each page per epoch,
     /// so snapshots stay small even for large segments — the observation
     /// that makes diff-based DSM cheap makes diff-based snapshots cheap.
+    /// The twin differs from the data only inside the dirty ranges, so a
+    /// ranged scan writes the same runs a full one would.
     pub(crate) fn encode(&self, page: PageId, base: &PageBuf, w: &mut SnapWriter) {
         let Frame {
             data,
@@ -334,7 +344,7 @@ impl Frame {
         Diff::between(page, base, data).encode_runs(w);
         w.bool(twin.is_some());
         if let Some(t) = twin {
-            Diff::between(page, data, t).encode_runs(w);
+            Diff::between_ranges(page, data, t, dirty).encode_runs(w);
         }
     }
 
@@ -421,7 +431,8 @@ impl Frame {
         h.bytes(data.bytes());
         h.byte(u8::from(twin.is_some()));
         if let Some(t) = twin {
-            h.bytes(t.bytes());
+            // Word-aligned segments fold exactly as the whole page would.
+            self.twin_segments(t, |segment| h.bytes(segment));
         }
         // Twin-free dirty tracking (bar-r): the recorded ranges determine
         // the next region delta, so they are observable state — but only
@@ -432,6 +443,34 @@ impl Frame {
             dirty.fold(&mut h);
         }
         h.finish()
+    }
+
+    /// Visit the twin `t` as word-aligned byte segments in page order: the
+    /// saved words inside the dirty ranges, the contents outside them.
+    fn twin_segments<'a>(&'a self, t: &'a PageBuf, mut visit: impl FnMut(&'a [u8])) {
+        if self.dirty.is_all() {
+            return visit(t.bytes());
+        }
+        let (saved, data) = (t.bytes(), self.data.bytes());
+        let mut at = 0;
+        for (s, e) in self.dirty.iter() {
+            let (s, e) = (s as usize, e as usize);
+            visit(&data[at..s]);
+            visit(&saved[s..e]);
+            at = e;
+        }
+        visit(&data[at..]);
+    }
+
+    /// The twin as an eager full-page copy would hold it.
+    #[cfg(test)]
+    pub(crate) fn logical_twin(&self) -> Option<PageBuf> {
+        let t = self.twin.as_ref()?;
+        let mut bytes = Vec::with_capacity(t.len());
+        self.twin_segments(t, |segment| bytes.extend_from_slice(segment));
+        let mut out = PageBuf::zeroed(t.len());
+        out.bytes_mut().copy_from_slice(&bytes);
+        Some(out)
     }
 
     /// Create the diff of modifications since the twin was taken, leaving
@@ -496,7 +535,7 @@ mod tests {
         f.make_twin();
         f.write_at(0, &[2]);
         f.make_twin(); // must keep the first twin (and the dirty ranges)
-        assert_eq!(f.twin().unwrap().bytes()[0], 1);
+        assert_eq!(f.logical_twin().unwrap().bytes()[0], 1);
         assert!(f.dirty_ranges().covers(0), "second make_twin kept ranges");
     }
 
@@ -673,13 +712,213 @@ mod proptests {
                         f.write_at(at, &g.bytes(len));
                     }
                 }
-                if f.has_twin() {
-                    let full = crate::diff::Diff::between(PageId(0), f.twin().unwrap(), f.data());
+                if let Some(twin) = f.logical_twin() {
+                    let full = crate::diff::Diff::between(PageId(0), &twin, f.data());
                     assert_eq!(f.diff_against_twin(PageId(0)), full);
                     let pooled = f.diff_against_twin_in(PageId(0), &mut pool);
                     assert_eq!(pooled, full);
                     pool.put_diff(pooled);
                 }
+            }
+        });
+    }
+
+    /// A frame whose twin is a full copy taken when the twin is made, with
+    /// the same dirty-range bookkeeping: the reference a lazily filled
+    /// twin must be indistinguishable from.
+    struct Eager {
+        data: PageBuf,
+        twin: Option<PageBuf>,
+        dirty: DirtyRanges,
+        tracking: bool,
+    }
+
+    impl Eager {
+        fn record(&mut self, offset: usize, len: usize) {
+            if self.twin.is_some() {
+                self.dirty.insert(offset, len);
+            } else if self.tracking {
+                self.dirty.insert_coarse(offset, len);
+            }
+        }
+
+        fn write(&mut self, offset: usize, src: &[u8]) {
+            self.data.bytes_mut()[offset..offset + src.len()].copy_from_slice(src);
+            self.record(offset, src.len());
+        }
+
+        fn apply(&mut self, diff: &Diff) {
+            diff.apply_to(&mut self.data);
+            for (offset, bytes) in diff.runs() {
+                self.record(offset, bytes.len());
+            }
+        }
+
+        fn fill(&mut self, src: &PageBuf) {
+            self.data.copy_from(src);
+            if self.twin.is_some() || self.tracking {
+                self.dirty.mark_all();
+            }
+        }
+
+        fn retwin(&mut self, keep: bool) {
+            if !(keep && self.twin.is_some()) {
+                self.twin = Some(self.data.clone());
+                self.dirty.clear();
+            }
+        }
+
+        fn hash(&self, f: &Frame) -> u64 {
+            let mut h = StateHasher::new();
+            f.prot.fold(&mut h);
+            f.version_seen.fold(&mut h);
+            f.applied_through.fold(&mut h);
+            h.bytes(self.data.bytes());
+            h.byte(u8::from(self.twin.is_some()));
+            if let Some(t) = &self.twin {
+                h.bytes(t.bytes());
+            }
+            self.tracking.fold(&mut h);
+            if self.tracking {
+                self.dirty.fold(&mut h);
+            }
+            h.finish()
+        }
+
+        fn encode(&self, f: &Frame, page: PageId, base: &PageBuf) -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            f.prot.encode(&mut w);
+            f.version_seen.encode(&mut w);
+            f.applied_through.encode(&mut w);
+            self.tracking.encode(&mut w);
+            self.dirty.encode(&mut w);
+            Diff::between(page, base, &self.data).encode_runs(&mut w);
+            w.bool(self.twin.is_some());
+            if let Some(t) = &self.twin {
+                Diff::between(page, &self.data, t).encode_runs(&mut w);
+            }
+            w.into_bytes()
+        }
+    }
+
+    fn random_page(g: &mut dsm_sim::prop::Gen, size: usize) -> PageBuf {
+        let mut p = PageBuf::zeroed(size);
+        p.bytes_mut().copy_from_slice(&g.bytes(size));
+        p
+    }
+
+    /// Random write / `apply_diff` / `fill_from` / twin lifecycles, with
+    /// stale buffers in the pool and scattered bursts that collapse the
+    /// ranges: the diff, the structural hash and the snapshot bytes of the
+    /// lazy twin equal those of an eager full copy at every step, and a
+    /// restore over a stale frame hashes the same.
+    #[test]
+    fn lazy_twin_matches_eager_copy() {
+        check("lazy_twin_matches_eager_copy", 200, |g| {
+            const SIZE: usize = 1024;
+            let page = PageId(3);
+            let base = random_page(g, SIZE);
+            let mut f = Frame::new(SIZE);
+            let mut e = Eager {
+                data: PageBuf::zeroed(SIZE),
+                twin: None,
+                dirty: DirtyRanges::new(),
+                tracking: false,
+            };
+            let mut pool = BufPool::new();
+            let mut restored = Frame::new(SIZE);
+            restored.fill_from(&random_page(g, SIZE));
+            restored.make_twin();
+            restored.write_at(0, &[0xAB; 64]);
+            for _ in 0..g.range(1, 40) {
+                match g.below(12) {
+                    0 => {
+                        f.make_twin_in(&mut pool);
+                        e.retwin(true);
+                    }
+                    1 => {
+                        f.refresh_twin_in(&mut pool);
+                        e.retwin(false);
+                    }
+                    2 => {
+                        f.drop_twin_into(&mut pool);
+                        if e.twin.take().is_some() {
+                            e.dirty.clear();
+                        }
+                    }
+                    3 => {
+                        let src = random_page(g, SIZE);
+                        f.fill_from(&src);
+                        e.fill(&src);
+                    }
+                    4 => {
+                        let mut spans = Vec::new();
+                        let mut at = 0;
+                        while at < SIZE && spans.len() < 8 {
+                            let s = at + 8 * g.below(16);
+                            let end = (s + 8 * g.range(1, 6)).min(SIZE);
+                            if s < end {
+                                spans.push((s as u32, end as u32));
+                            }
+                            at = end + 8;
+                        }
+                        let diff = Diff::capture(page, &random_page(g, SIZE), &spans);
+                        f.apply_diff(&diff);
+                        e.apply(&diff);
+                    }
+                    5 => {
+                        if f.tracking() {
+                            f.disarm_dirty_tracking();
+                            e.tracking = false;
+                            if e.twin.is_none() {
+                                e.dirty.clear();
+                            }
+                        } else {
+                            f.arm_dirty_tracking();
+                            e.tracking = true;
+                            if e.twin.is_none() {
+                                e.dirty.clear();
+                            }
+                        }
+                    }
+                    6 => {
+                        // Scattered words, more than the range cap.
+                        for _ in 0..g.range(10, 2 * DirtyRanges::MAX_RANGES) {
+                            let at = 16 * g.below(SIZE / 16);
+                            let word = g.u64().to_le_bytes();
+                            f.write_at(at, &word);
+                            e.write(at, &word);
+                        }
+                    }
+                    7 => {
+                        let mut stale = PageBuf::zeroed(SIZE);
+                        stale.bytes_mut().fill(g.u64() as u8);
+                        pool.put_page(stale);
+                    }
+                    _ => {
+                        let len = g.range(1, 48);
+                        let at = g.below(SIZE - len);
+                        let src = g.bytes(len);
+                        f.write_at(at, &src);
+                        e.write(at, &src);
+                    }
+                }
+                assert_eq!(f.data().bytes(), e.data.bytes());
+                assert_eq!(f.logical_twin(), e.twin);
+                assert_eq!(f.structural_hash(), e.hash(&f));
+                let mut w = SnapWriter::new();
+                f.encode(page, &base, &mut w);
+                let bytes = w.into_bytes();
+                assert_eq!(bytes, e.encode(&f, page, &base));
+                if let Some(t) = &e.twin {
+                    let lazy = f.diff_against_twin_in(page, &mut pool);
+                    assert_eq!(lazy, Diff::between(page, t, &e.data));
+                    pool.put_diff(lazy);
+                }
+                let mut r = dsm_sim::SnapReader::new(&bytes);
+                restored.decode(&base, &mut r).unwrap();
+                r.finish().unwrap();
+                assert_eq!(restored.structural_hash(), e.hash(&f));
             }
         });
     }

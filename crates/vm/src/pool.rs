@@ -5,10 +5,11 @@
 //! recipient has consumed it — one barrier later (home-based) or at GC
 //! (homeless). A [`BufPool`] recycles those allocations — callers `take_*`
 //! instead of allocating and `put_*` instead of dropping. Pooling is pure
-//! host-side mechanics: buffers carry no virtual-time cost and recycled
-//! memory is always fully overwritten before use (twins by a full page
-//! copy, diff bodies by appending to an emptied one), a property the
-//! proptests in `frame.rs` and `diff.rs` pin down.
+//! host-side mechanics: buffers carry no virtual-time cost and no stale
+//! byte of recycled memory is ever read. A twin buffer is read only
+//! where a write has saved old words into it since it was taken; a diff
+//! body is appended to after being emptied. The proptests in `frame.rs`
+//! and `diff.rs` pin both down.
 
 use std::rc::Rc;
 
@@ -22,8 +23,8 @@ const DIFFS_CAP: usize = 128;
 
 /// A free-list for [`PageBuf`]s (twins, copies) and for the storage behind
 /// a [`Diff`] (the shared box, its run table and its payload, recycled as
-/// one unit). Pooled memory is interchangeable scratch, fully overwritten
-/// before reuse — never logical state, so owners class it `config` in
+/// one unit). Pooled memory is interchangeable scratch whose old contents
+/// are never read — never logical state, so owners class it `config` in
 /// their state declarations.
 #[derive(Debug, Default)]
 pub struct BufPool {
@@ -40,8 +41,9 @@ impl BufPool {
     }
 
     /// A page buffer of `len` bytes with *unspecified contents* — the
-    /// caller must fully overwrite it. Recycles a pooled buffer of the
-    /// same size if one is available.
+    /// caller must never read a byte it has not written (a twin writes
+    /// each word before its dirty ranges let anything read it). Recycles
+    /// a pooled buffer of the same size if one is available.
     pub fn take_page(&mut self, len: usize) -> PageBuf {
         match self.pages.last() {
             Some(p) if p.len() == len => self.pages.pop().expect("checked non-empty"),
@@ -102,7 +104,7 @@ mod tests {
         assert!(b.bytes().iter().all(|&x| x == 0));
         assert_eq!(pool.sizes().0, 1);
         // Matching size recycles; contents are unspecified (stale here),
-        // which is why every caller fully overwrites.
+        // which is why no caller reads a byte it did not write.
         let c = pool.take_page(64);
         assert_eq!(c.bytes()[0], 0xAB);
         assert_eq!(pool.sizes().0, 0);

@@ -282,7 +282,7 @@ mod tests {
         assert_eq!(resident, vec![1, 3]);
         let f = b.frame(PageId(1)).unwrap();
         assert_eq!(f.data().bytes(), a.frame(PageId(1)).unwrap().data().bytes());
-        assert_eq!(f.twin().unwrap().bytes()[8], 9);
+        assert_eq!(f.logical_twin().unwrap().bytes()[8], 9);
         assert!(f.dirty_ranges().covers(8));
         assert_eq!(hash(&a, StateHasher::new()), hash(&b, StateHasher::new()));
         assert_eq!(
