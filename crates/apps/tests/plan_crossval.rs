@@ -16,7 +16,7 @@
 //! * **zero flushes** (invalidate protocols) — no `UpdateFlush` is ever
 //!   emitted.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use dsm_apps::common::Scale;
 use dsm_apps::registry::{make_app, make_planned};
@@ -49,7 +49,7 @@ fn check_steady_copysets(p: &Prediction, observed: &[Vec<FlushTriple>], iters: u
     match &p.copysets {
         SteadyCopysets::None => panic!("{tag}: update protocol predicted no copysets"),
         SteadyCopysets::PerPage(v) => {
-            let table: HashMap<u32, &CopySet> = v.iter().map(|(p, cs)| (*p, cs)).collect();
+            let table: BTreeMap<u32, &CopySet> = v.iter().map(|(p, cs)| (*p, cs)).collect();
             for (w, page, cs) in last.iter().flatten() {
                 assert_eq!(
                     table.get(page),
@@ -61,7 +61,7 @@ fn check_steady_copysets(p: &Prediction, observed: &[Vec<FlushTriple>], iters: u
             }
         }
         SteadyCopysets::PerWriter(v) => {
-            let table: HashMap<(u32, u16), &CopySet> =
+            let table: BTreeMap<(u32, u16), &CopySet> =
                 v.iter().map(|(pg, w, cs)| ((*pg, *w), cs)).collect();
             for (w, page, cs) in last.iter().flatten() {
                 assert_eq!(

@@ -10,7 +10,7 @@
 //! and results come back in item order, so a report rendered from them is
 //! byte-identical at any thread count.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -159,7 +159,7 @@ pub fn run_matrix(
         .collect();
 
     // Baselines in parallel (capped).
-    let baselines: HashMap<&'static str, (Time, f64)> =
+    let baselines: BTreeMap<&'static str, (Time, f64)> =
         run_capped(&specs, |spec| (spec.name, run_baseline(spec, scale, None)))
             .into_iter()
             .collect();

@@ -202,6 +202,10 @@ impl<S: Pages> Cluster<S> {
         // the scheduler trait: bit-identical to the pre-scheduler code.
         let sched: SharedScheduler =
             Rc::new(RefCell::new(VirtualTimeScheduler::new(rng.derive(0xA11CE))));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the engine's one Network: every verb call site lives in dsm-core"
+        )]
         let net = Network::with_transport(
             nprocs.max(2), // a 1-proc baseline still constructs a network
             cfg.sim.costs.clone(),
@@ -723,6 +727,11 @@ impl Cluster {
     #[cfg(debug_assertions)]
     pub(crate) fn watch_hit(&self, pid: usize, addr: usize, len: usize, what: &str) {
         static WATCH: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a debug-build tracing toggle: it picks which accesses are printed and \
+                      changes no simulated state, traffic or result"
+        )]
         let target =
             WATCH.get_or_init(|| std::env::var("DSM_WATCH").ok().and_then(|w| w.parse().ok()));
         if let Some(target) = *target {

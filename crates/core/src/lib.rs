@@ -37,6 +37,10 @@
 //! over dataless digests as its static predictor.
 
 #![forbid(unsafe_code)]
+// A discarded `FlushOutcome` loses the only record of a dropped or doubled
+// update: `#[must_use]` rejects `push_update(..);`, this rejects
+// `let _ = push_update(..)`.
+#![deny(clippy::let_underscore_must_use)]
 
 pub mod check;
 pub mod config;

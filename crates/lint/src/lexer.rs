@@ -1,4 +1,4 @@
-//! A small Rust lexer: the token layer under the structural lint rules.
+//! A small Rust lexer: the token layer under the lint rules.
 //!
 //! The lexer is deliberately partial — it understands exactly as much of
 //! the language as the rules need: identifiers, integer literals, the
@@ -8,27 +8,9 @@
 //! dropped and comments are skipped: rules bind to code, not to prose
 //! about code.
 
-/// Token classification. The rules mostly match on text, but the kind
-/// disambiguates `64` (literal) from `x64` (ident).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TokKind {
-    /// Identifier or keyword.
-    Ident,
-    /// Integer / float-ish literal (floats lex as `1` `.` `5`; the rules
-    /// only care about integer tokens like `64`).
-    Lit,
-    /// String, byte-string, or char literal (contents dropped).
-    Str,
-    /// Lifetime (`'a`, `'_`).
-    Lifetime,
-    /// Punctuation, possibly multi-character (`::`, `->`, `..`).
-    Punct,
-}
-
 /// One lexed token with its source position.
 #[derive(Clone, Debug)]
 pub struct Tok {
-    pub kind: TokKind,
     pub text: String,
     /// 1-based source line.
     pub line: usize,
@@ -52,9 +34,8 @@ pub fn lex(src: &str) -> Vec<Tok> {
     let mut out = Vec::new();
     let mut i = 0usize;
     let mut line = 1usize;
-    let push = |out: &mut Vec<Tok>, kind: TokKind, text: &str, line: usize, pos: usize| {
+    let push = |out: &mut Vec<Tok>, text: &str, line: usize, pos: usize| {
         out.push(Tok {
-            kind,
             text: text.to_string(),
             line,
             pos,
@@ -95,11 +76,11 @@ pub fn lex(src: &str) -> Vec<Tok> {
             }
             '"' => {
                 i = skip_string(bytes, i + 1, &mut line);
-                push(&mut out, TokKind::Str, "\"\"", line, i);
+                push(&mut out, "\"\"", line, i);
             }
             'r' | 'b' if starts_raw_or_byte_string(bytes, i) => {
-                let (j, kind_text) = skip_prefixed_string(bytes, i, &mut line);
-                push(&mut out, TokKind::Str, kind_text, line, i);
+                let (j, text) = skip_prefixed_string(bytes, i, &mut line);
+                push(&mut out, text, line, i);
                 i = j;
             }
             '\'' => {
@@ -127,7 +108,7 @@ pub fn lex(src: &str) -> Vec<Tok> {
                     if bytes.get(j) == Some(&b'\'') {
                         j += 1;
                     }
-                    push(&mut out, TokKind::Str, "''", line, i);
+                    push(&mut out, "''", line, i);
                     i = j;
                 } else {
                     let start = i;
@@ -135,7 +116,7 @@ pub fn lex(src: &str) -> Vec<Tok> {
                     while j < bytes.len() && is_ident_continue(bytes[j] as char) {
                         j += 1;
                     }
-                    push(&mut out, TokKind::Lifetime, &src[start..j], line, start);
+                    push(&mut out, &src[start..j], line, start);
                     i = j;
                 }
             }
@@ -145,7 +126,7 @@ pub fn lex(src: &str) -> Vec<Tok> {
                 while j < bytes.len() && is_ident_continue(bytes[j] as char) {
                     j += 1;
                 }
-                push(&mut out, TokKind::Ident, &src[start..j], line, start);
+                push(&mut out, &src[start..j], line, start);
                 i = j;
             }
             c if c.is_ascii_digit() => {
@@ -159,7 +140,7 @@ pub fn lex(src: &str) -> Vec<Tok> {
                 while j < bytes.len() && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_') {
                     j += 1;
                 }
-                push(&mut out, TokKind::Lit, &src[start..j], line, start);
+                push(&mut out, &src[start..j], line, start);
                 i = j;
             }
             _ => {
@@ -170,7 +151,7 @@ pub fn lex(src: &str) -> Vec<Tok> {
                     "::" | "->" | "=>" | ".." | "&&" | "||" => two,
                     _ => &src[i..i + c.len_utf8()],
                 };
-                push(&mut out, TokKind::Punct, text, line, i);
+                push(&mut out, text, line, i);
                 i += text.len();
             }
         }
@@ -254,12 +235,7 @@ fn skip_prefixed_string(bytes: &[u8], i: usize, line: &mut usize) -> (usize, &'s
         hashes += 1;
         j += 1;
     }
-    if bytes.get(j) != Some(&b'"') {
-        // `r` / `b` that wasn't a string after all (caller pre-checked, so
-        // this is unreachable in practice); consume one byte to progress.
-        return (i + 1, "\"\"");
-    }
-    j += 1;
+    j += 1; // the opening quote: `starts_raw_or_byte_string` saw it
     let raw =
         hashes > 0 || bytes[i] == b'r' || (bytes[i] == b'b' && bytes.get(i + 1) == Some(&b'r'));
     while j < bytes.len() {
@@ -331,20 +307,8 @@ mod tests {
     fn idents_starting_with_string_prefix_letters() {
         // `b`/`r`/`br` only open a string when a quote actually follows.
         assert_eq!(
-            texts("self.breakdown += t; raw_len(brk)"),
-            [
-                "self",
-                ".",
-                "breakdown",
-                "+",
-                "=",
-                "t",
-                ";",
-                "raw_len",
-                "(",
-                "brk",
-                ")"
-            ]
+            texts("self.breakdown += t; raw_len(brk)").join(" "),
+            "self . breakdown + = t ; raw_len ( brk )"
         );
         assert_eq!(
             texts("let x = br#\"raw\"#; rows"),

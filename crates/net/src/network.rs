@@ -68,6 +68,9 @@ impl Transit {
 /// `duplicated == true` means the receiver gets the message *twice* and
 /// must treat the second copy idempotently. The one-sided backend is
 /// reliable-connected: its pushes are always delivered, never duplicated.
+/// The flags are the only record of loss or duplication, so an outcome
+/// must be consumed (`unused_must_use` is denied workspace-wide).
+#[must_use]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlushOutcome {
     pub transit: Transit,
@@ -363,6 +366,7 @@ mod tests {
     use super::*;
     use dsm_sim::{DetRng, Scheduler, SnapReader, SnapWriter, State, VirtualTimeScheduler};
 
+    #[expect(clippy::disallowed_methods, reason = "unit tests drive a bare Network")]
     fn build(backend: TransportKind, drop: f64, fault: FaultProfile, seed: u64) -> Network {
         let sched = Rc::new(RefCell::new(VirtualTimeScheduler::new(DetRng::new(seed))));
         let params = RdmaParams::default();
@@ -424,7 +428,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no self-messages")]
     fn self_send_rejected() {
-        flush(&mut net(0.0), 2, 2, 0);
+        let _ = flush(&mut net(0.0), 2, 2, 0);
     }
 
     /// `fetch` against the two `send_reliable` calls its two-sided arm

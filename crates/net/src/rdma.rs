@@ -119,6 +119,7 @@ mod tests {
 
     /// A one-sided network under a hostile drop probability and fault
     /// profile, neither of which may touch a verb.
+    #[expect(clippy::disallowed_methods, reason = "unit tests drive a bare Network")]
     fn one_sided(sched: SharedScheduler) -> Network {
         let fault = FaultProfile {
             loss: 1.0,

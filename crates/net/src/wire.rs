@@ -289,7 +289,7 @@ mod tests {
         let mut sched = VirtualTimeScheduler::new(DetRng::new(7));
         for i in 0..32 {
             wire.resolve_reliable(0, 1, legs(), Time::from_us(i), &mut sched);
-            wire.resolve_flush(0, 1, legs(), &mut sched);
+            let _ = wire.resolve_flush(0, 1, legs(), &mut sched);
         }
         // The scheduler's stream is untouched: it still agrees with a
         // fresh generator on the next real draw.

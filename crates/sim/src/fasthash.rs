@@ -85,7 +85,15 @@ impl Hasher for IntHasher {
 
 /// Drop-in `HashMap`/`HashSet` aliases using [`IntHasher`].
 pub type FastBuild = BuildHasherDefault<IntHasher>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one sanctioned std map: FastBuild makes iteration order a function of the keys"
+)]
 pub type FastMap<K, V> = std::collections::HashMap<K, V, FastBuild>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one sanctioned std set: FastBuild makes iteration order a function of the keys"
+)]
 pub type FastSet<K> = std::collections::HashSet<K, FastBuild>;
 
 #[cfg(test)]
@@ -110,7 +118,7 @@ mod tests {
         let b = FastBuild::default();
         // Low 6 bits (a 64-bucket table) must not collapse for the keys the
         // checker actually uses: consecutive page numbers.
-        let mut buckets = std::collections::HashSet::new();
+        let mut buckets = std::collections::BTreeSet::new();
         for k in 0u32..64 {
             buckets.insert(b.hash_one(k) & 63);
         }

@@ -55,7 +55,7 @@
 //! `match`es are exhaustive. Hand-written impls remain only where a type
 //! hides an algorithm or an encoding (page frames as delta runs, copysets
 //! as pid lists); they open with the same exhaustive destructure, which
-//! `dsm-lint`'s `state-rest` rule enforces.
+//! `dsm-lint`'s `state-rest` rule (a `cargo test` scan) enforces.
 //!
 //! The container impls below fix the byte conventions once: a `u64` count
 //! before variable-length data, hash-container contents sorted by key,
@@ -506,7 +506,7 @@ fn sorted<'a, T: Ord + 'a>(items: impl Iterator<Item = &'a T>) -> Vec<&'a T> {
 }
 
 // Not generic over the hasher on purpose: the simulator's hash containers
-// all use the deterministic `FastBuild`, and dsm-lint bans the std default.
+// all use the deterministic `FastBuild`, and clippy.toml bans the std default.
 macro_rules! set_state {
     ($( $set:ident )+) => {$(
         #[allow(clippy::implicit_hasher)]

@@ -28,7 +28,12 @@ fn snapshot_format_matches_committed_golden() {
     assert_eq!(bytes[9] & 1, 1, "checker flag set");
     assert_eq!(&bytes[18..22], b"CORE", "first section tag");
 
-    if std::env::var_os("DSM_SNAP_BLESS").is_some() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the re-bless switch for a deliberate codec change; it never alters the bytes"
+    )]
+    let bless = std::env::var_os("DSM_SNAP_BLESS").is_some();
+    if bless {
         std::fs::write(GOLDEN_PATH, &bytes).expect("bless golden snapshot");
         return;
     }
