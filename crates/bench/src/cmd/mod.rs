@@ -41,4 +41,4 @@ macro_rules! commands {
     };
 }
 
-commands!(table1 fig2 fig3 fig4 summary sweep apptable checked campaign transport explore travel plan regions scale);
+commands!(paper sweep checked campaign transport explore travel plan regions scale);

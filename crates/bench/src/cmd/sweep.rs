@@ -6,6 +6,9 @@
 //!   OS-degradation effect),
 //! * home migration on/off (how much the runtime assignment buys),
 //! * unreliable-flush loss (correctness holds; performance degrades).
+//!
+//! Every run is checked against the sequential baseline built with the
+//! same tweak ([`run_one`]), so a wrong answer panics instead of printing.
 
 // Each sweep defines its config-tweak fn right next to the matrix call
 // that uses it; hoisting them to the top would separate cause from effect.
@@ -18,6 +21,7 @@ use crate::harness::{run_baseline, run_one, RunPlan};
 use crate::table::TextTable;
 use dsm_apps::{app_by_name, Scale};
 use dsm_core::{ProtocolKind, RunConfig};
+use dsm_sim::Time;
 
 fn plan_with(
     app: &'static str,
@@ -28,6 +32,13 @@ fn plan_with(
     let mut p = RunPlan::new(app, protocol, Scale::Paper, nprocs);
     p.tweak = tweak;
     p
+}
+
+/// The sequential baseline of `app` under the same tweak as the runs
+/// [`run_one`] checks against it.
+fn baseline(app: &str, tweak: Option<fn(&mut RunConfig)>) -> (Time, f64) {
+    let spec = app_by_name(app).expect("sweep names registered apps");
+    run_baseline(&spec, Scale::Paper, tweak)
 }
 
 pub const USAGE: &str = "usage: dsm sweep";
@@ -43,13 +54,13 @@ pub fn run(flags: Flags) -> Result<ExitCode, CliError> {
         "fft lmw-i",
         "fft bar-u",
     ]);
+    // A baseline does not depend on the process count: one per app.
+    let bases = ["sor", "fft"].map(|app| (app, baseline(app, None)));
     for n in [2usize, 4, 8, 16] {
         let mut cells = vec![n.to_string()];
-        for app in ["sor", "fft"] {
-            let spec = app_by_name(app).unwrap();
-            let (seq, _) = run_baseline(&spec, Scale::Paper, None);
+        for (app, base) in bases {
             for p in [ProtocolKind::LmwI, ProtocolKind::BarU] {
-                let o = run_one(&plan_with(spec.name, p, n, None), Some(seq));
+                let o = run_one(&plan_with(app, p, n, None), base);
                 cells.push(format!("{:.2}", o.speedup()));
             }
         }
@@ -70,16 +81,9 @@ pub fn run(flags: Flags) -> Result<ExitCode, CliError> {
         c.sim.page_size = 4096;
     }
     for (label, tweak) in [("8192", None), ("4096", Some(use_4k as fn(&mut RunConfig)))] {
-        let spec = app_by_name("jacobi").unwrap();
-        let (seq, _) = run_baseline(&spec, Scale::Paper, tweak);
-        let li = run_one(
-            &plan_with("jacobi", ProtocolKind::LmwI, 8, tweak),
-            Some(seq),
-        );
-        let bu = run_one(
-            &plan_with("jacobi", ProtocolKind::BarU, 8, tweak),
-            Some(seq),
-        );
+        let base = baseline("jacobi", tweak);
+        let li = run_one(&plan_with("jacobi", ProtocolKind::LmwI, 8, tweak), base);
+        let bu = run_one(&plan_with("jacobi", ProtocolKind::BarU, 8, tweak), base);
         t.row(vec![
             label.to_string(),
             format!("{:.2}", li.speedup()),
@@ -99,10 +103,9 @@ pub fn run(flags: Flags) -> Result<ExitCode, CliError> {
         c.sim.stress.enabled = false;
     }
     for (label, tweak) in [("on", None), ("off", Some(no_stress as fn(&mut RunConfig)))] {
-        let spec = app_by_name("swm").unwrap();
-        let (seq, _) = run_baseline(&spec, Scale::Paper, tweak);
-        let bu = run_one(&plan_with("swm", ProtocolKind::BarU, 8, tweak), Some(seq));
-        let bm = run_one(&plan_with("swm", ProtocolKind::BarM, 8, tweak), Some(seq));
+        let base = baseline("swm", tweak);
+        let bu = run_one(&plan_with("swm", ProtocolKind::BarU, 8, tweak), base);
+        let bm = run_one(&plan_with("swm", ProtocolKind::BarM, 8, tweak), base);
         t.row(vec![
             label.to_string(),
             format!("{:.2}", bu.speedup()),
@@ -131,11 +134,9 @@ pub fn run(flags: Flags) -> Result<ExitCode, CliError> {
         let mut cells = vec![label.to_string()];
         let mut misses = Vec::new();
         for app in ["sor", "tomcat"] {
-            let spec = app_by_name(app).unwrap();
-            let (seq, _) = run_baseline(&spec, Scale::Paper, tweak);
             let o = run_one(
-                &plan_with(spec.name, ProtocolKind::BarI, 8, tweak),
-                Some(seq),
+                &plan_with(app, ProtocolKind::BarI, 8, tweak),
+                baseline(app, tweak),
             );
             cells.push(format!("{:.2}", o.speedup()));
             misses.push(format!("{}", o.report.stats.remote_misses));
@@ -159,10 +160,10 @@ pub fn run(flags: Flags) -> Result<ExitCode, CliError> {
         ("10%", Some(drop10 as fn(&mut RunConfig))),
         ("50%", Some(drop50 as fn(&mut RunConfig))),
     ] {
-        let spec = app_by_name("expl").unwrap();
-        let (seq, expected) = run_baseline(&spec, Scale::Paper, tweak);
-        let o = run_one(&plan_with("expl", ProtocolKind::LmwU, 8, tweak), Some(seq));
-        assert_eq!(o.report.checksum, expected, "flush loss broke correctness!");
+        let o = run_one(
+            &plan_with("expl", ProtocolKind::LmwU, 8, tweak),
+            baseline("expl", tweak),
+        );
         t.row(vec![
             label.to_string(),
             format!("{:.2}", o.speedup()),
@@ -184,11 +185,10 @@ pub fn run(flags: Flags) -> Result<ExitCode, CliError> {
         ("SP-2/AIX", None),
         ("modern", Some(modern as fn(&mut RunConfig))),
     ] {
-        let spec = app_by_name("swm").unwrap();
-        let (seq, _) = run_baseline(&spec, Scale::Paper, tweak);
-        let bu = run_one(&plan_with("swm", ProtocolKind::BarU, 8, tweak), Some(seq));
-        let bs = run_one(&plan_with("swm", ProtocolKind::BarS, 8, tweak), Some(seq));
-        let bm = run_one(&plan_with("swm", ProtocolKind::BarM, 8, tweak), Some(seq));
+        let base = baseline("swm", tweak);
+        let bu = run_one(&plan_with("swm", ProtocolKind::BarU, 8, tweak), base);
+        let bs = run_one(&plan_with("swm", ProtocolKind::BarS, 8, tweak), base);
+        let bm = run_one(&plan_with("swm", ProtocolKind::BarM, 8, tweak), base);
         t.row(vec![
             label.to_string(),
             format!("{:.2}", bu.speedup()),

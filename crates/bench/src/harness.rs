@@ -111,14 +111,20 @@ impl Outcome {
     }
 }
 
-/// Execute one plan (plus its sequential baseline when `baseline` is set).
-pub fn run_one(plan: &RunPlan, baseline: Option<Time>) -> Outcome {
+/// Execute one plan against its sequential baseline `(time, checksum)`,
+/// built with the same tweak. A run that computes anything else panics —
+/// a protocol bug fails loudly here, not as a quietly wrong table.
+pub fn run_one(plan: &RunPlan, (seq, expected): (Time, f64)) -> Outcome {
     let spec = dsm_apps::app_by_name(plan.app).unwrap_or_else(|| panic!("no app {}", plan.app));
     let mut app = spec.build(plan.scale);
-    let mut report = run_app(app.as_mut(), plan.config());
-    if let Some(seq) = baseline {
-        report = report.with_baseline(seq);
-    }
+    let report = run_app(app.as_mut(), plan.config()).with_baseline(seq);
+    assert_eq!(
+        report.checksum,
+        expected,
+        "{} under {} diverged from sequential",
+        plan.app,
+        plan.protocol.label()
+    );
     Outcome {
         plan: plan.clone(),
         report,
@@ -144,9 +150,8 @@ pub fn run_baseline(
 }
 
 /// Execute every (app × protocol) combination, sharing one sequential
-/// baseline per application, in parallel across host threads. Also checks
-/// every run's checksum against the baseline — a protocol bug fails loudly
-/// here, not as a quietly wrong table.
+/// baseline per application, in parallel across host threads; each run is
+/// checked against its baseline by [`run_one`].
 pub fn run_matrix(
     apps: &[&'static str],
     protocols: &[ProtocolKind],
@@ -171,22 +176,7 @@ pub fn run_matrix(
             plans.push(RunPlan::new(app, p, scale, nprocs));
         }
     }
-    let outcomes: Vec<Outcome> = run_capped(&plans, |plan| {
-        let (seq, _) = baselines[plan.app];
-        run_one(plan, Some(seq))
-    });
-
-    for o in &outcomes {
-        let (_, expected) = baselines[o.plan.app];
-        assert_eq!(
-            o.report.checksum,
-            expected,
-            "{} under {} diverged from sequential",
-            o.plan.app,
-            o.plan.protocol.label()
-        );
-    }
-    outcomes
+    run_capped(&plans, |plan| run_one(plan, baselines[plan.app]))
 }
 
 /// Find the outcome for (app, protocol) in a matrix result.
@@ -291,9 +281,8 @@ mod tests {
         );
         assert_eq!(outcomes.len(), 2);
         for o in &outcomes {
-            // Small instances are sync-bound; real speedup expectations are
-            // checked at paper scale by the fig2/fig4 harnesses and their
-            // bench smoke tests.
+            // Small instances are sync-bound; the paper-scale speedups are
+            // `dsm paper`'s, pinned by the committed results.
             assert!(o.speedup().is_finite());
             assert!(o.speedup() > 0.05, "sor speedup {}", o.speedup());
         }

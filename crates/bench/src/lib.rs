@@ -1,14 +1,13 @@
 //! # dsm-bench — the paper-reproduction harness
 //!
-//! One binary, `dsm`, with one subcommand per table/figure of the paper's
+//! One binary, `dsm`, with one subcommand per run of the paper's
 //! evaluation section and per checked report ([`cmd::COMMANDS`]):
 //!
-//! * `table1` — Table 1 "Base Statistics" (diffs, remote misses, messages,
-//!   data KB for lmw-i / lmw-u / bar-i / bar-u across the 8 applications),
-//! * `fig2` — Figure 2 "8-Proc Speedups",
-//! * `fig3` — Figure 3 "Time Breakdown for Bar-u",
-//! * `fig4` — Figure 4 "Overdrive Speedups" (7 applications, no barnes),
-//! * `summary` — the paper's §3.3/§5.1 headline ratios, paper vs measured,
+//! * `paper` — one 8-processor paper-scale run of every application under
+//!   lmw-i / lmw-u / bar-i / bar-u / bar-s / bar-m, rendered into Table 1
+//!   "Base Statistics", Figure 2 "8-Proc Speedups", Figure 3 "Time
+//!   Breakdown for Bar-u", Figure 4 "Overdrive Speedups", the §3.3/§5.1
+//!   headline ratios and the paper's lost application table,
 //! * `sweep` — ablations (process count, page size, stress model,
 //!   migration, flush loss),
 //! * `checked`, `campaign`, `transport`, `explore`, `travel`, `plan`,

@@ -9,7 +9,7 @@
 //! Absolute event counts depend on problem sizes and iteration counts we
 //! cannot exactly reconstruct (the paper's application-parameter table is
 //! missing from the source — its Word artifact prints "Error! Reference
-//! source not found."), so the *shape* comparisons in `summary` are the
+//! source not found."), so the *shape* comparisons in `summary.txt` are the
 //! meaningful ones: who wins, by roughly what factor, and in which
 //! direction each protocol moves each column.
 

@@ -2,6 +2,7 @@
 //! panic: every `dsm` subcommand answers a bad command line — or a file it
 //! cannot use — with the reason, its usage line, and exit status 2.
 
+use std::path::Path;
 use std::process::{Command, Output};
 
 use dsm_bench::cmd::COMMANDS;
@@ -69,14 +70,27 @@ fn bad_values_the_parser_alone_cannot_see_exit_2_with_usage() {
         ("campaign", &["--nprocs", "1"][..]),
         ("transport", &["--nprocs", "1"][..]),
         ("explore", unwritable),
+        ("paper", &["no/such/dir"][..]),
     ] {
-        assert_rejected(name, line, &dsm(&[&[name], line].concat()));
+        let out = dsm(&[&[name], line].concat());
+        assert_rejected(name, line, &out);
+        if name == "paper" {
+            // Refused before it simulates anything.
+            assert!(out.stdout.is_empty(), "paper printed results");
+            assert!(!Path::new("no/such/dir").exists(), "paper wrote a file");
+        }
     }
 }
 
 #[test]
 fn a_bad_top_level_line_exits_2_with_the_subcommand_list() {
-    for line in [&[][..], &["frobnicate"], &["--jobs", "many", "table1"]] {
+    // A removed subcommand keeps no alias.
+    for line in [
+        &[][..],
+        &["frobnicate"],
+        &["table1"],
+        &["--jobs", "many", "paper"],
+    ] {
         let out = dsm(line);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{line:?}: {stderr}");

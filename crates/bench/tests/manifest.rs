@@ -68,8 +68,13 @@ fn manifest_names_real_subcommands_and_design_prints_it() {
 #[test]
 fn docs_mention_only_paths_and_subcommands_that_exist() {
     let root = workspace_root();
-    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
-        let text = std::fs::read_to_string(root.join(doc)).expect("a root doc");
+    for doc in [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md",
+    ] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("a doc");
         // `crates/…` up to the first character no path here contains (so a
         // glob or placeholder is checked up to its fixed prefix).
         for (at, _) in text.match_indices("crates/") {
