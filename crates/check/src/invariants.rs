@@ -103,6 +103,68 @@ impl InvariantState {
         }
     }
 
+    /// A copy of the tables for an in-memory checkpoint (`Checker::save`).
+    pub(crate) fn save(&self) -> InvariantState {
+        let InvariantState {
+            rule,
+            versions,
+            flagged_skip,
+            flagged_regress,
+            per_writer_fetchers,
+            per_page_fetchers,
+            flagged_copyset,
+            live,
+            flushed_this_epoch,
+            flagged_dup,
+            regions,
+            flagged_elision,
+        } = self;
+        InvariantState {
+            rule: *rule,
+            versions: versions.clone(),
+            flagged_skip: flagged_skip.clone(),
+            flagged_regress: flagged_regress.clone(),
+            per_writer_fetchers: per_writer_fetchers.clone(),
+            per_page_fetchers: per_page_fetchers.clone(),
+            flagged_copyset: flagged_copyset.clone(),
+            live: live.clone(),
+            flushed_this_epoch: flushed_this_epoch.clone(),
+            flagged_dup: flagged_dup.clone(),
+            regions: regions.clone(),
+            flagged_elision: flagged_elision.clone(),
+        }
+    }
+
+    /// Overwrite the tables with a [`InvariantState::save`] capture,
+    /// reusing their allocations. The rule and region table are
+    /// configuration.
+    pub(crate) fn load(&mut self, save: &InvariantState) {
+        let InvariantState {
+            rule: _,
+            versions,
+            flagged_skip,
+            flagged_regress,
+            per_writer_fetchers,
+            per_page_fetchers,
+            flagged_copyset,
+            live,
+            flushed_this_epoch,
+            flagged_dup,
+            regions: _,
+            flagged_elision,
+        } = self;
+        versions.clone_from(&save.versions);
+        flagged_skip.clone_from(&save.flagged_skip);
+        flagged_regress.clone_from(&save.flagged_regress);
+        per_writer_fetchers.clone_from(&save.per_writer_fetchers);
+        per_page_fetchers.clone_from(&save.per_page_fetchers);
+        flagged_copyset.clone_from(&save.flagged_copyset);
+        live.clone_from(&save.live);
+        flushed_this_epoch.clone_from(&save.flushed_this_epoch);
+        flagged_dup.clone_from(&save.flagged_dup);
+        flagged_elision.clone_from(&save.flagged_elision);
+    }
+
     pub fn on_version_bump(&mut self, page: u32, old: u32, new: u32, out: &mut Vec<Violation>) {
         if let Some(&prev) = self.versions.get(&page) {
             if old != prev && self.flagged_regress.insert(page) {

@@ -30,14 +30,15 @@ mod reference;
 pub mod report;
 
 use std::cell::RefCell;
+use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 use dsm_core::{CheckEvent, CheckSink, DsmApp, ProtocolKind, RunConfig, RunReport};
 use dsm_sim::{SnapError, SnapReader, SnapWriter, State};
 
 use invariants::{CopysetRule, InvariantState};
-use oracle::OracleState;
-use race::RaceState;
+use oracle::{OracleSave, OracleState};
+use race::{RaceSave, RaceState};
 pub use report::{CheckReport, RaceKind, Violation};
 
 /// Keep at most this many violations in the report; the rest only count.
@@ -204,6 +205,67 @@ impl CheckState {
     }
 }
 
+/// An in-memory checkpoint of a [`Checker`] ([`Checker::save`]). Every
+/// page-sized buffer — race shadow pages, the oracle's committed pages and
+/// overlays — is an `Rc<[_]>` that may be shared with the checkpoint it
+/// was saved against; everything else is a plain copy.
+pub struct CheckSave {
+    report: CheckReport,
+    race: RaceSave,
+    oracle: OracleSave,
+    inv: InvariantState,
+    cur_epoch: u64,
+}
+
+/// `page` as a checkpoint buffer: `prev` itself when it holds the same
+/// elements, a fresh copy otherwise.
+fn share<T: Copy + PartialEq>(page: &[T], prev: Option<&Rc<[T]>>) -> Rc<[T]> {
+    match prev {
+        Some(p) if **p == *page => Rc::clone(p),
+        _ => Rc::from(page),
+    }
+}
+
+/// A dense page table (`None` = untouched) as checkpoint buffers, each
+/// page shared with the same page of `parent` when equal to it.
+fn share_table<T: Copy + PartialEq, B: Deref<Target = [T]>>(
+    live: &[Option<B>],
+    parent: Option<&[Option<Rc<[T]>>]>,
+) -> Vec<Option<Rc<[T]>>> {
+    let prev = |i: usize| parent?.get(i)?.as_ref();
+    let pages = live.iter().enumerate();
+    pages
+        .map(|(i, page)| Some(share(page.as_deref()?, prev(i))))
+        .collect()
+}
+
+/// Copy a [`share_table`] capture back into the live table, in place for
+/// every page present on both sides.
+fn load_table<T: Copy, B>(live: &mut Vec<Option<B>>, saved: &[Option<Rc<[T]>>])
+where
+    B: DerefMut<Target = [T]> + for<'a> From<&'a [T]>,
+{
+    live.resize_with(saved.len(), || None);
+    for (slot, page) in live.iter_mut().zip(saved) {
+        match (slot.as_deref_mut(), page) {
+            (Some(buf), Some(p)) => buf.copy_from_slice(p),
+            (None, Some(p)) => *slot = Some(B::from(p)),
+            (_, None) => *slot = None,
+        }
+    }
+}
+
+/// Pages of `saved` that do not share the buffer of the same page of
+/// `parent`.
+#[cfg(test)]
+fn unshared<T>(saved: &[Option<Rc<[T]>>], parent: &[Option<Rc<[T]>>]) -> usize {
+    let shared = |i: usize, p: &Rc<[T]>| matches!(parent.get(i), Some(Some(q)) if Rc::ptr_eq(p, q));
+    let pages = saved.iter().enumerate();
+    pages
+        .filter(|(i, p)| p.as_ref().is_some_and(|p| !shared(*i, p)))
+        .count()
+}
+
 /// The analyses behind a [`CheckSink`], with a handle that survives the
 /// sink: install [`Checker::sink`] into a cluster (or hand it to
 /// `dsm_core::run_app_checked`), then read [`Checker::report`] afterwards.
@@ -257,11 +319,58 @@ impl Checker {
         })
     }
 
-    /// Snapshot the findings so far.
+    /// Snapshot the findings so far. `words_shadowed` is filled in the
+    /// copy only, so reading the report leaves the checker's state (and
+    /// its snapshot bytes) as they were.
     pub fn report(&self) -> CheckReport {
+        let st = self.state.borrow();
+        let mut report = st.report.clone();
+        report.words_shadowed = st.race.words_shadowed();
+        report
+    }
+
+    /// Capture the complete checker state in memory, for the explorer's
+    /// checkpoints. `parent` is the capture this run continued from: every
+    /// page equal to its counterpart there is shared, not copied. The
+    /// host-side scratch buffers are not captured.
+    pub fn save(&self, parent: Option<&CheckSave>) -> CheckSave {
+        let st = self.state.borrow();
+        let CheckState {
+            report,
+            race,
+            oracle,
+            inv,
+            cur_epoch,
+            scratch: _,
+        } = &*st;
+        CheckSave {
+            report: report.clone(),
+            race: race.save(parent.map(|p| &p.race)),
+            oracle: oracle.save(parent.map(|p| &p.oracle)),
+            inv: inv.save(),
+            cur_epoch: *cur_epoch,
+        }
+    }
+
+    /// Return to a [`Checker::save`] capture. Pages are copied into the
+    /// live buffers and tables reuse their allocations, so a load whose
+    /// shapes match allocates nothing. The checker must have been built
+    /// from the same [`RunConfig`] as the one that saved.
+    pub fn load(&self, save: &CheckSave) {
         let mut st = self.state.borrow_mut();
-        st.report.words_shadowed = st.race.words_shadowed();
-        st.report.clone()
+        let CheckState {
+            report,
+            race,
+            oracle,
+            inv,
+            cur_epoch,
+            scratch: _,
+        } = &mut *st;
+        report.clone_from(&save.report);
+        race.load(&save.race);
+        oracle.load(&save.oracle);
+        inv.load(&save.inv);
+        *cur_epoch = save.cur_epoch;
     }
 
     /// Serialize the complete checker state — report, race detector,
@@ -310,6 +419,188 @@ mod tests {
         assert_eq!(r.barriers, 1);
         assert!(r.words_shadowed > 0);
         assert!(r.is_clean());
+    }
+
+    const PS: usize = dsm_sim::config::DEFAULT_PAGE_SIZE;
+
+    fn feed(checker: &Checker, events: Vec<CheckEvent<'_>>) {
+        let mut sink = checker.sink();
+        for ev in events {
+            sink.on_event(ev);
+        }
+    }
+
+    fn snapshot_bytes(checker: &Checker) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        checker.snapshot(&mut w);
+        w.into_bytes()
+    }
+
+    /// Four processes mid-epoch: committed pages 0, 1 and 3, shadow pages
+    /// 0 and 1, one spilled reader set (word 8), p2's overlay on page 0
+    /// and one overlay on the spare list.
+    fn busy_checker() -> Checker {
+        let checker = Checker::new(&RunConfig::with_nprocs(ProtocolKind::BarU, 4));
+        feed(
+            &checker,
+            vec![
+                CheckEvent::ImageWrite {
+                    addr: 0,
+                    data: &[3; 64],
+                },
+                CheckEvent::ImageWrite {
+                    addr: 3 * PS,
+                    data: &[4; 16],
+                },
+                CheckEvent::Write {
+                    pid: 0,
+                    addr: 64,
+                    data: &[1; 8],
+                },
+                CheckEvent::Write {
+                    pid: 1,
+                    addr: PS + 8,
+                    data: &[2; 16],
+                },
+                CheckEvent::BarrierRelease { epoch: 1 },
+                CheckEvent::Read {
+                    pid: 0,
+                    addr: 64,
+                    data: &[1; 8],
+                },
+                CheckEvent::Read {
+                    pid: 1,
+                    addr: 64,
+                    data: &[1; 8],
+                },
+                CheckEvent::Write {
+                    pid: 2,
+                    addr: 128,
+                    data: &[5; 8],
+                },
+            ],
+        );
+        checker
+    }
+
+    /// Materialize shadow page 10, spill a second reader set and grow the
+    /// first, and race p0's write against p2's.
+    fn run_ahead(checker: &Checker) {
+        feed(
+            checker,
+            vec![
+                CheckEvent::Write {
+                    pid: 3,
+                    addr: 10 * PS,
+                    data: &[6; 8],
+                },
+                CheckEvent::Read {
+                    pid: 2,
+                    addr: 200,
+                    data: &[0; 8],
+                },
+                CheckEvent::Read {
+                    pid: 3,
+                    addr: 200,
+                    data: &[0; 8],
+                },
+                CheckEvent::Read {
+                    pid: 2,
+                    addr: 64,
+                    data: &[1; 8],
+                },
+                CheckEvent::Write {
+                    pid: 0,
+                    addr: 128,
+                    data: &[7; 8],
+                },
+            ],
+        );
+    }
+
+    #[test]
+    fn load_returns_to_the_saved_state() {
+        let checker = busy_checker();
+        let save = checker.save(None);
+        let (bytes, report) = (snapshot_bytes(&checker), checker.report());
+        run_ahead(&checker);
+        let ahead = checker.report();
+        assert_eq!(ahead.races(), 1);
+        assert!(ahead.words_shadowed > report.words_shadowed);
+        assert_ne!(snapshot_bytes(&checker), bytes);
+
+        checker.load(&save);
+        assert_eq!(snapshot_bytes(&checker), bytes);
+        assert_eq!(format!("{:?}", checker.report()), format!("{report:?}"));
+        // And the loaded checker runs ahead exactly as the first time.
+        run_ahead(&checker);
+        assert_eq!(format!("{:?}", checker.report()), format!("{ahead:?}"));
+    }
+
+    #[test]
+    fn saves_with_no_access_between_share_every_page() {
+        let checker = busy_checker();
+        let first = checker.save(None);
+        let second = checker.save(Some(&first));
+        assert_eq!(second.race.unshared(&first.race), 0);
+        assert_eq!(second.oracle.unshared(&first.oracle), (0, 0));
+        // Against no parent, every buffer is a copy.
+        assert_eq!(first.race.unshared(&second.race), 0);
+        let fresh = checker.save(None);
+        assert_eq!(fresh.race.unshared(&first.race), 2);
+        assert_eq!(fresh.oracle.unshared(&first.oracle), (3, 2));
+    }
+
+    #[test]
+    fn a_save_after_one_write_copies_only_what_it_touched() {
+        let checker = busy_checker();
+        let parent = checker.save(None);
+        feed(
+            &checker,
+            vec![CheckEvent::Write {
+                pid: 2,
+                addr: 136,
+                data: &[9; 8],
+            }],
+        );
+        let child = checker.save(Some(&parent));
+        // One shadow page, and the data and mask of one overlay.
+        assert_eq!(child.race.unshared(&parent.race), 1);
+        assert_eq!(child.oracle.unshared(&parent.oracle), (0, 2));
+    }
+
+    #[test]
+    fn save_and_load_leave_the_host_caches_alone() {
+        let checker = busy_checker();
+        let caches = |c: &Checker| {
+            let st = c.state.borrow();
+            (st.scratch.clone(), st.oracle.caches())
+        };
+        let before = caches(&checker);
+        let save = checker.save(None);
+        assert_eq!(caches(&checker), before);
+
+        run_ahead(&checker);
+        let (scratch, (oracle_scratch, live, spare, wiped)) = caches(&checker);
+        assert!(wiped);
+        checker.load(&save);
+        let (scratch_after, (oracle_scratch_after, live_after, spare_after, wiped_after)) =
+            caches(&checker);
+        assert_eq!(
+            (scratch_after, oracle_scratch_after),
+            (scratch, oracle_scratch)
+        );
+        // Overlays the capture lacks are recycled, not dropped.
+        assert_eq!(live_after + spare_after, live + spare);
+        assert!(live_after < live && wiped_after);
+    }
+
+    #[test]
+    fn reading_the_report_leaves_the_snapshot_alone() {
+        let checker = busy_checker();
+        let bytes = snapshot_bytes(&checker);
+        assert!(checker.report().words_shadowed > 0);
+        assert_eq!(snapshot_bytes(&checker), bytes);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! only matters for racy words, and those are suppressed at read time).
 
 use std::ops::Range;
+use std::rc::Rc;
 
 use dsm_sim::{
     decode_table, encode_table, fold_encoding, FastSet, SnapError, SnapReader, SnapWriter, State,
@@ -20,6 +21,7 @@ use dsm_sim::{
 };
 
 use crate::report::Violation;
+use crate::{load_table, share, share_table};
 
 const WORD: usize = 8;
 
@@ -327,6 +329,138 @@ impl OracleState {
                 self.spare.push(ov);
             }
         }
+    }
+}
+
+/// An [`OracleState`] checkpoint held in memory ([`OracleState::save`]):
+/// committed pages and overlay buffers shared, the flagged set cloned.
+pub(crate) struct OracleSave {
+    committed: Vec<Option<Rc<[u8]>>>,
+    overlays: Box<[Vec<Option<OverlaySave>>]>,
+    flagged: FastSet<u64>,
+}
+
+/// One saved [`Overlay`]; its extent is copied, not rescanned.
+struct OverlaySave {
+    data: Rc<[u8]>,
+    mask: Rc<[u8]>,
+    lo: usize,
+    hi: usize,
+}
+
+impl OracleState {
+    /// Capture the oracle. A committed page, overlay data or overlay mask
+    /// equal to the same buffer of `parent` shares it; only buffers that
+    /// differ are copied. The spare list and scratch buffer are not saved.
+    pub(crate) fn save(&self, parent: Option<&OracleSave>) -> OracleSave {
+        let OracleState {
+            page_size: _,
+            ps_shift: _,
+            committed,
+            overlays,
+            spare: _,
+            flagged,
+            scratch: _,
+        } = self;
+        let overlays = overlays.iter().enumerate().map(|(pid, slots)| {
+            let prev = parent.map(|p| &p.overlays[pid][..]);
+            let saved = slots.iter().enumerate().map(|(page, slot)| {
+                let ov = slot.as_ref()?;
+                let prev = prev.and_then(|p| p.get(page)?.as_ref());
+                Some(OverlaySave {
+                    data: share(&ov.data, prev.map(|s| &s.data)),
+                    mask: share(&ov.mask, prev.map(|s| &s.mask)),
+                    lo: ov.lo,
+                    hi: ov.hi,
+                })
+            });
+            saved.collect()
+        });
+        OracleSave {
+            committed: share_table(committed, parent.map(|p| &p.committed[..])),
+            overlays: overlays.collect(),
+            flagged: flagged.clone(),
+        }
+    }
+
+    /// Overwrite the oracle with an [`OracleState::save`] capture, copying
+    /// into the live buffers. An overlay slot the capture lacks retires to
+    /// the spare list, and one it adds is drawn from there, as at a
+    /// barrier; the scratch buffer is left alone.
+    pub(crate) fn load(&mut self, save: &OracleSave) {
+        let OracleState {
+            page_size,
+            ps_shift: _,
+            committed,
+            overlays,
+            spare,
+            flagged,
+            scratch: _,
+        } = self;
+        let ps = *page_size;
+        load_table(committed, &save.committed);
+        for (slots, saved) in overlays.iter_mut().zip(&save.overlays) {
+            if slots.len() < saved.len() {
+                slots.resize_with(saved.len(), || None);
+            }
+            for (page, slot) in slots.iter_mut().enumerate() {
+                match saved.get(page).and_then(Option::as_ref) {
+                    Some(s) => {
+                        let ov = slot
+                            .get_or_insert_with(|| spare.pop().unwrap_or_else(|| Overlay::new(ps)));
+                        ov.data.copy_from_slice(&s.data);
+                        ov.mask.copy_from_slice(&s.mask);
+                        (ov.lo, ov.hi) = (s.lo, s.hi);
+                    }
+                    None => {
+                        if let Some(mut ov) = slot.take() {
+                            ov.clear();
+                            spare.push(ov);
+                        }
+                    }
+                }
+            }
+            slots.truncate(saved.len());
+        }
+        flagged.clone_from(&save.flagged);
+    }
+}
+
+#[cfg(test)]
+impl OracleSave {
+    /// `(committed pages, overlay buffers)` of `self` that do not share
+    /// `parent`'s buffer; an overlay counts its data and mask separately.
+    pub(crate) fn unshared(&self, parent: &OracleSave) -> (usize, usize) {
+        let mut overlays = 0;
+        for (slots, prev) in self.overlays.iter().zip(&parent.overlays) {
+            for (page, ov) in slots.iter().enumerate() {
+                let Some(ov) = ov else { continue };
+                let prev = prev.get(page).and_then(Option::as_ref);
+                let shared = |pick: fn(&OverlaySave) -> &Rc<[u8]>| {
+                    prev.is_some_and(|p| Rc::ptr_eq(pick(p), pick(ov)))
+                };
+                overlays += usize::from(!shared(|s| &s.data)) + usize::from(!shared(|s| &s.mask));
+            }
+        }
+        (
+            crate::unshared(&self.committed, &parent.committed),
+            overlays,
+        )
+    }
+}
+
+#[cfg(test)]
+impl OracleState {
+    /// The host caches as a test sees them: the scratch bytes, the
+    /// overlays in slots and on the spare list, and whether every spare
+    /// overlay is wiped (all-zero mask, empty extent).
+    pub(crate) fn caches(&self) -> (Vec<u8>, usize, usize, bool) {
+        let live = self.overlays.iter().flatten().flatten().count();
+        let wiped = self
+            .spare
+            .iter()
+            .all(|ov| ov.lo == ov.hi && ov.mask.iter().all(|&m| m == 0));
+        (self.scratch.clone(), live, self.spare.len(), wiped)
     }
 }
 

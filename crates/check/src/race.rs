@@ -19,12 +19,15 @@
 //! "read-modify-rewrite the whole row" idioms from reporting races on the
 //! words they pass through unchanged.
 
+use std::rc::Rc;
+
 use dsm_sim::{
     decode_table, encode_table, fold_encoding, FastMap, FastSet, SnapError, SnapReader, SnapWriter,
     State, StateHasher,
 };
 
 use crate::report::RaceKind;
+use crate::{load_table, share_table};
 
 /// One vector clock.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -53,7 +56,7 @@ impl VectorClock {
 
 /// Shadow state of one 8-byte word. Zero clocks mean "never accessed"
 /// (clock values start at 1), so the all-zero default is the identity.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Default, PartialEq)]
 struct Word {
     /// Last write: the writer's clock value and pid.
     wc: u32,
@@ -160,6 +163,83 @@ impl State for RaceState {
 
     fn fold(&self, h: &mut StateHasher) {
         fold_encoding(self, h);
+    }
+}
+
+/// A [`RaceState`] checkpoint held in memory ([`RaceState::save`]): the
+/// shadow pages as shared immutable buffers, everything else copied. The
+/// spilled reader sets are flattened into two vectors, so a save costs
+/// two allocations for them, not one per set.
+pub(crate) struct RaceSave {
+    clocks: Box<[VectorClock]>,
+    shadow: Vec<Option<Rc<[Word]>>>,
+    racy: FastSet<u64>,
+    /// `(word key, reader count)` per spilled set, in map order; the
+    /// readers themselves follow one another in `readers`.
+    spills: Vec<(u64, u32)>,
+    readers: Vec<(u32, u16)>,
+}
+
+impl RaceState {
+    /// Capture the detector. A shadow page equal to the same page of
+    /// `parent` shares its buffer; only pages that differ are copied.
+    pub(crate) fn save(&self, parent: Option<&RaceSave>) -> RaceSave {
+        let RaceState {
+            clocks,
+            shadow,
+            racy,
+            read_sets,
+            words_per_page: _,
+            wpp_shift: _,
+        } = self;
+        let spills = read_sets.iter().map(|(&k, set)| (k, set.len() as u32));
+        RaceSave {
+            clocks: clocks.clone(),
+            shadow: share_table(shadow, parent.map(|p| &p.shadow[..])),
+            racy: racy.clone(),
+            spills: spills.collect(),
+            readers: read_sets.values().flatten().copied().collect(),
+        }
+    }
+
+    /// Overwrite the detector with a [`RaceState::save`] capture, copying
+    /// into the live buffers wherever their shapes match. A reader set
+    /// present on both sides keeps its buffer.
+    pub(crate) fn load(&mut self, save: &RaceSave) {
+        let RaceState {
+            clocks,
+            shadow,
+            racy,
+            read_sets,
+            words_per_page: _,
+            wpp_shift: _,
+        } = self;
+        for (c, saved) in clocks.iter_mut().zip(&save.clocks) {
+            c.0.clone_from(&saved.0);
+        }
+        load_table(shadow, &save.shadow);
+        racy.clone_from(&save.racy);
+        let mut readers = &save.readers[..];
+        for &(key, n) in &save.spills {
+            let (set, rest) = readers.split_at(n as usize);
+            let live = read_sets.entry(key).or_default();
+            live.clear();
+            live.extend_from_slice(set);
+            readers = rest;
+        }
+        // Every saved key is now live; drop the sets spilled since.
+        if read_sets.len() > save.spills.len() {
+            let keep: FastSet<u64> = save.spills.iter().map(|&(k, _)| k).collect();
+            read_sets.retain(|k, _| keep.contains(k));
+        }
+    }
+}
+
+#[cfg(test)]
+impl RaceSave {
+    /// Shadow pages of `self` that do not share `parent`'s buffer.
+    pub(crate) fn unshared(&self, parent: &RaceSave) -> usize {
+        crate::unshared(&self.shadow, &parent.shadow)
     }
 }
 

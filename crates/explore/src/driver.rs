@@ -2,14 +2,19 @@
 //!
 //! Schedules are enumerated by deepest-first backtracking over resolved
 //! choice points (standard stateless model checking à la Loom/Shuttle/
-//! VeriSoft), but executions are *not* stateless: the driver snapshots the
-//! full simulation state (`dsm-snap`) at every step boundary where new
-//! choice points were resolved, and backtracking restores the deepest
-//! checkpoint at or above the divergence point instead of re-executing the
-//! shared prefix from epoch 0. The explored tree, the schedule order, and
-//! every per-schedule observation are identical to the stateless driver —
-//! debug builds assert it, re-executing each restored prefix from scratch
-//! and comparing structural state hashes and folded check-event traces.
+//! VeriSoft), but executions are *not* stateless: the driver checkpoints
+//! the full simulation state at every step boundary where new choice
+//! points were resolved, and backtracking restores the deepest checkpoint
+//! at or above the divergence point instead of re-executing the shared
+//! prefix from epoch 0. A checkpoint is the cluster and app as `dsm-snap`
+//! bytes (CORE + APP sections) plus the checker as an in-memory
+//! [`CheckSave`], whose pages are shared with the checkpoint below it
+//! wherever they did not change. The explored tree, the schedule order,
+//! and every per-schedule observation are identical to the stateless
+//! driver — debug builds assert it, re-executing each restored prefix from
+//! scratch and comparing structural state hashes and folded check-event
+//! traces, and re-encoding each loaded checker against the snapshot bytes
+//! taken when it was saved.
 //!
 //! Each execution runs under the full `dsm-check` oracle stack — race
 //! detector, LRC coherence oracle, protocol invariants — and the first
@@ -21,7 +26,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dsm_check::{CheckReport, Checker};
+use dsm_check::{CheckReport, CheckSave, Checker};
 use dsm_core::{DsmApp, RunConfig, StepRun};
 use dsm_sim::{FastSet, SharedScheduler};
 
@@ -91,16 +96,64 @@ pub enum ExploreOutcome {
     Pruned,
 }
 
-/// One checkpoint of the DFS: the cluster/checker/app snapshot plus the
-/// scheduler's position, taken at a step boundary after `depth` choice
-/// points had been resolved. Usable for any later schedule whose forced
-/// prefix agrees on the first `depth` choices.
+/// One checkpoint of the DFS: the cluster/app snapshot, the checker's
+/// in-memory save and the scheduler's position, taken at a step boundary
+/// after `depth` choice points had been resolved. Usable for any later
+/// schedule whose forced prefix agrees on the first `depth` choices.
 struct Checkpoint {
     depth: usize,
     /// Steps executed at capture (drives the debug re-execution oracle).
     steps: usize,
     sched: SchedCheckpoint,
+    /// CORE + APP sections; the checker is not in them.
     bytes: Vec<u8>,
+    check: CheckSave,
+    /// `Checker::snapshot` at capture: the witness every load of `check`
+    /// must re-encode to (debug builds).
+    #[cfg(debug_assertions)]
+    check_bytes: Vec<u8>,
+}
+
+impl Checkpoint {
+    /// Capture the run and checker at a step boundary; `parent` is the
+    /// checkpoint the run continued from, whose unchanged checker pages
+    /// the new save shares.
+    fn take<A: DsmApp + ?Sized>(
+        depth: usize,
+        steps: usize,
+        sched: SchedCheckpoint,
+        run: &StepRun<'_, A>,
+        checker: &Checker,
+        parent: Option<&Checkpoint>,
+    ) -> Checkpoint {
+        Checkpoint {
+            depth,
+            steps,
+            sched,
+            bytes: dsm_snap::snapshot_run(run, None),
+            check: checker.save(parent.map(|p| &p.check)),
+            #[cfg(debug_assertions)]
+            check_bytes: checker_bytes(checker),
+        }
+    }
+
+    /// Put the run and checker back to this checkpoint.
+    fn restore<A: DsmApp + ?Sized>(&self, run: &mut StepRun<'_, A>, checker: &Checker) {
+        dsm_snap::restore_run(&self.bytes, run, None);
+        checker.load(&self.check);
+        #[cfg(debug_assertions)]
+        assert!(
+            checker_bytes(checker) == self.check_bytes,
+            "loaded checker state diverges from its snapshot at save"
+        );
+    }
+}
+
+#[cfg(debug_assertions)]
+fn checker_bytes(checker: &Checker) -> Vec<u8> {
+    let mut w = dsm_sim::SnapWriter::new();
+    checker.snapshot(&mut w);
+    w.into_bytes()
 }
 
 /// Systematically explore the bounded schedule/fault space of `make_app`
@@ -144,12 +197,8 @@ where
 
     // Checkpoint stack along the current DFS path, strictly increasing in
     // depth; the root (depth 0, nothing executed) is always restorable.
-    let mut stack: Vec<Checkpoint> = vec![Checkpoint {
-        depth: 0,
-        steps: 0,
-        sched: sched.borrow().checkpoint(),
-        bytes: dsm_snap::snapshot_run(&run, Some(&checker)),
-    }];
+    let root = sched.borrow().checkpoint();
+    let mut stack = vec![Checkpoint::take(0, 0, root, &run, &checker, None)];
     let mut steps = 0usize;
 
     loop {
@@ -165,13 +214,11 @@ where
                 break;
             }
             let depth = sched.borrow().log().len();
-            if depth > stack.last().map_or(0, |c| c.depth) {
-                stack.push(Checkpoint {
-                    depth,
-                    steps,
-                    sched: sched.borrow().checkpoint(),
-                    bytes: dsm_snap::snapshot_run(&run, Some(&checker)),
-                });
+            let parent = stack.last();
+            if depth > parent.map_or(0, |c| c.depth) {
+                let at = sched.borrow().checkpoint();
+                let cp = Checkpoint::take(depth, steps, at, &run, &checker, parent);
+                stack.push(cp);
             }
         }
         out.schedules += 1;
@@ -204,7 +251,7 @@ where
             stack.pop();
         }
         let cp = stack.last().expect("the depth-0 root is always usable");
-        dsm_snap::restore_run(&cp.bytes, &mut run, Some(&checker));
+        cp.restore(&mut run, &checker);
         steps = cp.steps;
         #[cfg(debug_assertions)]
         verify_restore(&mut make_app, cfg, opts.bounds, cp, run.cluster());
@@ -221,7 +268,9 @@ where
 /// The restore-equivalence oracle (debug builds): re-execute the
 /// checkpointed prefix from scratch under the same forced choices and
 /// assert the restored cluster is observationally identical — same
-/// structural state hash, same folded check-event trace.
+/// structural state hash, same folded check-event trace. The checker is
+/// witnessed separately, by `Checkpoint::restore`: it is loaded from
+/// memory, not replayed, so trace equality says nothing about it.
 #[cfg(debug_assertions)]
 fn verify_restore<F>(
     make_app: &mut F,
@@ -236,8 +285,7 @@ fn verify_restore<F>(
     let sched = Rc::new(RefCell::new(scheduler));
     let shared: SharedScheduler = Rc::<RefCell<ExploreScheduler>>::clone(&sched);
     let mut app = make_app();
-    // No sink: the trace hash folds independently of checker presence, and
-    // trace equality subsumes checker-state equality.
+    // No sink: the trace hash folds independently of checker presence.
     let mut run = StepRun::new(app.as_mut(), cfg.clone(), None, Some(shared));
     for _ in 0..cp.steps {
         run.step();

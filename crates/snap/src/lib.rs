@@ -171,8 +171,10 @@ pub fn read_snapshot<A: DsmApp + ?Sized>(
     r.finish()
 }
 
-/// [`write_snapshot`] over a [`StepRun`]: the convenience entry the
-/// explore driver and the travel bench use.
+/// [`write_snapshot`] over a [`StepRun`]: the convenience entry `dsm
+/// travel` uses. The explore driver passes no checker: its checkpoints
+/// keep the checker in memory (`dsm_check::Checker::save`), so only the
+/// CORE and APP sections go through the codec there.
 pub fn snapshot_run<A: DsmApp + ?Sized>(
     run: &StepRun<'_, A>,
     checker: Option<&Checker>,
