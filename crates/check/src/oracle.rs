@@ -90,8 +90,11 @@ impl Overlay {
         }
     }
 
-    /// Forget every write: wipe the mask over the extent and empty it.
+    /// Forget every write: wipe data and mask over the extent and empty
+    /// it. Data is zero wherever the mask is, so an overlay recycled from
+    /// the spare list encodes and folds exactly like a fresh one.
     fn clear(&mut self) {
+        self.data[self.lo..self.hi].fill(0);
         self.mask[self.lo..self.hi].fill(0);
         (self.lo, self.hi) = (0, 0);
     }
@@ -156,9 +159,9 @@ pub struct OracleState {
     committed: Vec<Option<Vec<u8>>>,
     /// Per-process current-epoch overlays, same dense indexing.
     overlays: Box<[Vec<Option<Overlay>>]>,
-    /// Overlays retired at barriers, masks wiped, awaiting reuse — the
-    /// fold would otherwise free and re-`calloc` two page-sized buffers
-    /// per touched page per epoch.
+    /// Overlays retired at barriers, data and masks wiped, awaiting
+    /// reuse — the fold would otherwise free and re-`calloc` two
+    /// page-sized buffers per touched page per epoch.
     spare: Vec<Overlay>,
     /// Word keys already reported stale (one violation per word).
     flagged: FastSet<u64>,
@@ -453,13 +456,13 @@ impl OracleSave {
 impl OracleState {
     /// The host caches as a test sees them: the scratch bytes, the
     /// overlays in slots and on the spare list, and whether every spare
-    /// overlay is wiped (all-zero mask, empty extent).
+    /// overlay is wiped (all-zero data and mask, empty extent).
     pub(crate) fn caches(&self) -> (Vec<u8>, usize, usize, bool) {
         let live = self.overlays.iter().flatten().flatten().count();
         let wiped = self
             .spare
             .iter()
-            .all(|ov| ov.lo == ov.hi && ov.mask.iter().all(|&m| m == 0));
+            .all(|ov| ov.lo == ov.hi && ov.data.iter().chain(&ov.mask).all(|&b| b == 0));
         (self.scratch.clone(), live, self.spare.len(), wiped)
     }
 }
@@ -597,6 +600,7 @@ impl OracleState {
                         *b = ov.data[i];
                     }
                 }
+                ov.data.fill(0);
                 ov.mask.fill(0);
                 (ov.lo, ov.hi) = (0, 0);
                 self.spare.push(ov);

@@ -112,33 +112,3 @@ pub enum CheckEvent<'a> {
 pub trait CheckSink {
     fn on_event(&mut self, ev: CheckEvent<'_>);
 }
-
-/// A sink that counts events and otherwise ignores them (useful for
-/// overhead measurements and smoke tests).
-#[derive(Default, Debug)]
-pub struct CountingSink {
-    pub events: u64,
-}
-
-impl CheckSink for CountingSink {
-    fn on_event(&mut self, _ev: CheckEvent<'_>) {
-        self.events += 1;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counting_sink_counts() {
-        let mut s = CountingSink::default();
-        s.on_event(CheckEvent::BarrierRelease { epoch: 1 });
-        s.on_event(CheckEvent::Read {
-            pid: 0,
-            addr: 8,
-            data: &[0u8; 8],
-        });
-        assert_eq!(s.events, 2);
-    }
-}

@@ -177,40 +177,6 @@ impl PlantedBug {
     }
 }
 
-/// What to do when an unanticipated write traps during overdrive.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DivergencePolicy {
-    /// Revert the whole cluster to bar-u at the next barrier (safe).
-    Revert,
-    /// Panic — the paper's prototype would "complain loudly and exit".
-    Abort,
-}
-
-/// Overdrive (bar-s / bar-m) configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct OverdriveConfig {
-    /// Full iterations of per-site write-set learning before overdrive can
-    /// engage; overdrive additionally requires the last two observations of
-    /// every site to agree.
-    pub learn_iters: usize,
-    /// Unanticipated-write handling.
-    pub policy: DivergencePolicy,
-    /// bar-m only: keep shadow twins for all pre-enabled pages and flag
-    /// writes that the protocol would have missed (a consistency checker
-    /// used by tests; not part of the paper's protocol).
-    pub validate: bool,
-}
-
-impl Default for OverdriveConfig {
-    fn default() -> Self {
-        OverdriveConfig {
-            learn_iters: 2,
-            policy: DivergencePolicy::Revert,
-            validate: false,
-        }
-    }
-}
-
 /// Full configuration of one run.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
@@ -222,8 +188,6 @@ pub struct RunConfig {
     /// after the applications have reached a steady state (and after all
     /// page home assignments occur)".
     pub warmup_iters: usize,
-    /// Overdrive knobs.
-    pub overdrive: OverdriveConfig,
     /// Runtime home migration after the first iteration (bar protocols).
     pub migration: bool,
     /// Homeless-protocol GC trigger: when the number of retained diffs
@@ -246,7 +210,6 @@ impl RunConfig {
             sim: SimConfig::default(),
             protocol,
             warmup_iters: 2,
-            overdrive: OverdriveConfig::default(),
             migration: true,
             gc_diff_threshold: 1_000_000,
             planted: PlantedBug::default(),

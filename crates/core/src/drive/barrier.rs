@@ -56,17 +56,8 @@ impl<S: Pages> Cluster<S> {
     /// Overdrive bookkeeping for the epoch that just ended.
     pub fn barrier_enter(&mut self) {
         assert!(self.distributed, "barrier before distribute()");
-        if !self.cfg.protocol.is_overdrive() {
-            return;
-        }
-        match self.od_mode {
-            OdMode::Learning => self.od_record(self.site),
-            OdMode::Overdrive => {
-                if self.cfg.overdrive.validate && self.cfg.protocol == ProtocolKind::BarM {
-                    self.od_validate_shadow(self.site);
-                }
-            }
-            OdMode::Reverted => {}
+        if self.cfg.protocol.is_overdrive() && self.od_mode == OdMode::Learning {
+            self.od_record(self.site);
         }
     }
 

@@ -721,35 +721,6 @@ impl Cluster {
     // Typed element and byte-range access (used by the handles in `mem`)
     // ------------------------------------------------------------------
 
-    /// Developer tracing: set `DSM_WATCH=<byte addr>` (debug builds only)
-    /// to log every access overlapping that address with the resident
-    /// value — invaluable for differential protocol debugging.
-    #[cfg(debug_assertions)]
-    pub(crate) fn watch_hit(&self, pid: usize, addr: usize, len: usize, what: &str) {
-        static WATCH: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "a debug-build tracing toggle: it picks which accesses are printed and \
-                      changes no simulated state, traffic or result"
-        )]
-        let target =
-            WATCH.get_or_init(|| std::env::var("DSM_WATCH").ok().and_then(|w| w.parse().ok()));
-        if let Some(target) = *target {
-            if addr <= target && target < addr + len {
-                let ps = self.page_size();
-                let page = PageId::containing(target, ps);
-                let off = PageId::offset(target, ps);
-                let val = self.procs[pid].store.frame(page).map(|f| {
-                    f64::from_ne_bytes(f.data().bytes()[off..off + 8].try_into().unwrap())
-                });
-                eprintln!("[watch] {what} pid={pid} epoch={} val={val:?}", self.epoch);
-            }
-        }
-    }
-
-    #[cfg(not(debug_assertions))]
-    pub(crate) fn watch_hit(&self, _pid: usize, _addr: usize, _len: usize, _what: &str) {}
-
     pub(crate) fn read_scalar<T: Pod>(&mut self, pid: usize, addr: usize) -> T {
         let sz = core::mem::size_of::<T>();
         debug_assert!(
@@ -797,7 +768,6 @@ impl Cluster {
             return;
         }
         self.ensure_access(pid, addr, out.len(), false);
-        self.watch_hit(pid, addr, out.len(), "read ");
         let ps = self.page_size();
         let mut done = 0;
         while done < out.len() {
@@ -838,7 +808,6 @@ impl Cluster {
                 .write_at(off, &src[done..done + n]);
             done += n;
         }
-        self.watch_hit(pid, addr, src.len(), "write");
         self.emit(CheckEvent::Write {
             pid,
             addr,

@@ -43,8 +43,6 @@ pub struct RunStats {
     pub overdrive_unanticipated: u64,
     /// Overdrive: cluster reversions to bar-u.
     pub overdrive_reversions: u64,
-    /// bar-m validate mode: modifications the protocol missed.
-    pub consistency_violations: u64,
     /// bar-r: write faults on certified pages where the twin (and its
     /// creation cost) was skipped in favor of twin-free dirty tracking.
     pub region_twin_skips: u64,
@@ -62,7 +60,9 @@ pub struct RunStats {
     pub flush_bytes_by_page: Vec<u64>,
     /// Flushed diff message count per page, same indexing.
     pub flush_msgs_by_page: Vec<u64>,
-    /// Network counters.
+    /// Network counters. The network layer owns them:
+    /// [`crate::Cluster::stats`] and [`crate::Cluster::report`] copy them
+    /// in, and the cluster's own copy stays zero, so it is not state.
     pub net: NetStats,
 }
 
@@ -70,8 +70,9 @@ dsm_sim::impl_state!(RunStats {
     state: diffs_created, empty_diffs, remote_misses, local_faults, segvs, mprotects, twins,
         barriers, gc_events, gc_diffs_discarded, migrations, update_inserts,
         overdrive_zero_diffs, overdrive_unanticipated, overdrive_reversions,
-        consistency_violations, region_twin_skips, region_elided_pushes,
-        region_push_bytes_saved, flush_bytes_by_page, flush_msgs_by_page, net;
+        region_twin_skips, region_elided_pushes, region_push_bytes_saved,
+        flush_bytes_by_page, flush_msgs_by_page;
+    config: net;
 });
 
 impl RunStats {

@@ -48,8 +48,8 @@ pub mod drive;
 pub mod mem;
 pub mod proto;
 
-pub use check::{CheckEvent, CheckSink, CountingSink};
-pub use config::{DivergencePolicy, OverdriveConfig, PlantedBug, ProtocolKind, RunConfig};
+pub use check::{CheckEvent, CheckSink};
+pub use config::{PlantedBug, ProtocolKind, RunConfig};
 pub use drive::app::{
     run_app, run_app_checked, run_app_scheduled, run_app_with_baseline, DsmApp, PhaseEnd, StepRun,
 };

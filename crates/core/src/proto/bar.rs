@@ -86,7 +86,7 @@ impl<S: Pages> Cluster<S> {
                 !self.procs[pid].dirty.contains(&page),
                 "an armed page trapped a write"
             );
-            self.od_unanticipated(pid, page);
+            self.od_unanticipated();
         }
         if kind.needs_validation() {
             self.bar_fetch_page(pid, page);

@@ -14,22 +14,27 @@
 //! * **bar-m** additionally eliminates mprotects: when overdrive engages,
 //!   the union of all predicted write sets is made writable once, and no
 //!   protection change happens again while overdrive holds. A write to a
-//!   union page in the *wrong* epoch is undetectable — "bar-m is therefore
-//!   not guaranteed to maintain consistency" — which the optional validate
-//!   mode demonstrates.
+//!   union page in the *wrong* epoch is undetectable here — "bar-m is
+//!   therefore not guaranteed to maintain consistency". The cluster does
+//!   not look for it: the read that observes the missed write is a stale
+//!   read to `dsm-check`'s LRC oracle, like any other.
 //!
-//! Any trapped write during overdrive is by definition unanticipated; per
-//! the configured [`crate::config::DivergencePolicy`] the cluster either
-//! reverts to bar-u at the next barrier or aborts ("complain loudly and
-//! exit").
+//! Any trapped write during overdrive is by definition unanticipated: the
+//! cluster reverts to bar-u for good at the next barrier. (The paper's
+//! prototype would instead "complain loudly and exit".)
 
 use std::collections::BTreeSet;
 
 use dsm_sim::Category;
-use dsm_vm::{Delta, PageId, Pages, Protection};
+use dsm_vm::{PageId, Pages, Protection};
 
-use crate::config::{DivergencePolicy, ProtocolKind};
+use crate::config::ProtocolKind;
 use crate::drive::cluster::Cluster;
+
+/// Full iterations of per-site write-set learning before overdrive can
+/// engage; engagement additionally requires the last two observations of
+/// every site to agree.
+const LEARN_ITERS: usize = 2;
 
 /// Cluster-wide overdrive mode.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -84,7 +89,7 @@ impl<S: Pages> Cluster<S> {
 
     /// At an iteration boundary: check stability and possibly engage.
     ///
-    /// Engagement requires `learn_iters` completed iterations *and* the
+    /// Engagement requires [`LEARN_ITERS`] completed iterations *and* the
     /// last two iterations' write sets to agree for every process and site.
     pub(crate) fn od_iteration_boundary(&mut self) {
         if self.od_mode != OdMode::Learning {
@@ -103,7 +108,7 @@ impl<S: Pages> Cluster<S> {
             }
             p.od.have_prev = true;
         }
-        if stable && self.iter + 1 >= self.cfg.overdrive.learn_iters {
+        if stable && self.iter + 1 >= LEARN_ITERS {
             self.od_enter();
         }
     }
@@ -179,32 +184,14 @@ impl<S: Pages> Cluster<S> {
                 }
                 self.procs[pid].dirty.push(page);
             }
-            // Validate mode: every pre-enabled page keeps a shadow twin so
-            // wrong-epoch writes are observable by the checker (uncharged).
-            if self.cfg.overdrive.validate && self.cfg.protocol == ProtocolKind::BarM {
-                let pages: Vec<u32> = self.procs[pid].od.pre_enabled.iter().copied().collect();
-                for pg in pages {
-                    let page = PageId(pg);
-                    if !self.procs[pid].store.meta(page).is_some_and(|m| m.has_twin) {
-                        self.procs[pid].store.refresh_twin(page, &mut self.pool);
-                    }
-                }
-            }
         }
     }
 
-    /// A write trapped during overdrive: count it and apply the policy.
-    pub(crate) fn od_unanticipated(&mut self, pid: usize, page: PageId) {
+    /// A write trapped during overdrive: count it and revert at the next
+    /// barrier.
+    pub(crate) fn od_unanticipated(&mut self) {
         self.stats.overdrive_unanticipated += 1;
-        match self.cfg.overdrive.policy {
-            DivergencePolicy::Abort => panic!(
-                "overdrive divergence: unanticipated write by p{pid} to {page:?} \
-                 (the paper's prototype would 'complain loudly and exit')"
-            ),
-            DivergencePolicy::Revert => {
-                self.od_revert_pending = true;
-            }
-        }
+        self.od_revert_pending = true;
     }
 
     /// Execute a pending reversion: back to bar-u semantics for good.
@@ -224,37 +211,6 @@ impl<S: Pages> Cluster<S> {
                     }
                 }
                 self.procs[pid].od.pre_enabled.clear();
-            }
-        }
-    }
-
-    /// bar-m validate mode: before the normal pre-barrier step, check every
-    /// pre-enabled page that was *not* predicted for the ending epoch. A
-    /// modification there is exactly the silent consistency violation §5
-    /// warns about. Uncharged — this is a checker, not part of the protocol.
-    pub(crate) fn od_validate_shadow(&mut self, ending_site: usize) {
-        for pid in 0..self.nprocs() {
-            let predicted = &self.procs[pid].od.prev_sites[ending_site];
-            let unpredicted: Vec<u32> = self.procs[pid]
-                .od
-                .pre_enabled
-                .difference(predicted)
-                .copied()
-                .collect();
-            for pg in unpredicted {
-                let page = PageId(pg);
-                let Some(m) = self.procs[pid].store.meta(page) else {
-                    continue;
-                };
-                if m.has_twin {
-                    let diff = self.procs[pid].store.seal(page, &mut self.pool);
-                    if !diff.is_empty() {
-                        self.stats.consistency_violations += 1;
-                    }
-                    S::recycle(&mut self.pool, diff);
-                }
-                // Refresh the shadow twin for the next epoch's check.
-                self.procs[pid].store.refresh_twin(page, &mut self.pool);
             }
         }
     }

@@ -14,7 +14,7 @@ use dsm_sim::{SnapWriter, Sparse, State, StateHasher};
 use dsm_vm::{PageId, PageStore};
 
 use dsm_core::proto::CopySet;
-use dsm_core::{Cluster, DivergencePolicy, ProtocolKind, RunConfig, SharedArray};
+use dsm_core::{Cluster, ProtocolKind, RunConfig, SharedArray};
 
 const NPROCS: usize = 3;
 const NPAGES: usize = 3;
@@ -86,7 +86,6 @@ fn cached_hash_equals_uncached_hash() {
         ] {
             let mut cfg = RunConfig::with_nprocs(protocol, NPROCS);
             cfg.warmup_iters = 0;
-            cfg.overdrive.policy = DivergencePolicy::Revert;
             run_program(g, &cfg);
         }
     });

@@ -352,9 +352,7 @@ fn run_epochs(cl: &mut Cluster, arr: SharedArray<f64>, writes: &[&[usize]]) {
 
 #[test]
 fn overdrive_engages_after_two_identical_iterations() {
-    let mut cfg = RunConfig::with_nprocs(ProtocolKind::BarS, 2);
-    cfg.overdrive.learn_iters = 2;
-    let mut cl = Cluster::new(cfg);
+    let mut cl = Cluster::new(RunConfig::with_nprocs(ProtocolKind::BarS, 2));
     let arr = {
         let mut s = cl.setup_ctx();
         s.alloc_array::<f64>("a", 4096)
@@ -366,15 +364,13 @@ fn overdrive_engages_after_two_identical_iterations() {
     run_epochs(&mut cl, arr, &[&[0]]);
     assert!(
         cl.overdrive_engaged(),
-        "two identical iterations at learn_iters=2 must engage"
+        "two identical iterations must engage"
     );
 }
 
 #[test]
 fn overdrive_waits_out_unstable_prefixes() {
-    let mut cfg = RunConfig::with_nprocs(ProtocolKind::BarS, 2);
-    cfg.overdrive.learn_iters = 2;
-    let mut cl = Cluster::new(cfg);
+    let mut cl = Cluster::new(RunConfig::with_nprocs(ProtocolKind::BarS, 2));
     let arr = {
         let mut s = cl.setup_ctx();
         s.alloc_array::<f64>("a", 4096)
@@ -395,9 +391,7 @@ fn overdrive_waits_out_unstable_prefixes() {
 fn overdrive_predictions_cover_exactly_the_write_set() {
     // Once engaged, steady state has zero segvs and the diff count keeps
     // tracking the (predicted) write set with no empties.
-    let mut cfg = RunConfig::with_nprocs(ProtocolKind::BarS, 2);
-    cfg.overdrive.learn_iters = 2;
-    let mut cl = Cluster::new(cfg);
+    let mut cl = Cluster::new(RunConfig::with_nprocs(ProtocolKind::BarS, 2));
     let arr = {
         let mut s = cl.setup_ctx();
         s.alloc_array::<f64>("a", 8)

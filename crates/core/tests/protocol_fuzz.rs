@@ -9,7 +9,7 @@
 
 use dsm_sim::prop::{check, Gen};
 
-use dsm_core::{Cluster, DivergencePolicy, ProtocolKind, RunConfig, SharedArray};
+use dsm_core::{Cluster, ProtocolKind, RunConfig, SharedArray};
 
 const NPROCS: usize = 3;
 const NPAGES: usize = 4;
@@ -165,7 +165,6 @@ fn run(program: &[Epoch], mut cfg: RunConfig) -> Vec<Vec<f64>> {
 fn base_cfg(protocol: ProtocolKind) -> RunConfig {
     let mut cfg = RunConfig::with_nprocs(protocol, NPROCS);
     cfg.warmup_iters = 0;
-    cfg.overdrive.policy = DivergencePolicy::Revert;
     cfg
 }
 

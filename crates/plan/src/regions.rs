@@ -21,18 +21,7 @@ use std::sync::Arc;
 
 use dsm_core::{CheckEvent, CheckSink, PageClass, RegionTable};
 
-/// FNV-1a over a stream of `u64`s (little-endian bytes); same constants
-/// as the plan report digests.
-fn fnv1a64(values: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
+use crate::report::fnv1a64;
 
 /// Digest of a full region table: page, class, every writer's pid, spans,
 /// and reader bitmap, then every reader's pid and load spans (the clip

@@ -19,16 +19,10 @@ use crate::race::check_races;
 use crate::schedule::build_schedule;
 use crate::spec::{AppPlan, PlannedApp};
 
-/// FNV-1a over a stream of `u64`s (little-endian bytes).
-fn fnv1a64(values: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+/// [`dsm_sim::fnv1a`] over a stream of `u64`s (their little-endian
+/// bytes): every digest the plan and region reports print.
+pub(crate) fn fnv1a64(values: impl IntoIterator<Item = u64>) -> u64 {
+    dsm_sim::fnv1a(values.into_iter().flat_map(u64::to_le_bytes))
 }
 
 /// Everything the static analyzer derives for one `(app, nprocs)`.

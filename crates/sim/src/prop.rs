@@ -80,11 +80,7 @@ impl Gen {
 pub fn check(name: &str, cases: u64, prop: impl Fn(&mut Gen) + std::panic::RefUnwindSafe) {
     // Seed from the property name so distinct properties explore distinct
     // case streams even at the same index.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    let h = crate::state::fnv1a(name.bytes());
     for i in 0..cases {
         let case_seed = DetRng::new(h ^ i).next_u64();
         let result = std::panic::catch_unwind(|| {

@@ -75,6 +75,17 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// Plain byte-at-a-time FNV-1a (64-bit) of `bytes`. Unlike
+/// [`StateHasher`], which folds eight bytes per multiply and whose values
+/// are nowhere pinned, these values are printed in committed results
+/// (plan and region-table digests) and stored in snapshot headers (the
+/// configuration digest), so they must never change.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(FNV_OFFSET, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
+}
+
 /// Tiny incremental FNV-1a hasher (the workspace carries no external
 /// dependencies; quality is ample for a visited set whose collisions only
 /// cost soundness-preserving over- or under-pruning bounded by budgets).

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic    8 bytes  b"DSMSNAP\0"
-//! version  u8       SNAP_VERSION (5)
+//! version  u8       SNAP_VERSION (6)
 //! flags    u8       bit 0: CHECK section present
 //! digest   u64      configuration digest (see [`config_digest`])
 //! sections ...      fourcc + length u64 + payload, in order:
@@ -49,8 +49,10 @@ use dsm_sim::{SnapReader, SnapWriter};
 /// — are unchanged. v4: the network's write-only counters and its two
 /// always-empty timer queues are gone (DESIGN.md §16 lists the fields).
 /// v5: homeless write notices are one cluster-wide log with per-process
-/// cursors instead of one map per process.
-pub const SNAP_VERSION: u8 = 5;
+/// cursors instead of one map per process. v6: the statistics drop the
+/// bar-m validate counter and the cluster's always-zero copy of the
+/// network counters.
+pub const SNAP_VERSION: u8 = 6;
 
 /// Magic prefix of every snapshot.
 pub const SNAP_MAGIC: [u8; 8] = *b"DSMSNAP\0";
@@ -65,33 +67,37 @@ const FLAG_CHECK: u8 = 1;
 /// under a different protocol, geometry, seed, or fault profile would
 /// silently diverge, so [`read_snapshot`] asserts digest equality first.
 pub fn config_digest(cfg: &RunConfig) -> u64 {
-    // FNV-1a, same constants as the simulator's state hasher.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    fold(cfg.protocol.label().as_bytes());
-    fold(cfg.planted.label().as_bytes());
-    fold(cfg.sim.transport.label().as_bytes());
-    fold(&(cfg.sim.nprocs as u64).to_le_bytes());
-    fold(&(cfg.sim.page_size as u64).to_le_bytes());
-    fold(&cfg.sim.seed.to_le_bytes());
-    fold(&(cfg.warmup_iters as u64).to_le_bytes());
-    fold(&[u8::from(cfg.migration)]);
-    fold(&(cfg.gc_diff_threshold as u64).to_le_bytes());
-    fold(&cfg.sim.flush_drop_prob.to_bits().to_le_bytes());
+    let labels = [
+        cfg.protocol.label(),
+        cfg.planted.label(),
+        cfg.sim.transport.label(),
+    ];
+    let head = [
+        cfg.sim.nprocs as u64,
+        cfg.sim.page_size as u64,
+        cfg.sim.seed,
+        cfg.warmup_iters as u64,
+    ];
     let f = &cfg.sim.fault;
-    fold(&f.loss.to_bits().to_le_bytes());
-    fold(&f.burst_start.to_bits().to_le_bytes());
-    fold(&u64::from(f.burst_len).to_le_bytes());
-    fold(&f.duplicate.to_bits().to_le_bytes());
-    fold(&f.reorder.to_bits().to_le_bytes());
-    fold(&(f.slow_node.map_or(u64::MAX, |n| n as u64)).to_le_bytes());
-    fold(&f.slow_factor.to_bits().to_le_bytes());
-    h
+    let tail = [
+        cfg.gc_diff_threshold as u64,
+        cfg.sim.flush_drop_prob.to_bits(),
+        f.loss.to_bits(),
+        f.burst_start.to_bits(),
+        u64::from(f.burst_len),
+        f.duplicate.to_bits(),
+        f.reorder.to_bits(),
+        f.slow_node.map_or(u64::MAX, |n| n as u64),
+        f.slow_factor.to_bits(),
+    ];
+    dsm_sim::fnv1a(
+        labels
+            .into_iter()
+            .flat_map(str::bytes)
+            .chain(head.into_iter().flat_map(u64::to_le_bytes))
+            .chain([u8::from(cfg.migration)])
+            .chain(tail.into_iter().flat_map(u64::to_le_bytes)),
+    )
 }
 
 /// Serialize `cluster` (+ optional checker + application state) into a

@@ -1,13 +1,14 @@
 //! Overdrive semantics under divergence (the paper's §5.2 caveat):
-//! bar-s traps unanticipated writes (and can revert or abort); bar-m
-//! silently misses wrong-epoch writes to pre-enabled pages — "bar-m is
-//! therefore not guaranteed to maintain consistency." And under faults:
+//! bar-s traps unanticipated writes and reverts; bar-m silently misses
+//! wrong-epoch writes to pre-enabled pages — "bar-m is therefore not
+//! guaranteed to maintain consistency" — which dsm-check's LRC oracle
+//! flags as a stale read. And under faults:
 //! a wire that loses and duplicates update flushes may slow the update
 //! family down, never change its answer.
 
+use rdsm::check::checked_run;
 use rdsm::core::{
-    run_app, CheckCtx, DivergencePolicy, DsmApp, ExecCtx, PhaseEnd, ProtocolKind, RunConfig,
-    SetupCtx, SharedGrid2,
+    run_app, CheckCtx, DsmApp, ExecCtx, PhaseEnd, ProtocolKind, RunConfig, SetupCtx, SharedGrid2,
 };
 
 /// A two-phase app over a fixed 4-row layout (row r owned by process
@@ -106,20 +107,14 @@ impl DsmApp for Diverge {
     }
 }
 
-fn cfg(protocol: ProtocolKind, policy: DivergencePolicy, validate: bool) -> RunConfig {
-    let mut cfg = RunConfig::with_nprocs(protocol, 4);
-    cfg.overdrive.policy = policy;
-    cfg.overdrive.validate = validate;
-    cfg
+fn cfg(protocol: ProtocolKind) -> RunConfig {
+    RunConfig::with_nprocs(protocol, 4)
 }
 
 #[test]
 fn stable_app_engages_overdrive_cleanly() {
     for protocol in [ProtocolKind::BarS, ProtocolKind::BarM] {
-        let r = run_app(
-            &mut Diverge::new(None, 8),
-            cfg(protocol, DivergencePolicy::Abort, false),
-        );
+        let r = run_app(&mut Diverge::new(None, 8), cfg(protocol));
         assert_eq!(r.stats.segvs, 0, "{}", protocol.label());
         assert_eq!(r.stats.overdrive_unanticipated, 0);
     }
@@ -131,25 +126,10 @@ fn bar_s_traps_divergence_and_reverts_correctly() {
         &mut Diverge::new(Some(5), 8),
         RunConfig::with_nprocs(ProtocolKind::Seq, 1),
     );
-    let r = run_app(
-        &mut Diverge::new(Some(5), 8),
-        cfg(ProtocolKind::BarS, DivergencePolicy::Revert, false),
-    );
+    let r = run_app(&mut Diverge::new(Some(5), 8), cfg(ProtocolKind::BarS));
     assert!(r.stats.overdrive_unanticipated > 0, "the write must trap");
     assert_eq!(r.stats.overdrive_reversions, 1, "one cluster reversion");
-    assert_eq!(
-        r.checksum, seq.checksum,
-        "bar-s with Revert must stay correct"
-    );
-}
-
-#[test]
-#[should_panic(expected = "overdrive divergence")]
-fn bar_s_abort_policy_complains_loudly_and_exits() {
-    let _ = run_app(
-        &mut Diverge::new(Some(5), 8),
-        cfg(ProtocolKind::BarS, DivergencePolicy::Abort, false),
-    );
+    assert_eq!(r.checksum, seq.checksum, "bar-s must stay correct");
 }
 
 #[test]
@@ -161,17 +141,21 @@ fn bar_m_misses_wrong_epoch_writes_silently() {
         &mut Diverge::new(Some(5), 8),
         RunConfig::with_nprocs(ProtocolKind::Seq, 1),
     );
-    let r = run_app(
-        &mut Diverge::new(Some(5), 8),
-        cfg(ProtocolKind::BarM, DivergencePolicy::Abort, true),
-    );
+    let (r, check) = checked_run(&mut Diverge::new(Some(5), 8), cfg(ProtocolKind::BarM));
     assert_eq!(
         r.stats.overdrive_unanticipated, 0,
         "bar-m must NOT trap the wrong-epoch write (that is the hazard)"
     );
     assert!(
-        r.stats.consistency_violations > 0,
-        "the validate-mode checker must observe the missed write"
+        check.stale_reads() > 0,
+        "the LRC oracle must observe the missed write:\n{}",
+        check.summary()
+    );
+    assert_eq!(
+        check.races(),
+        0,
+        "no race was planted:\n{}",
+        check.summary()
     );
     assert_ne!(
         r.checksum, seq.checksum,
@@ -227,7 +211,7 @@ fn bar_m_traps_writes_outside_the_enabled_union() {
             inner: Diverge::new(None, 8),
             extra: None,
         },
-        cfg(ProtocolKind::BarM, DivergencePolicy::Revert, false),
+        cfg(ProtocolKind::BarM),
     );
     assert!(
         r.stats.overdrive_unanticipated > 0,
@@ -239,10 +223,7 @@ fn bar_m_traps_writes_outside_the_enabled_union() {
 #[test]
 fn barnes_never_runs_trap_free() {
     use rdsm::apps::{barnes::Barnes, Scale};
-    let r = run_app(
-        &mut Barnes::new(Scale::Small),
-        cfg(ProtocolKind::BarS, DivergencePolicy::Revert, false),
-    );
+    let r = run_app(&mut Barnes::new(Scale::Small), cfg(ProtocolKind::BarS));
     assert!(
         r.stats.segvs > 0,
         "barnes' dynamic sharing must keep write-trapping alive"
@@ -252,7 +233,6 @@ fn barnes_never_runs_trap_free() {
 #[test]
 fn lossy_wires_never_change_the_answer_at_64_nodes() {
     use rdsm::apps::{app_by_name, Scale};
-    use rdsm::check::checked_run;
     use rdsm::sim::FaultProfile;
     // Overdrive must not twin or write-enable a copy the last barrier
     // invalidated (sor/bar-s, jacobi/bar-m), and a consumer must not take
