@@ -12,8 +12,9 @@
 //! `dsm-check` oracles, and exits nonzero on any violation. `--por-factor`
 //! appends the partial-order-reduction measurement section and `--hunt`
 //! the planted-bug regression section (the two extra sections of the
-//! committed `results/explore-baseline.txt`). `--replay FILE` re-executes
-//! a saved violating schedule instead and prints its findings.
+//! committed `results/explore-baseline.txt`). `--replay FILE` instead
+//! re-executes a saved violating schedule, walks its step boundaries back
+//! through snapshots, and exits nonzero unless it still violates.
 //!
 //! The independent app × protocol cells fan out over the `dsm --jobs N`
 //! worker threads. Cells share nothing — each exploration owns its visited
@@ -23,13 +24,17 @@
 //! All output is deterministic (schedule counts, not wall-clock), so the
 //! committed baselines can be `diff`ed byte-for-byte in CI.
 
+use std::cell::RefCell;
 use std::process::ExitCode;
+use std::rc::Rc;
 
 use dsm_apps::{AppSpec, Scale};
-use dsm_core::{PlantedBug, ProtocolKind, RunConfig};
+use dsm_check::Checker;
+use dsm_core::{PlantedBug, ProtocolKind, RunConfig, StepRun};
 use dsm_explore::{
-    config_for_trace, explore, replay, Bounds, ChoiceTrace, ExploreOpts, RegressApp,
+    config_for_trace, explore, Bounds, ChoiceTrace, ExploreOpts, ExploreScheduler, RegressApp,
 };
+use dsm_sim::SharedScheduler;
 
 use crate::cli::{read_trace, trace_app, CliError, Flags, Matrix};
 use crate::harness::{run_cells, CellOut};
@@ -152,7 +157,11 @@ fn run_cell(spec: &AppSpec, protocol: ProtocolKind, args: &Args, out: &mut CellO
     ]);
 }
 
-fn replay_mode(trace: &ChoiceTrace) {
+/// Replay a saved schedule under the full oracles, snapshotting every step
+/// boundary, then walk the checkpoints backward: each restored state and
+/// trace hash must equal its forward twin. Fails unless the schedule still
+/// violates, so a stale trace cannot pass.
+fn replay_mode(trace: &ChoiceTrace) -> ExitCode {
     let cfg = config_for_trace(trace);
     println!(
         "replaying {} choice points: {} under {} ({} procs, planted={})",
@@ -162,17 +171,76 @@ fn replay_mode(trace: &ChoiceTrace) {
         trace.nprocs,
         trace.planted.label(),
     );
-    let report = replay(|| trace_app(&trace.app, trace.iters_cap), &cfg, trace);
+    // Replay discipline (see dsm_explore::replay): forced prefix, no
+    // pruning, choice log asserted against the trace afterwards.
+    let bounds = Bounds {
+        state_prune: false,
+        ..trace.bounds
+    };
+    let prefix: Vec<u32> = trace.choices.iter().map(|c| c.chosen).collect();
+    let sched = Rc::new(RefCell::new(ExploreScheduler::new(bounds, prefix, None)));
+    let shared: SharedScheduler = Rc::<RefCell<ExploreScheduler>>::clone(&sched);
+    let checker = Checker::new(&cfg);
+    let mut app = trace_app(&trace.app, trace.iters_cap);
+    let mut run = StepRun::new(app.as_mut(), cfg, Some(checker.sink()), Some(shared));
+
+    // Forward: snapshot every step boundary (step 0 = nothing executed).
+    println!("\n== forward ==");
+    let mut marks: Vec<(u64, u64, Vec<u8>)> = Vec::new();
+    loop {
+        let state = run.cluster().state_hash();
+        let events = run.cluster().trace_hash();
+        println!(
+            "step {:>3}  state={state:016x}  trace={events:016x}",
+            marks.len()
+        );
+        marks.push((state, events, dsm_snap::snapshot_run(&run, Some(&checker))));
+        if !run.step() {
+            break;
+        }
+    }
     println!(
-        "races={} stale={} invariant={}",
+        "step {:>3}  state={:016x}  trace={:016x}  (end)",
+        marks.len(),
+        run.cluster().state_hash(),
+        run.cluster().trace_hash()
+    );
+    assert_eq!(
+        sched.borrow().log(),
+        &trace.choices[..],
+        "replayed choice points diverged from the trace"
+    );
+    let report = checker.report();
+    println!(
+        "\nraces={} stale={} invariant={}",
         report.races(),
         report.stale_reads(),
         report.invariant_violations()
     );
     print!("{}", report.summary());
-    if report.is_clean() {
-        println!("replayed schedule is clean");
+
+    // Backward: restore each checkpoint newest-first; hashes must match
+    // the forward pass bit for bit.
+    println!("\n== backward ==");
+    for (i, (state, events, bytes)) in marks.iter().enumerate().rev() {
+        dsm_snap::restore_run(bytes, &mut run, Some(&checker));
+        let got_state = run.cluster().state_hash();
+        let got_events = run.cluster().trace_hash();
+        println!("step {i:>3}  state={got_state:016x}  trace={got_events:016x}  (restored)");
+        assert_eq!(got_state, *state, "backward step {i}: state hash mismatch");
+        assert_eq!(
+            got_events, *events,
+            "backward step {i}: trace hash mismatch"
+        );
     }
+    println!("\nbackward walk matched the forward pass at every step");
+
+    if report.is_clean() {
+        eprintln!("replayed schedule no longer violates — the trace is stale");
+        return ExitCode::FAILURE;
+    }
+    println!("violation reproduced");
+    ExitCode::SUCCESS
 }
 
 /// The POR measurement: same bounded tree of the regression app, POR on
@@ -268,8 +336,7 @@ fn hunt_section(save_trace: Option<&str>) -> Result<bool, CliError> {
 pub fn run(flags: Flags) -> Result<ExitCode, CliError> {
     let args = parse_args(flags)?;
     if let Some(trace) = &args.replay {
-        replay_mode(trace);
-        return Ok(ExitCode::SUCCESS);
+        return Ok(replay_mode(trace));
     }
 
     println!("== bounded schedule/fault-space exploration ==");

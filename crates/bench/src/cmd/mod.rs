@@ -41,4 +41,4 @@ macro_rules! commands {
     };
 }
 
-commands!(paper sweep checked campaign transport explore travel plan regions scale);
+commands!(paper sweep checked campaign transport explore plan regions scale);

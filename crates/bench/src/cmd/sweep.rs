@@ -1,4 +1,4 @@
-//! Ablation sweeps for the design choices DESIGN.md calls out:
+//! Ablation sweeps for the design choices DESIGN.md §5 calls out:
 //!
 //! * processor count (2..16) — scaling shape per protocol,
 //! * page size 4 KB vs 8 KB (the paper chose 8 KB granularity),

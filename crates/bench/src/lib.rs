@@ -10,8 +10,8 @@
 //!   headline ratios and the paper's lost application table,
 //! * `sweep` — ablations (process count, page size, stress model,
 //!   migration, flush loss),
-//! * `checked`, `campaign`, `transport`, `explore`, `travel`, `plan`,
-//!   `regions`, `scale` — the oracle-checked and static reports.
+//! * `checked`, `campaign`, `transport`, `explore`, `plan`, `regions`,
+//!   `scale` — the oracle-checked and static reports.
 //!
 //! [`manifest::MANIFEST`] is the one record of which command line
 //! regenerates which committed `results/` file; `dsm list` prints it and

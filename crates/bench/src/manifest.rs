@@ -59,7 +59,7 @@ use Tier::{Full, Smoke};
 
 // One row per entry: a table reads better unwrapped.
 #[rustfmt::skip]
-pub static MANIFEST: [Entry; 20] = [
+pub static MANIFEST: [Entry; 19] = [
     entry("paper", Smoke, "paper results", &["results/table1.txt", "results/fig2.txt", "results/fig3.txt", "results/fig4.txt", "results/summary.txt", "results/apptable.txt"]),
     entry("sweep", Smoke, "sweep", &["results/sweep.txt"]),
     entry("checked-baseline", Smoke, "checked --protocols lmw-i,bar-i,bar-u", &["results/checked-baseline.txt"]),
@@ -79,7 +79,6 @@ pub static MANIFEST: [Entry; 20] = [
     entry("campaign-od-paper", Full, "campaign --protocols bar-s,bar-m --nprocs 8 --scale paper", &["results/campaign-od-paper.txt"]),
     entry("campaign-od-n64", Full, "campaign --protocols bar-u,bar-s,bar-m,bar-r --nprocs 64 --scale small", &["results/campaign-od-n64.txt"]),
     entry("explore-baseline", Full, "explore --por-factor --hunt --save-trace results/repro/lmw-u-coverage-gap.trace", &["results/explore-baseline.txt", "results/repro/lmw-u-coverage-gap.trace"]),
-    entry("travel", Full, "travel", &[]),
 ];
 
 pub const LIST_USAGE: &str = "usage: dsm list";

@@ -89,6 +89,7 @@ fn a_bad_top_level_line_exits_2_with_the_subcommand_list() {
         &[][..],
         &["frobnicate"],
         &["table1"],
+        &["travel"],
         &["--jobs", "many", "paper"],
     ] {
         let out = dsm(line);

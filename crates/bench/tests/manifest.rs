@@ -1,9 +1,10 @@
 //! The manifest is the one record of what regenerates what: it must cover
 //! exactly the committed results files, name only real subcommands, and be
-//! the table DESIGN.md §5 prints; the docs cite paths and subcommands, so
-//! every one they mention must exist. And because every report renders its
-//! rows inside the shared cell driver's workers, a report's bytes must not
-//! depend on `--jobs`.
+//! the table DESIGN.md §5 prints; the docs (the root ones and every
+//! crate's `DESIGN.md`) cite paths and subcommands, so every one they
+//! mention must exist. And because every report renders its rows inside
+//! the shared cell driver's workers, a report's bytes must not depend on
+//! `--jobs`.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -65,15 +66,38 @@ fn manifest_names_real_subcommands_and_design_prints_it() {
     );
 }
 
-#[test]
-fn docs_mention_only_paths_and_subcommands_that_exist() {
-    let root = workspace_root();
-    for doc in [
+/// The docs the path and subcommand checks read: the root ones, then each
+/// `crates/*/DESIGN.md`, read from the directory so a new crate's design
+/// file cannot fall outside the checks.
+fn docs(root: &Path) -> Vec<String> {
+    let mut crate_designs: Vec<String> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/ exists")
+        .map(|entry| entry.expect("readable entry").file_name())
+        .filter(|name| root.join("crates").join(name).join("DESIGN.md").is_file())
+        .map(|name| format!("crates/{}/DESIGN.md", name.to_string_lossy()))
+        .collect();
+    crate_designs.sort();
+    let mut docs: Vec<String> = [
         "README.md",
         "DESIGN.md",
         "EXPERIMENTS.md",
         ".claude/skills/verify/SKILL.md",
-    ] {
+    ]
+    .map(String::from)
+    .to_vec();
+    docs.extend(crate_designs);
+    docs
+}
+
+#[test]
+fn docs_mention_only_paths_and_subcommands_that_exist() {
+    let root = workspace_root();
+    let docs = docs(root);
+    assert!(
+        docs.iter().any(|d| d == "crates/snap/DESIGN.md"),
+        "crate design files must be under the checks: {docs:?}"
+    );
+    for doc in &docs {
         let text = std::fs::read_to_string(root.join(doc)).expect("a doc");
         // `crates/…` up to the first character no path here contains (so a
         // glob or placeholder is checked up to its fixed prefix).

@@ -109,8 +109,8 @@ fn run_app_inner<A: DsmApp + ?Sized>(
 /// counters rather than loop variables, so a cluster restored from a
 /// snapshot (`Cluster::restore`) resumes mid-run and executes
 /// exactly the steps a from-scratch run would — this is what the explore
-/// driver's checkpoint-restore DFS and the `travel` time-travel bench
-/// build on.
+/// driver's checkpoint-restore DFS and `dsm explore --replay`'s backward
+/// walk build on.
 pub struct StepRun<'a, A: DsmApp + ?Sized> {
     app: &'a mut A,
     cl: Cluster,
@@ -195,11 +195,6 @@ impl<'a, A: DsmApp + ?Sized> StepRun<'a, A> {
     /// The application (its `save_state`/`load_state` pair with the
     /// cluster's codec snapshots the whole run).
     pub fn app(&self) -> &A {
-        self.app
-    }
-
-    /// Mutable application access.
-    pub fn app_mut(&mut self) -> &mut A {
         self.app
     }
 

@@ -1,7 +1,7 @@
 //! Execution, setup, and verification contexts, plus the typed accessors
 //! on the shared-memory handles.
 
-use dsm_sim::{Category, Time};
+use dsm_sim::Category;
 use dsm_vm::{as_bytes, as_bytes_mut, Pod};
 
 use crate::drive::cluster::Cluster;
@@ -37,11 +37,6 @@ impl ExecCtx<'_> {
         self.cl.charge(self.pid, Category::App, t);
     }
 
-    /// Charge raw application compute time.
-    pub fn work_ns(&mut self, ns: u64) {
-        self.cl.charge(self.pid, Category::App, Time::from_ns(ns));
-    }
-
     /// Result vector of the most recent reduction barrier.
     pub fn reduction(&self) -> &[f64] {
         &self.cl.last_reduction
@@ -67,16 +62,6 @@ impl<T: Pod> SharedArray<T> {
         assert!(start + out.len() <= self.len(), "range out of bounds");
         ctx.cl
             .read_bytes(ctx.pid, self.addr_of(start), as_bytes_mut(out));
-    }
-
-    /// Write `src` starting at element `start`.
-    pub fn write_from(&self, ctx: &mut ExecCtx<'_>, start: usize, src: &[T]) {
-        if src.is_empty() {
-            return;
-        }
-        assert!(start + src.len() <= self.len(), "range out of bounds");
-        ctx.cl
-            .write_bytes(ctx.pid, self.addr_of(start), as_bytes(src));
     }
 }
 
@@ -114,20 +99,6 @@ impl<T: Pod> SharedGrid2<T> {
     pub fn write_row(&self, ctx: &mut ExecCtx<'_>, r: usize, src: &[T]) {
         assert_eq!(src.len(), self.cols(), "row buffer size mismatch");
         ctx.cl.write_bytes(ctx.pid, self.row_addr(r), as_bytes(src));
-    }
-
-    /// Read-modify-write of row `r` through `scratch` (a `cols()`-sized
-    /// caller-provided buffer, avoiding per-call allocation).
-    pub fn update_row(
-        &self,
-        ctx: &mut ExecCtx<'_>,
-        r: usize,
-        scratch: &mut [T],
-        f: impl FnOnce(&mut [T]),
-    ) {
-        self.read_row_into(ctx, r, scratch);
-        f(scratch);
-        self.write_row(ctx, r, scratch);
     }
 }
 
@@ -198,18 +169,6 @@ impl SetupCtx<'_> {
     pub fn init<T: Pod>(&mut self, a: SharedArray<T>, i: usize, v: T) {
         self.cl
             .write_image_bytes(a.addr_of(i), as_bytes(core::slice::from_ref(&v)));
-    }
-
-    /// Initialize a contiguous array range.
-    pub fn init_range<T: Pod>(&mut self, a: SharedArray<T>, start: usize, src: &[T]) {
-        assert!(start + src.len() <= a.len());
-        self.cl.write_image_bytes(a.addr_of(start), as_bytes(src));
-    }
-
-    /// Initialize one grid element.
-    pub fn init_grid<T: Pod>(&mut self, g: SharedGrid2<T>, r: usize, c: usize, v: T) {
-        self.cl
-            .write_image_bytes(g.addr_of(r, c), as_bytes(core::slice::from_ref(&v)));
     }
 
     /// Initialize a whole grid row.

@@ -1,6 +1,6 @@
 //! # dsm-explore — systematic schedule & fault-space exploration
 //!
-//! PR 1's `dsm-check` oracles observe the one schedule the virtual clock
+//! The `dsm-check` oracles observe the one schedule the virtual clock
 //! deterministically produces; this crate enumerates the *other* ones. A
 //! stateless model checker in the Loom/Shuttle tradition drives the
 //! cluster through every bounded combination of:

@@ -228,10 +228,6 @@ impl ExploreScheduler {
         &self.log
     }
 
-    pub fn into_log(self) -> Vec<ChoicePoint> {
-        self.log
-    }
-
     /// Resolve the choice point at the current depth: forced while inside
     /// the prefix, canonical-first past it.
     fn decide(&mut self, kind: ChoiceKind, alts: u32) -> u32 {

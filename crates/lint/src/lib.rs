@@ -5,9 +5,9 @@
 //! bans wall clocks, randomly seeded std maps, environment reads and a
 //! second `Network`; `#[must_use]` on `FlushOutcome` and dsm-core's
 //! `clippy::let_underscore_must_use` reject a discarded flush; `deny.toml`
-//! bans `rand` (DESIGN §12). Two rules have no compiler equivalent and
-//! live here, on a small lexer's token layer, so comments and string
-//! contents never reach them:
+//! bans `rand` (this crate's `DESIGN.md`). Two rules have no compiler
+//! equivalent and live here, on a small lexer's token layer, so comments
+//! and string contents never reach them:
 //!
 //! * `dense-by-nodes` — no node-count-sized allocation in per-page
 //!   protocol state and no fixed 64-wide pid arithmetic there or in the

@@ -1,6 +1,6 @@
 //! Snapshot byte primitives.
 //!
-//! The snapshot format (see `dsm-snap` and DESIGN.md §16) is a flat
+//! The snapshot format (see `dsm-snap` and its `DESIGN.md`) is a flat
 //! little-endian byte stream; every layer encodes its own state with these
 //! two types so the framing conventions live in exactly one place:
 //!
@@ -14,8 +14,8 @@
 //!
 //! The reader is fallible: every read returns `Result<_, SnapError>` naming
 //! the section, the byte offset, and what went wrong. A snapshot is input
-//! from outside the process (a committed artifact, a file handed to
-//! `travel`), so truncation and corruption are errors, never panics; the
+//! from outside the process (a committed artifact such as the golden
+//! file), so truncation and corruption are errors, never panics; the
 //! [`crate::State`] walk threads them up with `?`.
 
 use core::fmt;

@@ -43,11 +43,10 @@ pub use dsm_sim::SnapError;
 use dsm_sim::{SnapReader, SnapWriter};
 
 /// The one and only snapshot format version this crate reads and writes.
-/// v3: section payloads are generated from the `State` declarations
-/// (DESIGN.md §16 lists every layout change against v2); the bulk
-/// encodings — frame delta runs, race-detector shadow words, oracle pages
-/// — are unchanged. v4: the network's write-only counters and its two
-/// always-empty timer queues are gone (DESIGN.md §16 lists the fields).
+/// v3: section payloads are generated from the `State` declarations; the
+/// bulk encodings — frame delta runs, race-detector shadow words, oracle
+/// pages — are unchanged. v4: the network's write-only counters and its
+/// two always-empty timer queues are gone.
 /// v5: homeless write notices are one cluster-wide log with per-process
 /// cursors instead of one map per process. v6: the statistics drop the
 /// bar-m validate counter and the cluster's always-zero copy of the
@@ -178,7 +177,7 @@ pub fn read_snapshot<A: DsmApp + ?Sized>(
 }
 
 /// [`write_snapshot`] over a [`StepRun`]: the convenience entry `dsm
-/// travel` uses. The explore driver passes no checker: its checkpoints
+/// explore --replay` uses. The explore driver passes no checker: its checkpoints
 /// keep the checker in memory (`dsm_check::Checker::save`), so only the
 /// CORE and APP sections go through the codec there.
 pub fn snapshot_run<A: DsmApp + ?Sized>(

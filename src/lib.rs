@@ -1,7 +1,8 @@
 //! # rdsm — facade crate
 //!
 //! Re-exports the public API of the whole workspace. See the README for a
-//! guided tour and `DESIGN.md` for the architecture.
+//! guided tour, `DESIGN.md` for the architecture, and each crate's own
+//! `DESIGN.md` for its machinery.
 //!
 //! ```
 //! use rdsm::core::{Cluster, ProtocolKind, RunConfig};
