@@ -24,17 +24,13 @@
 //! All output is deterministic (schedule counts, not wall-clock), so the
 //! committed baselines can be `diff`ed byte-for-byte in CI.
 
-use std::cell::RefCell;
 use std::process::ExitCode;
-use std::rc::Rc;
 
 use dsm_apps::{AppSpec, Scale};
-use dsm_check::Checker;
-use dsm_core::{PlantedBug, ProtocolKind, RunConfig, StepRun};
+use dsm_core::{PlantedBug, ProtocolKind, RunConfig};
 use dsm_explore::{
-    config_for_trace, explore, Bounds, ChoiceTrace, ExploreOpts, ExploreScheduler, RegressApp,
+    config_for_trace, explore, Bounds, ChoiceTrace, ExploreOpts, RegressApp, Replay,
 };
-use dsm_sim::SharedScheduler;
 
 use crate::cli::{read_trace, trace_app, CliError, Flags, Matrix};
 use crate::harness::{run_cells, CellOut};
@@ -171,46 +167,24 @@ fn replay_mode(trace: &ChoiceTrace) -> ExitCode {
         trace.nprocs,
         trace.planted.label(),
     );
-    // Replay discipline (see dsm_explore::replay): forced prefix, no
-    // pruning, choice log asserted against the trace afterwards.
-    let bounds = Bounds {
-        state_prune: false,
-        ..trace.bounds
-    };
-    let prefix: Vec<u32> = trace.choices.iter().map(|c| c.chosen).collect();
-    let sched = Rc::new(RefCell::new(ExploreScheduler::new(bounds, prefix, None)));
-    let shared: SharedScheduler = Rc::<RefCell<ExploreScheduler>>::clone(&sched);
-    let checker = Checker::new(&cfg);
     let mut app = trace_app(&trace.app, trace.iters_cap);
-    let mut run = StepRun::new(app.as_mut(), cfg, Some(checker.sink()), Some(shared));
+    let mut walk = Replay::new(app.as_mut(), cfg, trace);
 
     // Forward: snapshot every step boundary (step 0 = nothing executed).
     println!("\n== forward ==");
     let mut marks: Vec<(u64, u64, Vec<u8>)> = Vec::new();
-    loop {
-        let state = run.cluster().state_hash();
-        let events = run.cluster().trace_hash();
-        println!(
-            "step {:>3}  state={state:016x}  trace={events:016x}",
-            marks.len()
-        );
-        marks.push((state, events, dsm_snap::snapshot_run(&run, Some(&checker))));
-        if !run.step() {
-            break;
-        }
-    }
+    let report = walk.forward(|i, at| {
+        let state = at.run.cluster().state_hash();
+        let events = at.run.cluster().trace_hash();
+        println!("step {i:>3}  state={state:016x}  trace={events:016x}");
+        marks.push((state, events, dsm_snap::snapshot_run(&at.run, Some(&at.checker))));
+    });
     println!(
         "step {:>3}  state={:016x}  trace={:016x}  (end)",
         marks.len(),
-        run.cluster().state_hash(),
-        run.cluster().trace_hash()
+        walk.run.cluster().state_hash(),
+        walk.run.cluster().trace_hash()
     );
-    assert_eq!(
-        sched.borrow().log(),
-        &trace.choices[..],
-        "replayed choice points diverged from the trace"
-    );
-    let report = checker.report();
     println!(
         "\nraces={} stale={} invariant={}",
         report.races(),
@@ -223,9 +197,9 @@ fn replay_mode(trace: &ChoiceTrace) -> ExitCode {
     // the forward pass bit for bit.
     println!("\n== backward ==");
     for (i, (state, events, bytes)) in marks.iter().enumerate().rev() {
-        dsm_snap::restore_run(bytes, &mut run, Some(&checker));
-        let got_state = run.cluster().state_hash();
-        let got_events = run.cluster().trace_hash();
+        dsm_snap::restore_run(bytes, &mut walk.run, Some(&walk.checker));
+        let got_state = walk.run.cluster().state_hash();
+        let got_events = walk.run.cluster().trace_hash();
         println!("step {i:>3}  state={got_state:016x}  trace={got_events:016x}  (restored)");
         assert_eq!(got_state, *state, "backward step {i}: state hash mismatch");
         assert_eq!(

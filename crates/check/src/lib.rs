@@ -34,7 +34,7 @@ use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 use dsm_core::{CheckEvent, CheckSink, DsmApp, ProtocolKind, RunConfig, RunReport};
-use dsm_sim::{SnapError, SnapReader, SnapWriter, State};
+use dsm_sim::{share, SnapError, SnapReader, SnapWriter, State};
 
 use invariants::{CopysetRule, InvariantState};
 use oracle::{OracleSave, OracleState};
@@ -217,25 +217,17 @@ pub struct CheckSave {
     cur_epoch: u64,
 }
 
-/// `page` as a checkpoint buffer: `prev` itself when it holds the same
-/// elements, a fresh copy otherwise.
-fn share<T: Copy + PartialEq>(page: &[T], prev: Option<&Rc<[T]>>) -> Rc<[T]> {
-    match prev {
-        Some(p) if **p == *page => Rc::clone(p),
-        _ => Rc::from(page),
-    }
-}
-
 /// A dense page table (`None` = untouched) as checkpoint buffers, each
 /// page shared with the same page of `parent` when equal to it.
 fn share_table<T: Copy + PartialEq, B: Deref<Target = [T]>>(
     live: &[Option<B>],
     parent: Option<&[Option<Rc<[T]>>]>,
+    spare: &mut Vec<Rc<[T]>>,
 ) -> Vec<Option<Rc<[T]>>> {
     let prev = |i: usize| parent?.get(i)?.as_ref();
     let pages = live.iter().enumerate();
     pages
-        .map(|(i, page)| Some(share(page.as_deref()?, prev(i))))
+        .map(|(i, page)| Some(share(page.as_deref()?, prev(i), spare)))
         .collect()
 }
 
@@ -332,9 +324,10 @@ impl Checker {
     /// Capture the complete checker state in memory, for the explorer's
     /// checkpoints. `parent` is the capture this run continued from: every
     /// page equal to its counterpart there is shared, not copied. The
-    /// host-side scratch buffers are not captured.
+    /// host-side scratch buffers are not captured. A copied page
+    /// overwrites one that [`Checker::recycle`] handed back, if any.
     pub fn save(&self, parent: Option<&CheckSave>) -> CheckSave {
-        let st = self.state.borrow();
+        let mut st = self.state.borrow_mut();
         let CheckState {
             report,
             race,
@@ -342,7 +335,7 @@ impl Checker {
             inv,
             cur_epoch,
             scratch: _,
-        } = &*st;
+        } = &mut *st;
         CheckSave {
             report: report.clone(),
             race: race.save(parent.map(|p| &p.race)),
@@ -371,6 +364,14 @@ impl Checker {
         oracle.load(&save.oracle);
         inv.load(&save.inv);
         *cur_epoch = save.cur_epoch;
+    }
+
+    /// Take back a capture no checkpoint holds any more, so the page
+    /// buffers only it held serve later saves.
+    pub fn recycle(&self, save: CheckSave) {
+        let mut st = self.state.borrow_mut();
+        st.race.recycle(save.race);
+        st.oracle.recycle(save.oracle);
     }
 
     /// Serialize the complete checker state — report, race detector,
@@ -566,6 +567,29 @@ mod tests {
         // One shadow page, and the data and mask of one overlay.
         assert_eq!(child.race.unshared(&parent.race), 1);
         assert_eq!(child.oracle.unshared(&parent.oracle), (0, 2));
+    }
+
+    #[test]
+    fn a_save_into_recycled_buffers_holds_its_own_pages() {
+        let checker = busy_checker();
+        let root = checker.save(None);
+        run_ahead(&checker);
+        let ahead = checker.save(Some(&root));
+        checker.load(&root);
+        checker.recycle(ahead);
+        feed(
+            &checker,
+            vec![CheckEvent::Write {
+                pid: 2,
+                addr: 136,
+                data: &[9; 8],
+            }],
+        );
+        let child = checker.save(Some(&root));
+        let bytes = snapshot_bytes(&checker);
+        run_ahead(&checker);
+        checker.load(&child);
+        assert_eq!(snapshot_bytes(&checker), bytes);
     }
 
     #[test]

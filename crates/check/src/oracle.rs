@@ -16,12 +16,12 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use dsm_sim::{
-    decode_table, encode_table, fold_encoding, FastSet, SnapError, SnapReader, SnapWriter, State,
-    StateHasher,
+    decode_table, encode_table, fold_encoding, reclaim, share, FastSet, SnapError, SnapReader,
+    SnapWriter, State, StateHasher,
 };
 
 use crate::report::Violation;
-use crate::{load_table, share, share_table};
+use crate::{load_table, share_table};
 
 const WORD: usize = 8;
 
@@ -163,6 +163,9 @@ pub struct OracleState {
     /// reuse — the fold would otherwise free and re-`calloc` two
     /// page-sized buffers per touched page per epoch.
     spare: Vec<Overlay>,
+    /// Page buffers of dropped checkpoints (committed pages, overlay data
+    /// and masks), for later saves to overwrite ([`OracleState::recycle`]).
+    spare_pages: Vec<Rc<[u8]>>,
     /// Word keys already reported stale (one violation per word).
     flagged: FastSet<u64>,
     /// Reusable buffer for the expected-bytes computation in `on_read`;
@@ -180,6 +183,7 @@ impl OracleState {
             committed: Vec::new(),
             overlays: vec![Vec::new(); nprocs].into(),
             spare: Vec::new(),
+            spare_pages: Vec::new(),
             flagged: FastSet::default(),
             scratch: Vec::new(),
         }
@@ -355,13 +359,14 @@ impl OracleState {
     /// Capture the oracle. A committed page, overlay data or overlay mask
     /// equal to the same buffer of `parent` shares it; only buffers that
     /// differ are copied. The spare list and scratch buffer are not saved.
-    pub(crate) fn save(&self, parent: Option<&OracleSave>) -> OracleSave {
+    pub(crate) fn save(&mut self, parent: Option<&OracleSave>) -> OracleSave {
         let OracleState {
             page_size: _,
             ps_shift: _,
             committed,
             overlays,
             spare: _,
+            spare_pages,
             flagged,
             scratch: _,
         } = self;
@@ -371,18 +376,29 @@ impl OracleState {
                 let ov = slot.as_ref()?;
                 let prev = prev.and_then(|p| p.get(page)?.as_ref());
                 Some(OverlaySave {
-                    data: share(&ov.data, prev.map(|s| &s.data)),
-                    mask: share(&ov.mask, prev.map(|s| &s.mask)),
+                    data: share(&ov.data, prev.map(|s| &s.data), spare_pages),
+                    mask: share(&ov.mask, prev.map(|s| &s.mask), spare_pages),
                     lo: ov.lo,
                     hi: ov.hi,
                 })
             });
             saved.collect()
         });
+        let overlays = overlays.collect();
         OracleSave {
-            committed: share_table(committed, parent.map(|p| &p.committed[..])),
-            overlays: overlays.collect(),
+            committed: share_table(committed, parent.map(|p| &p.committed[..]), spare_pages),
+            overlays,
             flagged: flagged.clone(),
+        }
+    }
+
+    /// Take back an [`OracleState::save`] capture no checkpoint holds any
+    /// more: each buffer nothing else shares becomes a spare.
+    pub(crate) fn recycle(&mut self, save: OracleSave) {
+        let overlays = save.overlays.into_vec().into_iter().flatten().flatten();
+        let buffers = overlays.flat_map(|ov| [ov.data, ov.mask]);
+        for buf in save.committed.into_iter().flatten().chain(buffers) {
+            reclaim(buf, &mut self.spare_pages);
         }
     }
 
@@ -397,6 +413,7 @@ impl OracleState {
             committed,
             overlays,
             spare,
+            spare_pages: _,
             flagged,
             scratch: _,
         } = self;
@@ -487,6 +504,7 @@ impl State for OracleState {
             committed,
             overlays,
             spare: _,
+            spare_pages: _,
             flagged,
             scratch: _,
         } = self;
@@ -508,6 +526,7 @@ impl State for OracleState {
             committed,
             overlays,
             spare,
+            spare_pages: _,
             flagged,
             scratch: _,
         } = self;

@@ -22,8 +22,8 @@
 use std::rc::Rc;
 
 use dsm_sim::{
-    decode_table, encode_table, fold_encoding, FastMap, FastSet, SnapError, SnapReader, SnapWriter,
-    State, StateHasher,
+    decode_table, encode_table, fold_encoding, reclaim, FastMap, FastSet, SnapError, SnapReader,
+    SnapWriter, State, StateHasher,
 };
 
 use crate::report::RaceKind;
@@ -106,6 +106,9 @@ pub struct RaceState {
     /// own assertion, and a shift beats a division by a runtime value in
     /// the per-access loop.
     wpp_shift: u32,
+    /// Shadow page buffers of dropped checkpoints, for later saves to
+    /// overwrite ([`RaceState::recycle`]); no snapshot or hash sees them.
+    spare: Vec<Rc<[Word]>>,
 }
 
 /// Hand-written for the shadow pages: touched pages sparsely in page
@@ -124,6 +127,7 @@ impl State for RaceState {
             read_sets,
             words_per_page: _,
             wpp_shift: _,
+            spare: _,
         } = self;
         clocks.encode(w);
         encode_table(shadow, w, |_, cells, w| {
@@ -145,6 +149,7 @@ impl State for RaceState {
             read_sets,
             words_per_page,
             wpp_shift: _,
+            spare: _,
         } = self;
         clocks.decode(r)?;
         let wpp = *words_per_page;
@@ -183,7 +188,7 @@ pub(crate) struct RaceSave {
 impl RaceState {
     /// Capture the detector. A shadow page equal to the same page of
     /// `parent` shares its buffer; only pages that differ are copied.
-    pub(crate) fn save(&self, parent: Option<&RaceSave>) -> RaceSave {
+    pub(crate) fn save(&mut self, parent: Option<&RaceSave>) -> RaceSave {
         let RaceState {
             clocks,
             shadow,
@@ -191,11 +196,12 @@ impl RaceState {
             read_sets,
             words_per_page: _,
             wpp_shift: _,
+            spare,
         } = self;
         let spills = read_sets.iter().map(|(&k, set)| (k, set.len() as u32));
         RaceSave {
             clocks: clocks.clone(),
-            shadow: share_table(shadow, parent.map(|p| &p.shadow[..])),
+            shadow: share_table(shadow, parent.map(|p| &p.shadow[..]), spare),
             racy: racy.clone(),
             spills: spills.collect(),
             readers: read_sets.values().flatten().copied().collect(),
@@ -213,6 +219,7 @@ impl RaceState {
             read_sets,
             words_per_page: _,
             wpp_shift: _,
+            spare: _,
         } = self;
         for (c, saved) in clocks.iter_mut().zip(&save.clocks) {
             c.0.clone_from(&saved.0);
@@ -252,6 +259,14 @@ pub struct RaceHit {
 }
 
 impl RaceState {
+    /// Take back a [`RaceState::save`] capture no checkpoint holds any
+    /// more: each shadow page nothing else shares becomes a spare.
+    pub(crate) fn recycle(&mut self, save: RaceSave) {
+        for page in save.shadow.into_iter().flatten() {
+            reclaim(page, &mut self.spare);
+        }
+    }
+
     pub fn new(nprocs: usize, page_size: usize) -> RaceState {
         assert!(page_size.is_power_of_two() && page_size >= WORD);
         assert!(nprocs < READERS_SHARED as usize, "pid space exhausted");
@@ -267,6 +282,7 @@ impl RaceState {
             read_sets: FastMap::default(),
             words_per_page,
             wpp_shift: words_per_page.trailing_zeros(),
+            spare: Vec::new(),
         }
     }
 
@@ -331,6 +347,7 @@ impl RaceState {
             read_sets,
             words_per_page,
             wpp_shift,
+            spare: _,
         } = self;
         let clock = &clocks[pid];
         let c = clock.0[pid];
@@ -404,6 +421,7 @@ impl RaceState {
             read_sets,
             words_per_page,
             wpp_shift,
+            spare: _,
         } = self;
         let clock = &clocks[pid];
         let c = clock.0[pid];
@@ -532,6 +550,7 @@ impl RaceState {
             read_sets,
             words_per_page,
             wpp_shift,
+            spare: _,
         } = self;
         let wpp = *words_per_page;
         let shift = *wpp_shift;

@@ -7,4 +7,5 @@ pub mod cluster;
 pub mod ctx;
 pub mod hash;
 pub mod reduce;
+pub mod save;
 pub mod stats;

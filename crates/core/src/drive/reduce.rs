@@ -65,7 +65,7 @@ impl ReduceOp {
 
 /// Hidden shared arrays backing reduction emulation on the homeless
 /// protocols.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct ReduceMem {
     pub slots: SharedArray<f64>,
     pub result: SharedArray<f64>,

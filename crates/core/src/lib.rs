@@ -56,6 +56,7 @@ pub use drive::app::{
 pub use drive::cluster::Cluster;
 pub use drive::ctx::{CheckCtx, ExecCtx, SetupCtx};
 pub use drive::reduce::ReduceOp;
+pub use drive::save::ClusterSave;
 pub use drive::stats::{RunReport, RunStats};
 pub use dsm_sim::{SnapReader, SnapWriter};
 pub use mem::{

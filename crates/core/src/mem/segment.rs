@@ -8,7 +8,7 @@
 use dsm_vm::PageId;
 
 /// The shared address-space map: a bump allocator over pages.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct SharedSegment {
     page_size: usize,
     next_page: usize,

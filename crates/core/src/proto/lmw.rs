@@ -52,7 +52,7 @@ pub struct Segment<D> {
 dsm_sim::impl_state!(Segment<Diff> { state: lo, hi, diff; });
 
 /// Per-process homeless-protocol state.
-#[derive(Default, Debug)]
+#[derive(Clone, Default, Debug)]
 pub struct LmwProc<D> {
     /// Sealed segments this process created, per page, ascending `hi`.
     /// Retained until GC (the paper's "voracious appetite for memory").

@@ -68,7 +68,7 @@ impl DiffKey {
 /// would hold had it filed every foreign notice it received, and what the
 /// hash folds, so two executions hash equal exactly when every process
 /// has the same notices still to consume.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct NoticeLog {
     /// Per page, the merged notices in barrier order, which is ascending
     /// `(epoch, writer)`.

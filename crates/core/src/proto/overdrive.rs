@@ -54,7 +54,7 @@ dsm_sim::impl_state_enum!(OdMode {
 });
 
 /// Per-process overdrive state.
-#[derive(Default, Debug)]
+#[derive(Clone, Default, Debug)]
 pub struct OdProc {
     /// Write sets observed this iteration, per barrier site.
     pub cur_sites: Vec<BTreeSet<u32>>,

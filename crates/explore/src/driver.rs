@@ -6,29 +6,29 @@
 //! the full simulation state at every step boundary where new choice
 //! points were resolved, and backtracking restores the deepest checkpoint
 //! at or above the divergence point instead of re-executing the shared
-//! prefix from epoch 0. A checkpoint is the cluster and app as `dsm-snap`
-//! bytes (CORE + APP sections) plus the checker as an in-memory
-//! [`CheckSave`], whose pages are shared with the checkpoint below it
-//! wherever they did not change. The explored tree, the schedule order,
-//! and every per-schedule observation are identical to the stateless
-//! driver — debug builds assert it, re-executing each restored prefix from
-//! scratch and comparing structural state hashes and folded check-event
-//! traces, and re-encoding each loaded checker against the snapshot bytes
-//! taken when it was saved.
+//! prefix from epoch 0. A checkpoint is held in memory: the cluster as a
+//! [`ClusterSave`] and the checker as a [`CheckSave`], whose pages are
+//! shared with the checkpoint below it wherever they did not change, plus
+//! the app's few `save_state` words. The explored tree, the schedule
+//! order, and every per-schedule observation are identical to the
+//! stateless driver — debug builds assert it, re-executing each restored
+//! prefix from scratch and comparing structural state hashes and folded
+//! check-event traces, and re-encoding the loaded cluster, app and checker
+//! against the `dsm-snap` bytes taken when they were saved.
 //!
 //! Each execution runs under the full `dsm-check` oracle stack — race
 //! detector, LRC coherence oracle, protocol invariants — and the first
 //! violating schedule is reported as a replayable choice trace. Pruning is
-//! a typed outcome ([`ExploreOutcome::Pruned`]): an exploring scheduler
-//! declining a barrier checkpoint raises the cluster's `pruned` flag and
-//! the step loop simply stops — no panic, no unwinding control flow.
+//! a flag, not control flow: an exploring scheduler declining a barrier
+//! checkpoint raises the cluster's `pruned` flag and the step loop simply
+//! stops — no panic, no unwinding.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use dsm_check::{CheckReport, CheckSave, Checker};
-use dsm_core::{DsmApp, RunConfig, StepRun};
-use dsm_sim::{FastSet, SharedScheduler};
+use dsm_core::{ClusterSave, DsmApp, RunConfig, StepRun};
+use dsm_sim::{FastSet, SharedScheduler, SnapReader, SnapWriter};
 
 use crate::sched::{Bounds, ChoicePoint, ExploreScheduler, SchedCheckpoint, StaticGroups, Visited};
 use crate::trace::ChoiceTrace;
@@ -87,42 +87,37 @@ pub struct ExploreReport {
     pub violation: Option<ViolationFound>,
 }
 
-/// How one explored schedule ended.
-#[derive(Clone, Debug)]
-pub enum ExploreOutcome {
-    /// The schedule ran to the end and was checked.
-    Completed(CheckReport),
-    /// The schedule was abandoned by visited-state pruning at a barrier.
-    Pruned,
-}
-
-/// One checkpoint of the DFS: the cluster/app snapshot, the checker's
-/// in-memory save and the scheduler's position, taken at a step boundary
-/// after `depth` choice points had been resolved. Usable for any later
-/// schedule whose forced prefix agrees on the first `depth` choices.
+/// One checkpoint of the DFS: the cluster's and the checker's in-memory
+/// saves, the app's state words and the scheduler's position, taken at a
+/// step boundary after `depth` choice points had been resolved. Usable
+/// for any later schedule whose forced prefix agrees on the first `depth`
+/// choices.
 struct Checkpoint {
     depth: usize,
     /// Steps executed at capture (drives the debug re-execution oracle).
     steps: usize,
     sched: SchedCheckpoint,
-    /// CORE + APP sections; the checker is not in them.
-    bytes: Vec<u8>,
+    core: ClusterSave,
+    /// `DsmApp::save_state`: a few words per app.
+    app: Vec<u8>,
     check: CheckSave,
-    /// `Checker::snapshot` at capture: the witness every load of `check`
-    /// must re-encode to (debug builds).
+    /// `snapshot_run` at capture (CORE + APP) and `Checker::snapshot`:
+    /// the witnesses every load must re-encode to (debug builds).
+    #[cfg(debug_assertions)]
+    run_bytes: Vec<u8>,
     #[cfg(debug_assertions)]
     check_bytes: Vec<u8>,
 }
 
 impl Checkpoint {
     /// Capture the run and checker at a step boundary; `parent` is the
-    /// checkpoint the run continued from, whose unchanged checker pages
-    /// the new save shares.
+    /// checkpoint the run continued from, whose unchanged cluster and
+    /// checker pages the new save shares.
     fn take<A: DsmApp + ?Sized>(
         depth: usize,
         steps: usize,
         sched: SchedCheckpoint,
-        run: &StepRun<'_, A>,
+        run: &mut StepRun<'_, A>,
         checker: &Checker,
         parent: Option<&Checkpoint>,
     ) -> Checkpoint {
@@ -130,8 +125,15 @@ impl Checkpoint {
             depth,
             steps,
             sched,
-            bytes: dsm_snap::snapshot_run(run, None),
+            core: run.cluster_mut().save(parent.map(|p| &p.core)),
+            app: {
+                let mut w = SnapWriter::new();
+                run.app().save_state(&mut w);
+                w.into_bytes()
+            },
             check: checker.save(parent.map(|p| &p.check)),
+            #[cfg(debug_assertions)]
+            run_bytes: dsm_snap::snapshot_run(run, None),
             #[cfg(debug_assertions)]
             check_bytes: checker_bytes(checker),
         }
@@ -139,13 +141,24 @@ impl Checkpoint {
 
     /// Put the run and checker back to this checkpoint.
     fn restore<A: DsmApp + ?Sized>(&self, run: &mut StepRun<'_, A>, checker: &Checker) {
-        dsm_snap::restore_run(&self.bytes, run, None);
+        let (cluster, app) = run.cluster_and_app_mut();
+        cluster.load(&self.core);
+        let mut r = SnapReader::new(&self.app);
+        if let Err(e) = app.load_state(&mut r).and_then(|()| r.finish()) {
+            panic!("restoring app state this process saved: {e}");
+        }
         checker.load(&self.check);
         #[cfg(debug_assertions)]
-        assert!(
-            checker_bytes(checker) == self.check_bytes,
-            "loaded checker state diverges from its snapshot at save"
-        );
+        {
+            assert!(
+                dsm_snap::snapshot_run(run, None) == self.run_bytes,
+                "loaded cluster state diverges from its snapshot at save"
+            );
+            assert!(
+                checker_bytes(checker) == self.check_bytes,
+                "loaded checker state diverges from its snapshot at save"
+            );
+        }
     }
 }
 
@@ -198,7 +211,7 @@ where
     // Checkpoint stack along the current DFS path, strictly increasing in
     // depth; the root (depth 0, nothing executed) is always restorable.
     let root = sched.borrow().checkpoint();
-    let mut stack = vec![Checkpoint::take(0, 0, root, &run, &checker, None)];
+    let mut stack = vec![Checkpoint::take(0, 0, root, &mut run, &checker, None)];
     let mut steps = 0usize;
 
     loop {
@@ -217,40 +230,44 @@ where
             let parent = stack.last();
             if depth > parent.map_or(0, |c| c.depth) {
                 let at = sched.borrow().checkpoint();
-                let cp = Checkpoint::take(depth, steps, at, &run, &checker, parent);
+                let cp = Checkpoint::take(depth, steps, at, &mut run, &checker, parent);
                 stack.push(cp);
             }
         }
         out.schedules += 1;
-        let log = sched.borrow().log().to_vec();
-        out.max_points = out.max_points.max(log.len());
-        if run.cluster().pruned() {
-            out.pruned += 1;
-        } else {
-            out.completed += 1;
-            let check = checker.report();
-            if !check.is_clean() && out.violation.is_none() {
-                out.violation = Some(ViolationFound {
-                    schedule_index: out.schedules - 1,
-                    choices: log.clone(),
-                    report: check,
-                });
-                if opts.stop_on_violation {
-                    break;
+        let next = {
+            let sched = sched.borrow();
+            let log = sched.log();
+            out.max_points = out.max_points.max(log.len());
+            if run.cluster().pruned() {
+                out.pruned += 1;
+            } else {
+                out.completed += 1;
+                let check = checker.report();
+                if !check.is_clean() && out.violation.is_none() {
+                    out.violation = Some(ViolationFound {
+                        schedule_index: out.schedules - 1,
+                        choices: log.to_vec(),
+                        report: check,
+                    });
+                    if opts.stop_on_violation {
+                        break;
+                    }
                 }
             }
-        }
-        let Some(prefix) = next_prefix(&log) else {
+            next_prefix(log)
+        };
+        let Some(prefix) = next else {
             out.frontier_exhausted = true;
             break;
         };
-        // Backtrack: drop checkpoints below the divergence, restore the
-        // deepest one whose choices the new prefix still agrees with.
+        // Backtrack: restore the deepest checkpoint whose choices the new
+        // prefix still agrees with, then drop the ones below the
+        // divergence, their pages going back to the cluster.
         let keep = prefix.len() - 1;
-        while stack.last().is_some_and(|c| c.depth > keep) {
-            stack.pop();
-        }
-        let cp = stack.last().expect("the depth-0 root is always usable");
+        let usable = stack.iter().rposition(|c| c.depth <= keep);
+        let kept = usable.expect("the depth-0 root is always usable") + 1;
+        let cp = &stack[kept - 1];
         cp.restore(&mut run, &checker);
         steps = cp.steps;
         #[cfg(debug_assertions)]
@@ -261,6 +278,10 @@ where
             resumed.set_static_groups(groups.clone());
         }
         *sched.borrow_mut() = resumed;
+        for dropped in stack.drain(kept..) {
+            run.cluster_mut().recycle(dropped.core);
+            checker.recycle(dropped.check);
+        }
     }
     out
 }
@@ -307,42 +328,6 @@ fn verify_restore<F>(
     );
 }
 
-/// Execute one complete schedule from scratch under the forced `prefix`.
-fn run_schedule<F>(
-    make_app: &mut F,
-    cfg: &RunConfig,
-    bounds: Bounds,
-    prefix: Vec<u32>,
-    visited: Option<Visited>,
-    static_groups: Option<StaticGroups>,
-) -> (Vec<ChoicePoint>, ExploreOutcome)
-where
-    F: FnMut() -> Box<dyn DsmApp>,
-{
-    let mut scheduler = ExploreScheduler::new(bounds, prefix, visited);
-    if let Some(groups) = static_groups {
-        scheduler.set_static_groups(groups);
-    }
-    let sched = Rc::new(RefCell::new(scheduler));
-    let shared: SharedScheduler = Rc::<RefCell<ExploreScheduler>>::clone(&sched);
-    let mut app = make_app();
-    let checker = Checker::new(cfg);
-    let mut run = StepRun::new(
-        app.as_mut(),
-        cfg.clone(),
-        Some(checker.sink()),
-        Some(shared),
-    );
-    while run.step() {}
-    let log = sched.borrow().log().to_vec();
-    let outcome = if run.cluster().pruned() {
-        ExploreOutcome::Pruned
-    } else {
-        ExploreOutcome::Completed(checker.report())
-    };
-    (log, outcome)
-}
-
 /// Deepest-first backtracking: the next DFS prefix, or `None` when every
 /// choice point on the current path is exhausted.
 fn next_prefix(log: &[ChoicePoint]) -> Option<Vec<u32>> {
@@ -356,30 +341,85 @@ fn next_prefix(log: &[ChoicePoint]) -> Option<Vec<u32>> {
     None
 }
 
-/// Re-execute exactly the schedule a trace records, under full checking.
-///
-/// State pruning is disabled (the replayed schedule must run to the end)
-/// and the replayed choice points are asserted to match the trace — a
-/// changed binary whose choice tree drifted fails loudly instead of
-/// replaying a silently different schedule.
+/// The schedule a trace records, set up to walk under full checking: the
+/// trace's choices are forced and state pruning is off, because the
+/// replayed schedule must run to the end.
+pub struct Replay<'a, A: DsmApp + ?Sized> {
+    /// The run; at the end of the schedule once [`Replay::forward`] returns.
+    pub run: StepRun<'a, A>,
+    /// The scheduler the run consults.
+    pub sched: Rc<RefCell<ExploreScheduler>>,
+    /// The checker behind the run's sink.
+    pub checker: Checker,
+    bounds: Bounds,
+    choices: Vec<ChoicePoint>,
+}
+
+impl<'a, A: DsmApp + ?Sized> Replay<'a, A> {
+    /// Set up `app` under `cfg` (normally [`config_for_trace`]) to replay
+    /// `trace`.
+    pub fn new(app: &'a mut A, cfg: RunConfig, trace: &ChoiceTrace) -> Replay<'a, A> {
+        let bounds = Bounds {
+            state_prune: false,
+            ..trace.bounds
+        };
+        let scheduler = ExploreScheduler::new(bounds, chosen(&trace.choices), None);
+        let sched = Rc::new(RefCell::new(scheduler));
+        let shared: SharedScheduler = Rc::<RefCell<ExploreScheduler>>::clone(&sched);
+        let checker = Checker::new(&cfg);
+        let run = StepRun::new(app, cfg, Some(checker.sink()), Some(shared));
+        Replay {
+            run,
+            sched,
+            checker,
+            bounds,
+            choices: trace.choices.clone(),
+        }
+    }
+
+    /// Walk forward to the end of the schedule, calling `at_step(i, self)`
+    /// at every step boundary before step `i` runs (0: nothing executed
+    /// yet). The replayed choice points are asserted to match the trace —
+    /// a changed binary whose choice tree drifted fails loudly instead of
+    /// replaying a silently different schedule. Returns the findings.
+    pub fn forward(&mut self, mut at_step: impl FnMut(usize, &Self)) -> CheckReport {
+        for i in 0.. {
+            at_step(i, self);
+            if !self.run.step() {
+                break;
+            }
+        }
+        assert!(!self.run.cluster().pruned(), "replay never prunes");
+        assert_eq!(
+            self.sched.borrow().log(),
+            &self.choices[..],
+            "replayed choice points diverged from the trace"
+        );
+        self.checker.report()
+    }
+
+    /// Force the trace's remaining choices again from `at`, a scheduler
+    /// checkpoint of this walk, once the run was restored to where `at`
+    /// was taken.
+    pub fn resume(&self, at: SchedCheckpoint) {
+        let prefix = chosen(&self.choices);
+        *self.sched.borrow_mut() = ExploreScheduler::resume(self.bounds, prefix, None, at);
+    }
+}
+
+/// The alternatives a choice log took, as a forced prefix.
+fn chosen(choices: &[ChoicePoint]) -> Vec<u32> {
+    choices.iter().map(|c| c.chosen).collect()
+}
+
+/// Re-execute exactly the schedule a trace records, under full checking
+/// ([`Replay::forward`] with nothing to do at each step).
 pub fn replay<F>(mut make_app: F, cfg: &RunConfig, trace: &ChoiceTrace) -> CheckReport
 where
     F: FnMut() -> Box<dyn DsmApp>,
 {
-    let bounds = Bounds {
-        state_prune: false,
-        ..trace.bounds
-    };
-    let prefix: Vec<u32> = trace.choices.iter().map(|c| c.chosen).collect();
-    let (log, outcome) = run_schedule(&mut make_app, cfg, bounds, prefix, None, None);
-    let ExploreOutcome::Completed(report) = outcome else {
-        panic!("replay never prunes");
-    };
-    assert_eq!(
-        log, trace.choices,
-        "replayed choice points diverged from the trace"
-    );
-    report
+    let mut app = make_app();
+    Replay::new(app.as_mut(), cfg.clone(), trace).forward(|_, _| {})
 }
 
 /// The run configuration a trace describes.

@@ -27,7 +27,7 @@ pub mod sched;
 pub mod trace;
 
 pub use driver::{
-    config_for_trace, explore, replay, ExploreOpts, ExploreOutcome, ExploreReport, ViolationFound,
+    config_for_trace, explore, replay, ExploreOpts, ExploreReport, Replay, ViolationFound,
 };
 pub use regress::{CappedApp, RegressApp};
 pub use sched::{Bounds, ChoicePoint, ExploreScheduler, SchedCheckpoint, StaticGroups, Visited};

@@ -3,15 +3,7 @@
 //! backward must reproduce every state and trace hash — and the replayed
 //! schedule must still produce the committed violation.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use dsm_check::Checker;
-use dsm_core::StepRun;
-use dsm_explore::{
-    config_for_trace, Bounds, ChoiceTrace, ExploreScheduler, RegressApp, SchedCheckpoint,
-};
-use dsm_sim::SharedScheduler;
+use dsm_explore::{config_for_trace, ChoiceTrace, RegressApp, Replay, SchedCheckpoint};
 
 #[test]
 fn committed_trace_travels_forward_and_backward() {
@@ -24,42 +16,21 @@ fn committed_trace_travels_forward_and_backward() {
     assert_eq!(trace.app, "regress");
     let cfg = config_for_trace(&trace);
 
-    let bounds = Bounds {
-        state_prune: false,
-        ..trace.bounds
-    };
-    let prefix: Vec<u32> = trace.choices.iter().map(|c| c.chosen).collect();
-    let sched = Rc::new(RefCell::new(ExploreScheduler::new(
-        bounds,
-        prefix.clone(),
-        None,
-    )));
-    let shared: SharedScheduler = Rc::<RefCell<ExploreScheduler>>::clone(&sched);
-    let checker = Checker::new(&cfg);
     let mut app = RegressApp::new();
-    let mut run = StepRun::new(&mut app, cfg.clone(), Some(checker.sink()), Some(shared));
+    let mut walk = Replay::new(&mut app, cfg, &trace);
 
     // Forward pass: checkpoint every step boundary.
     let mut marks: Vec<(u64, u64, SchedCheckpoint, Vec<u8>)> = Vec::new();
-    loop {
+    let report = walk.forward(|_, at| {
         marks.push((
-            run.cluster().state_hash(),
-            run.cluster().trace_hash(),
-            sched.borrow().checkpoint(),
-            dsm_snap::snapshot_run(&run, Some(&checker)),
+            at.run.cluster().state_hash(),
+            at.run.cluster().trace_hash(),
+            at.sched.borrow().checkpoint(),
+            dsm_snap::snapshot_run(&at.run, Some(&at.checker)),
         ));
-        if !run.step() {
-            break;
-        }
-    }
-    let final_state = run.cluster().state_hash();
+    });
+    let final_state = walk.run.cluster().state_hash();
     assert!(marks.len() > 2, "the repro schedule spans several steps");
-    assert_eq!(
-        sched.borrow().log(),
-        &trace.choices[..],
-        "replayed choice points diverged from the trace"
-    );
-    let report = checker.report();
     assert!(
         !report.is_clean() && report.stale_reads() > 0,
         "the committed violation must still reproduce: {}",
@@ -68,14 +39,14 @@ fn committed_trace_travels_forward_and_backward() {
 
     // Backward pass: every restored checkpoint reproduces its hashes.
     for (i, (state, events, _, bytes)) in marks.iter().enumerate().rev() {
-        dsm_snap::restore_run(bytes, &mut run, Some(&checker));
+        dsm_snap::restore_run(bytes, &mut walk.run, Some(&walk.checker));
         assert_eq!(
-            run.cluster().state_hash(),
+            walk.run.cluster().state_hash(),
             *state,
             "backward step {i}: state hash mismatch"
         );
         assert_eq!(
-            run.cluster().trace_hash(),
+            walk.run.cluster().trace_hash(),
             *events,
             "backward step {i}: trace hash mismatch"
         );
@@ -84,17 +55,17 @@ fn committed_trace_travels_forward_and_backward() {
     // And a restored mid-run checkpoint still finds the violation when
     // stepped to completion.
     let mid = marks.len() / 2;
-    dsm_snap::restore_run(&marks[mid].3, &mut run, Some(&checker));
-    *sched.borrow_mut() = ExploreScheduler::resume(bounds, prefix, None, marks[mid].2.clone());
-    while run.step() {}
-    let resumed = checker.report();
+    dsm_snap::restore_run(&marks[mid].3, &mut walk.run, Some(&walk.checker));
+    walk.resume(marks[mid].2.clone());
+    while walk.run.step() {}
+    let resumed = walk.checker.report();
     assert_eq!(
         resumed.stale_reads(),
         report.stale_reads(),
         "resuming from a mid-run checkpoint lost the violation"
     );
     assert_eq!(
-        run.cluster().state_hash(),
+        walk.run.cluster().state_hash(),
         final_state,
         "resumed final state differs"
     );

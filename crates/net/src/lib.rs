@@ -36,7 +36,7 @@ pub mod stats;
 pub mod wire;
 
 pub use message::{FlushKind, MsgCategory, MsgKind, ReliableKind, HEADER_BYTES};
-pub use network::{FetchDelivery, FlushOutcome, Network, Transit};
+pub use network::{FetchDelivery, FlushOutcome, NetSave, Network, Transit};
 pub use rdma::Rdma;
 pub use stats::NetStats;
 pub use wire::Wire;

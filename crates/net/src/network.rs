@@ -6,9 +6,9 @@ use std::fmt;
 use dsm_sim::{CostModel, FaultProfile, RdmaParams, SharedScheduler, Time, TransportKind};
 
 use crate::message::{FlushKind, MsgKind, ReliableKind, HEADER_BYTES};
-use crate::rdma::Rdma;
+use crate::rdma::{QpState, Rdma};
 use crate::stats::NetStats;
-use crate::wire::Wire;
+use crate::wire::{ChannelState, Wire};
 
 /// The time legs of one message: the sender is charged `sender`, the
 /// receiving handler is charged `receiver`, and anyone synchronously waiting
@@ -131,6 +131,15 @@ dsm_sim::impl_state!(Network {
     state: stats, wire, rdma;
 });
 
+/// An in-memory capture of a [`Network`]'s state ([`Network::save`]):
+/// the counters, the wire's channels and the one-sided queue pairs.
+#[derive(Debug)]
+pub struct NetSave {
+    stats: NetStats,
+    channels: Box<[ChannelState]>,
+    qps: Box<[QpState]>,
+}
+
 impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Network")
@@ -172,6 +181,33 @@ impl Network {
             backend,
             sched,
         }
+    }
+
+    /// Capture the `state` the declaration above lists, in memory.
+    pub fn save(&self) -> NetSave {
+        let Network {
+            nprocs: _,
+            costs: _,
+            stats,
+            drop_prob: _,
+            wire,
+            rdma,
+            backend: _,
+            sched: _,
+        } = self;
+        NetSave {
+            stats: stats.clone(),
+            channels: wire.channels.clone(),
+            qps: rdma.qps.clone(),
+        }
+    }
+
+    /// Return to a [`Network::save`] capture of a network built from the
+    /// same configuration, in place.
+    pub fn load(&mut self, save: &NetSave) {
+        self.stats.clone_from(&save.stats);
+        self.wire.channels.clone_from_slice(&save.channels);
+        self.rdma.qps.clone_from_slice(&save.qps);
     }
 
     /// Replace the decision scheduler (exploration installs its own).

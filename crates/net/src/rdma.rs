@@ -31,7 +31,7 @@ use crate::network::Transit;
 
 /// Per directed `(src, dst)` queue-pair state.
 #[derive(Clone, Debug, Default)]
-struct QpState {
+pub(crate) struct QpState {
     /// Queue pair established (setup charged on the first verb).
     connected: bool,
     /// Instant the last posted op completed: the FIFO retirement clamp.
@@ -45,7 +45,7 @@ dsm_sim::impl_state!(QpState { state: connected, clear_at; });
 pub struct Rdma {
     nprocs: usize,
     params: RdmaParams,
-    qps: Box<[QpState]>,
+    pub(crate) qps: Box<[QpState]>,
 }
 
 dsm_sim::impl_state!(Rdma {

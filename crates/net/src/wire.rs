@@ -58,7 +58,7 @@ const REORDER_STRETCH: u64 = 4;
 
 /// Per-(src, dst) channel bookkeeping.
 #[derive(Clone, Debug, Default)]
-struct ChannelState {
+pub(crate) struct ChannelState {
     /// Sequence number stamped on the next reliable message.
     next_seq: u64,
     /// Highest sequence delivered in order (0 = none yet).
@@ -81,7 +81,7 @@ dsm_sim::impl_state!(ChannelState { state: next_seq, delivered_seq, burst_left, 
 pub struct Wire {
     nprocs: usize,
     fault: FaultProfile,
-    channels: Box<[ChannelState]>,
+    pub(crate) channels: Box<[ChannelState]>,
 }
 
 dsm_sim::impl_state!(Wire {

@@ -66,7 +66,9 @@ pub use fault::FaultProfile;
 pub use rng::DetRng;
 pub use sched::{Candidate, ChoiceKind, Scheduler, SharedScheduler, VirtualTimeScheduler};
 pub use snapio::{SnapError, SnapErrorKind, SnapReader, SnapWriter};
-pub use state::{decode_table, encode_table, fnv1a, fold_encoding, Sparse, State, StateHasher};
+pub use state::{
+    decode_table, encode_table, fnv1a, fold_encoding, reclaim, share, Sparse, State, StateHasher,
+};
 pub use stress::StressModel;
 pub use time::Time;
 pub use transport::{RdmaParams, TransportKind};

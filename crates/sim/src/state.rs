@@ -66,6 +66,7 @@
 use std::collections::BTreeSet;
 use std::hash::Hash;
 use std::ops::{Deref, DerefMut};
+use std::rc::Rc;
 
 use crate::fasthash::{FastMap, FastSet};
 use crate::snapio::{SnapError, SnapReader, SnapWriter};
@@ -223,6 +224,40 @@ pub fn fold_encoding<T: State + ?Sized>(v: &T, h: &mut StateHasher) {
     let mut w = SnapWriter::new();
     v.encode(&mut w);
     h.bytes(&w.into_bytes());
+}
+
+/// `page` as an in-memory checkpoint buffer: `prev` (the same page in the
+/// checkpoint this one continues from) itself when it holds the same
+/// elements, a copy otherwise. Checkpoints along one search path then hold
+/// each unchanged page once. A copy overwrites a buffer from `spare`
+/// ([`reclaim`]) when one of the right length is there.
+pub fn share<T: Copy + PartialEq>(
+    page: &[T],
+    prev: Option<&Rc<[T]>>,
+    spare: &mut Vec<Rc<[T]>>,
+) -> Rc<[T]> {
+    match prev {
+        Some(p) if **p == *page => Rc::clone(p),
+        _ => {
+            if let Some(mut buf) = spare.pop() {
+                if let Some(b) = Rc::get_mut(&mut buf).filter(|b| b.len() == page.len()) {
+                    b.copy_from_slice(page);
+                    return buf;
+                }
+            }
+            Rc::from(page)
+        }
+    }
+}
+
+/// Hand back a buffer of a dropped checkpoint: onto `spare` for a later
+/// [`share`] to overwrite when nothing else holds it. Checkpoint pages
+/// then cycle through their owner instead of through the allocator, which
+/// would return the memory to the system and fault it in again.
+pub fn reclaim<T>(mut buf: Rc<[T]>, spare: &mut Vec<Rc<[T]>>) {
+    if Rc::get_mut(&mut buf).is_some() {
+        spare.push(buf);
+    }
 }
 
 /// The `scratch` class's step-boundary condition (for `impl_state!`).

@@ -177,9 +177,10 @@ pub fn read_snapshot<A: DsmApp + ?Sized>(
 }
 
 /// [`write_snapshot`] over a [`StepRun`]: the convenience entry `dsm
-/// explore --replay` uses. The explore driver passes no checker: its checkpoints
-/// keep the checker in memory (`dsm_check::Checker::save`), so only the
-/// CORE and APP sections go through the codec there.
+/// explore --replay` uses. The explore driver keeps its checkpoints in
+/// memory (`dsm_core::Cluster::save`, `dsm_check::Checker::save`) and
+/// calls this only in debug builds, for the bytes every load must
+/// re-encode to.
 pub fn snapshot_run<A: DsmApp + ?Sized>(
     run: &StepRun<'_, A>,
     checker: Option<&Checker>,

@@ -30,6 +30,7 @@
 //! the hash-cache invalidation, so there is no such path.
 
 use core::cell::Cell;
+use std::rc::Rc;
 
 use dsm_sim::{SnapError, SnapReader, SnapWriter, State, StateHasher};
 
@@ -391,6 +392,107 @@ impl Frame {
         Ok(())
     }
 
+    /// Capture the frame in memory, for the explorer's checkpoints, with
+    /// `data` a buffer holding its contents (the caller's to choose:
+    /// `PageStore::save`). The twin keeps only its saved words (the dirty
+    /// spans, or the whole page once collapsed), so a recycled twin
+    /// buffer's stale words outside them are never read, and shares
+    /// `parent`'s (the same page's save in the checkpoint this run
+    /// continued from) when they are equal. A current hash memo travels
+    /// along; a stale one is not recomputed.
+    pub(crate) fn save(&self, parent: Option<&FrameSave>, data: Rc<[u8]>) -> FrameSave {
+        let Frame {
+            data: _,
+            prot,
+            twin,
+            version_seen,
+            applied_through,
+            dirty,
+            tracking,
+            rev,
+            hash_cache,
+        } = self;
+        let twin = twin.as_ref().map(|t| {
+            let prev = parent.and_then(|p| p.twin.as_ref());
+            share_spans(|| self.saved_words(t), prev)
+        });
+        FrameSave {
+            data,
+            twin,
+            prot: *prot,
+            version_seen: *version_seen,
+            applied_through: *applied_through,
+            dirty: dirty.clone(),
+            tracking: *tracking,
+            hash: hash_cache
+                .get()
+                .and_then(|(at, hash)| (at == *rev).then_some(hash)),
+        }
+    }
+
+    /// Return to a [`Frame::save`] capture in place, reusing the frame's
+    /// buffers; `copy_data` false skips the contents, for a caller that
+    /// knows they already equal the saved ones. The revision bumps; the
+    /// saved hash, if any, is reinstalled against the new revision, so the
+    /// next barrier does not re-walk a frame nothing touched since.
+    pub(crate) fn load(&mut self, save: &FrameSave, copy_data: bool) {
+        let Frame {
+            data,
+            prot,
+            twin,
+            version_seen,
+            applied_through,
+            dirty,
+            tracking,
+            rev,
+            hash_cache,
+        } = self;
+        if copy_data {
+            data.bytes_mut().copy_from_slice(&save.data);
+        }
+        debug_assert!(*data.bytes() == *save.data, "contents equal the save");
+        *prot = save.prot;
+        *version_seen = save.version_seen;
+        *applied_through = save.applied_through;
+        dirty.clone_from(&save.dirty);
+        *tracking = save.tracking;
+        match &save.twin {
+            Some(words) => {
+                let t = twin.get_or_insert_with(|| PageBuf::zeroed(data.len()));
+                let mut at = 0;
+                for (lo, hi) in Self::saved_spans(dirty, t.len()) {
+                    let len = hi - lo;
+                    t.bytes_mut()[lo..hi].copy_from_slice(&words[at..at + len]);
+                    at += len;
+                }
+                debug_assert_eq!(at, words.len(), "twin words match the dirty spans");
+            }
+            None => *twin = None,
+        }
+        *rev += 1;
+        hash_cache.set(save.hash.map(|hash| (*rev, hash)));
+    }
+
+    /// The byte spans of a twin that hold saved words: the dirty ranges,
+    /// or the whole page once they collapsed.
+    fn saved_spans(dirty: &DirtyRanges, len: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let (whole, ranges) = if dirty.is_all() {
+            (Some((0, len)), None)
+        } else {
+            (
+                None,
+                Some(dirty.iter().map(|(s, e)| (s as usize, e as usize))),
+            )
+        };
+        whole.into_iter().chain(ranges.into_iter().flatten())
+    }
+
+    /// The twin `t`'s saved words, as byte slices in page order.
+    fn saved_words<'a>(&'a self, t: &'a PageBuf) -> impl Iterator<Item = &'a [u8]> {
+        let bytes = t.bytes();
+        Self::saved_spans(&self.dirty, t.len()).map(move |(lo, hi)| &bytes[lo..hi])
+    }
+
     /// Fold the frame's structural hash: protection, versions, contents,
     /// twin. A pure function of the frame's observable state, so it is
     /// memoized keyed on the revision — every mutation path bumps the
@@ -489,6 +591,69 @@ impl Frame {
             .expect("diff_against_twin called without a twin");
         Diff::between_ranges_in(page, twin, &self.data, &self.dirty, pool)
     }
+}
+
+/// An in-memory capture of one [`Frame`] ([`Frame::save`]): the contents
+/// and the twin's saved words as buffers that may be shared with the
+/// parent checkpoint's capture of the same page, everything else copied.
+#[derive(Debug)]
+pub(crate) struct FrameSave {
+    data: Rc<[u8]>,
+    /// The twin's saved words, its dirty spans concatenated in page order.
+    twin: Option<Rc<[u8]>>,
+    prot: Protection,
+    version_seen: u32,
+    applied_through: u64,
+    dirty: DirtyRanges,
+    tracking: bool,
+    /// The structural hash, when the memo was current at save.
+    hash: Option<u64>,
+}
+
+impl FrameSave {
+    /// The saved contents.
+    pub(crate) fn data(&self) -> &Rc<[u8]> {
+        &self.data
+    }
+
+    /// The saved contents, giving up the rest.
+    pub(crate) fn into_data(self) -> Rc<[u8]> {
+        self.data
+    }
+
+    /// True when this capture's contents and twin words are `parent`'s own
+    /// buffers, not copies.
+    pub(crate) fn shares_pages_with(&self, parent: &FrameSave) -> bool {
+        let same_twin = match (&self.twin, &parent.twin) {
+            (Some(a), Some(b)) => Rc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        };
+        Rc::ptr_eq(&self.data, &parent.data) && same_twin
+    }
+}
+
+/// The byte slices `words()` yields, as one checkpoint buffer: `prev`
+/// itself when it holds the same bytes, a fresh copy otherwise.
+fn share_spans<'a, I: Iterator<Item = &'a [u8]>>(
+    words: impl Fn() -> I,
+    prev: Option<&Rc<[u8]>>,
+) -> Rc<[u8]> {
+    if let Some(p) = prev {
+        let mut at = 0;
+        let same = words().all(|w| {
+            let eq = p.get(at..at + w.len()) == Some(w);
+            at += w.len();
+            eq
+        });
+        if same && at == p.len() {
+            return Rc::clone(p);
+        }
+    }
+    let mut copy = Vec::new();
+    for w in words() {
+        copy.extend_from_slice(w);
+    }
+    Rc::from(copy)
 }
 
 /// Read a run list and write it into `target`, rejecting runs that leave

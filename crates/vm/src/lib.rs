@@ -46,4 +46,4 @@ pub use image::Image;
 pub use page::{FaultKind, PageId, Protection};
 pub use pages::{Delta, Meta, Pages};
 pub use pool::BufPool;
-pub use store::PageStore;
+pub use store::{PageStore, StoreSave};
